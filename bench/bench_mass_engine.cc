@@ -18,13 +18,12 @@
 //      speedups isolate the algorithm, plus the backend the cost model
 //      actually picks at each size.
 //
-//   2b. A boundary sweep over the (series_n, length) grid where the retired
-//      v1 weight-18 boundary and the calibrated v2 cost model disagree:
-//      per-row measured seconds for direct / pair-packed / overlap-save,
-//      the model's predicted costs (so the static weights in
-//      mass::BackendCostModel stay auditable against real timings), the
-//      backend each policy picks, and the realized v2-over-v1 speedup.
-//      These are the `boundary_sweep` rows of BENCH_engine.json that
+//   2b. A boundary sweep over the short-window (series_n, length) grid
+//      where direct dots and overlap-save compete: per-row measured
+//      seconds for direct / pair-packed / overlap-save, the model's
+//      predicted costs (so the static weights in mass::BackendCostModel
+//      stay auditable against real timings), and the backend the cost
+//      model picks. These are the `boundary_sweep` rows of BENCH_engine.json that
 //      mass/backend.h and the cost-model tests refer to.
 //   3. ParallelFor dispatch: spawn-per-call std::thread (the seed's
 //      implementation) vs the persistent pool, plus the pool's
@@ -356,8 +355,7 @@ SweepResult RunBackendSweep(std::size_t n, std::size_t length,
 }
 
 /// One boundary-sweep configuration: batched single-threaded per-row
-/// timings for each backend family, the per-policy choices, and the
-/// realized v2-over-v1 speedup.
+/// timings for each backend family and the cost model's choice.
 struct BoundaryResult {
   std::size_t series_n = 0;
   std::size_t length = 0;
@@ -365,9 +363,8 @@ struct BoundaryResult {
   double direct_seconds = 0.0;        // per row
   double fft_pair_seconds = 0.0;      // per row
   double overlap_save_seconds = 0.0;  // per row
-  valmod::mass::ConvolutionBackend v1 = valmod::mass::ConvolutionBackend::kAuto;
-  valmod::mass::ConvolutionBackend v2 = valmod::mass::ConvolutionBackend::kAuto;
-  double speedup_v2_vs_v1 = 1.0;
+  valmod::mass::ConvolutionBackend auto_backend =
+      valmod::mass::ConvolutionBackend::kAuto;
 };
 
 double TimePerRow(valmod::mass::MassEngine& engine,
@@ -417,20 +414,8 @@ BoundaryResult RunBoundaryPoint(std::size_t n, std::size_t length,
   result.overlap_save_seconds = TimePerRow(
       engine, rows, length, ConvolutionBackend::kOverlapSave, checksum);
 
-  result.v1 = valmod::mass::ChooseConvolutionBackendV1(n, length, count);
-  result.v2 = valmod::mass::ChooseConvolutionBackend(n, length, count,
-                                                     /*batched=*/true);
-  const auto measured = [&](ConvolutionBackend b) {
-    switch (b) {
-      case ConvolutionBackend::kDirect:
-        return result.direct_seconds;
-      case ConvolutionBackend::kOverlapSave:
-        return result.overlap_save_seconds;
-      default:  // both full-FFT members run pair-packed in a batch
-        return result.fft_pair_seconds;
-    }
-  };
-  result.speedup_v2_vs_v1 = measured(result.v1) / measured(result.v2);
+  result.auto_backend = valmod::mass::ChooseConvolutionBackend(
+      n, length, count, /*batched=*/true);
   return result;
 }
 
@@ -615,8 +600,8 @@ int main(int argc, char** argv) {
   sweep.push_back(
       RunBackendSweep(std::size_t{1} << 19, length, 8, &checksum));
 
-  // Boundary sweep: the (series_n, length) grid where the v1 weight-18
-  // boundary kept rows on direct dots. Every row reports the measured
+  // Boundary sweep: the short-window (series_n, length) grid where direct
+  // dots and overlap-save compete. Every row reports the measured
   // per-backend timings next to the cost model's predictions so the static
   // weights stay auditable.
   std::vector<BoundaryResult> boundary;
@@ -626,12 +611,6 @@ int main(int argc, char** argv) {
          {std::size_t{64}, std::size_t{128}, std::size_t{256},
           std::size_t{512}}) {
       boundary.push_back(RunBoundaryPoint(bn, bl, &checksum));
-    }
-  }
-  double speedup_boundary_8192_128 = 0.0;
-  for (const BoundaryResult& b : boundary) {
-    if (b.series_n == 8192 && b.length == 128) {
-      speedup_boundary_8192_128 = b.speedup_v2_vs_v1;
     }
   }
 
@@ -703,8 +682,7 @@ int main(int argc, char** argv) {
         "\"overlap_save_seconds_per_row\":%.3e,"
         "\"predicted_direct\":%.4g,\"predicted_fft_pair\":%.4g,"
         "\"predicted_overlap_save\":%.4g,"
-        "\"v1_backend\":\"%s\",\"v2_backend\":\"%s\","
-        "\"speedup_v2_vs_v1\":%.3f}",
+        "\"auto_backend\":\"%s\"}",
         b == 0 ? "" : ",", r.series_n, r.length, r.repetitions,
         r.direct_seconds, r.fft_pair_seconds, r.overlap_save_seconds,
         valmod::mass::DirectSlidingDotsCost(model, r.length, count),
@@ -712,8 +690,7 @@ int main(int argc, char** argv) {
                                          /*pair=*/true),
         valmod::mass::OverlapSaveSlidingDotsCost(model, r.length, count,
                                                  /*pair=*/true),
-        valmod::mass::ConvolutionBackendName(r.v1),
-        valmod::mass::ConvolutionBackendName(r.v2), r.speedup_v2_vs_v1);
+        valmod::mass::ConvolutionBackendName(r.auto_backend));
   }
 
   std::string json;
@@ -768,11 +745,10 @@ int main(int argc, char** argv) {
       "\"cost_model\":{\"source\":\"static\",\"direct\":%.3f,"
       "\"fft_single\":%.3f,\"fft_pair\":%.3f,\"overlap_save\":%.3f,"
       "\"overlap_save_chunk\":%.3f},"
-      "\"boundary_sweep\":[%s],"
-      "\"speedup_v2_vs_v1_boundary_8192_128\":%.3f,",
+      "\"boundary_sweep\":[%s],",
       valmod::mass::kResultsVersion, model.direct, model.fft_single,
       model.fft_pair, model.overlap_save, model.overlap_save_chunk,
-      boundary_json.c_str(), speedup_boundary_8192_128);
+      boundary_json.c_str());
   AppendFormat(
       &json,
       "\"parallel_for\":{\"rounds\":%zu,\"range\":%zu,\"threads\":%d,"

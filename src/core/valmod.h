@@ -37,13 +37,6 @@ struct ValmodOptions {
   bool build_valmap = true;
   /// How top-k pairs are selected from row minima.
   mp::MotifSelection selection = mp::MotifSelection::kNonOverlapping;
-  /// Which backend-selection policy the recompute engine runs under (see
-  /// mass::kResultsVersion). The default (2) picks the genuinely cheapest
-  /// backend via the calibrated cost model; 1 pins the frozen v1 policy so
-  /// motif output stays bit-identical to the v1 goldens (tests/goldens/).
-  /// Both versions are exact — they differ only in result ulps, because
-  /// the backends evaluate the same sums in different orders.
-  int results_version = mass::kResultsVersion;
   /// Cooperative timeout; checked per length iteration.
   Deadline deadline;
   /// Graceful degradation: when the deadline fires (or the run is

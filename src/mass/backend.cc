@@ -60,8 +60,6 @@ const char* ConvolutionBackendName(ConvolutionBackend backend) {
   switch (backend) {
     case ConvolutionBackend::kAuto:
       return "auto";
-    case ConvolutionBackend::kAutoV1:
-      return "auto_v1";
     case ConvolutionBackend::kDirect:
       return "direct";
     case ConvolutionBackend::kFftSingle:
@@ -174,28 +172,6 @@ ConvolutionBackend ChooseConvolutionBackend(std::size_t series_size,
                                             std::size_t count, bool batched) {
   return ChooseConvolutionBackend(series_size, length, count, batched,
                                   ActiveBackendCostModel());
-}
-
-ConvolutionBackend ChooseConvolutionBackendV1(std::size_t series_size,
-                                              std::size_t length,
-                                              std::size_t count) {
-  // The PR 3 policy, frozen: every configuration the weight-18 boundary
-  // sent down the direct path stays there (and stays bit-identical to it),
-  // and the FFT family prefers overlap-save whenever the chunking is
-  // non-degenerate. Kept verbatim so results_version = 1 reproduces the v1
-  // goldens byte-for-byte; the default policy lives in the calibrated
-  // chooser above, with its measurements in the boundary_sweep rows of
-  // BENCH_engine.json.
-  if (!PreferFftSlidingDots(series_size, length, count)) {
-    return ConvolutionBackend::kDirect;
-  }
-  const std::size_t full_size =
-      fft::NextPowerOfTwo(series_size + length - 1);
-  const std::size_t chunk_size = fft::OverlapSaveFftSize(length);
-  if (chunk_size >= full_size) {
-    return ConvolutionBackend::kFftSingle;
-  }
-  return ConvolutionBackend::kOverlapSave;
 }
 
 namespace {

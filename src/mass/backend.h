@@ -8,33 +8,18 @@
 
 namespace valmod::mass {
 
-/// Version of the numerical results the library produces under automatic
-/// backend selection. Backends are numerically equivalent to ~1e-9 relative
-/// but not bit-identical, so *which* backend the cost model picks determines
-/// the exact ulps of every downstream motif distance. Whenever the
-/// selection policy changes, this constant is bumped and the golden outputs
-/// under tests/goldens/ are regenerated for the new version; the previous
-/// policy stays reachable so old goldens remain reproducible bit-for-bit.
+/// Version label of the numerical results the library produces under
+/// automatic backend selection. Backends are numerically equivalent to
+/// ~1e-9 relative but not bit-identical, so *which* backend the cost model
+/// picks determines the exact ulps of every downstream motif distance.
+/// There is one selection policy (`ChooseConvolutionBackend`); whenever it
+/// changes, this label is bumped and the golden outputs under
+/// tests/goldens/ are regenerated in place. It is output-only: reported in
+/// responses, CLI headers and build info, never selectable.
 ///
-///  - v1 (kLegacyResultsVersion): the PR 3 policy — the direct-vs-FFT
-///    boundary is the fixed weight-18 `PreferFftSlidingDots` test, and the
-///    FFT family prefers overlap-save whenever its chunk is smaller than
-///    the full transform. Reachable via `ConvolutionBackend::kAutoV1` (or
-///    `results_version = 1` on the option structs that thread it through).
-///  - v2 (kResultsVersion, the default): the calibrated backend-aware cost
-///    model below — every backend is priced by the work its kernel actually
-///    does, so e.g. 2^13 points / length 128 now runs overlap-save (≥1.3x
-///    measured) where the v1 boundary kept it on direct dots.
+/// v2 is the calibrated backend-aware cost model below — every backend is
+/// priced by the work its kernel actually does.
 inline constexpr int kResultsVersion = 2;
-inline constexpr int kLegacyResultsVersion = 1;
-
-/// True for the versions a `results_version` option may carry. Every
-/// intake point (ValmodOptions, ProfileOptions, QuerySearchOptions, the
-/// CLI flag) validates with this so an unknown version fails loudly
-/// instead of silently running the current policy under a wrong label.
-inline constexpr bool IsValidResultsVersion(int version) {
-  return version == kResultsVersion || version == kLegacyResultsVersion;
-}
 
 /// How a MASS engine turns queries into sliding dot products. The backends
 /// are numerically equivalent (every one computes the same dot products to
@@ -46,11 +31,6 @@ enum class ConvolutionBackend {
   /// Cost-model selection (see ChooseConvolutionBackend). The default
   /// everywhere; forcing a specific backend exists for tests and benches.
   kAuto,
-  /// The v1 (PR 3) automatic selection, kept so `results_version = 1` runs
-  /// reproduce historical outputs bit-for-bit: the weight-18 direct-vs-FFT
-  /// boundary, then overlap-save whenever its chunk is below the full
-  /// transform size. See kLegacyResultsVersion.
-  kAutoV1,
   /// O(count * length) direct multiply-adds. Wins for short windows.
   kDirect,
   /// One full-size real FFT per query against the cached padded-series
@@ -72,19 +52,6 @@ enum class ConvolutionBackend {
 /// Human-readable backend name for logs / bench JSON.
 const char* ConvolutionBackendName(ConvolutionBackend backend);
 
-/// The backend to hand a MassEngine for (`backend`, `results_version`): a
-/// forced backend wins outright; otherwise kAuto under the default
-/// version, or kAutoV1 under the legacy one. Callers must have validated
-/// `results_version` (IsValidResultsVersion) first.
-inline ConvolutionBackend EffectiveBackend(ConvolutionBackend backend,
-                                           int results_version) {
-  if (backend == ConvolutionBackend::kAuto &&
-      results_version == kLegacyResultsVersion) {
-    return ConvolutionBackend::kAutoV1;
-  }
-  return backend;
-}
-
 /// Per-backend cost weights, in units of one direct multiply-add (so
 /// `direct` is 1.0 by construction). A backend's predicted per-row cost is
 /// its kernel's dominant operation count scaled by these weights — see the
@@ -100,9 +67,7 @@ struct BackendCostModel {
   /// size) of a single-query row: one real forward + product + real inverse.
   /// Butterfly weights land well above 1 because the direct path is a dense
   /// auto-vectorized FMA loop while a butterfly pass is strided and
-  /// latency-bound — the weight-18 v1 constant overpriced this gap, which
-  /// is exactly why it kept short-window configurations off the (faster)
-  /// overlap-save path.
+  /// latency-bound.
   double fft_single = 5.5;
   /// Per-row cost per butterfly unit of the pair-packed full-size path (two
   /// rows share one forward + product + inverse).
@@ -178,7 +143,7 @@ std::uint64_t CalibrationRefitCount();
 /// kFftPair; otherwise the single-row flavors compete and the full-FFT
 /// winner is kFftSingle. Overlap-save is excluded when its chunk would not
 /// be smaller than the full transform (chunking degenerates to one
-/// full-size block plus overhead). Never returns kAuto/kAutoV1.
+/// full-size block plus overhead). Never returns kAuto.
 ConvolutionBackend ChooseConvolutionBackend(std::size_t series_size,
                                             std::size_t length,
                                             std::size_t count,
@@ -188,16 +153,6 @@ ConvolutionBackend ChooseConvolutionBackend(std::size_t series_size,
                                             std::size_t length,
                                             std::size_t count,
                                             bool batched = false);
-
-/// The v1 (PR 3) selection, verbatim: direct iff the weight-18
-/// `PreferFftSlidingDots` boundary says so, else overlap-save when its
-/// chunk is below the full transform size, else the full-size single-query
-/// path. `ConvolutionBackend::kAutoV1` resolves through this, which is what
-/// keeps `results_version = 1` runs bit-identical to PR 3 output (see the
-/// v1 goldens under tests/goldens/).
-ConvolutionBackend ChooseConvolutionBackendV1(std::size_t series_size,
-                                              std::size_t length,
-                                              std::size_t count);
 
 }  // namespace valmod::mass
 

@@ -75,7 +75,6 @@ void NoteEngineRows(ConvolutionBackend backend, std::uint64_t rows) {
       Bump(g_engine_counters.rows_overlap_save, rows);
       return;
     case ConvolutionBackend::kAuto:
-    case ConvolutionBackend::kAutoV1:
       // Callers count after resolution; an unresolved backend here is a
       // programming error, but telemetry must never crash the engine.
       return;
@@ -479,8 +478,6 @@ Result<RowProfile> MassEngine::ComputeRowProfile(std::size_t query_offset,
   const std::size_t count = series_.NumSubsequences(length);
   if (backend == ConvolutionBackend::kAuto) {
     backend = ChooseConvolutionBackend(series_.size(), length, count);
-  } else if (backend == ConvolutionBackend::kAutoV1) {
-    backend = ChooseConvolutionBackendV1(series_.size(), length, count);
   }
 
   RowProfile row;
@@ -505,7 +502,6 @@ Result<RowProfile> MassEngine::ComputeRowProfile(std::size_t query_offset,
       OverlapSaveDotsPair(query, {}, length, &row.dots, nullptr);
       break;
     case ConvolutionBackend::kAuto:
-    case ConvolutionBackend::kAutoV1:
       return Status::Internal("unresolved convolution backend");
   }
   NoteEngineRows(backend, 1);
@@ -523,9 +519,8 @@ Result<std::vector<RowProfile>> MassEngine::ComputeRowProfiles(
   std::vector<RowProfile> profiles(rows.size());
   if (rows.empty()) return profiles;
 
-  const bool auto_resolved = backend == ConvolutionBackend::kAuto ||
-                             backend == ConvolutionBackend::kAutoV1;
-  if (backend == ConvolutionBackend::kAuto) {
+  const bool auto_resolved = backend == ConvolutionBackend::kAuto;
+  if (auto_resolved) {
     // The cost model prices the batch as the engine will execute it:
     // adjacent rows share one pair-packed (or overlap-save) transform, so a
     // multi-row batch competes the pair flavors against the direct dots. (A
@@ -533,13 +528,6 @@ Result<std::vector<RowProfile>> MassEngine::ComputeRowProfiles(
     // bit-identity with ComputeRowProfile.)
     backend = ChooseConvolutionBackend(series_.size(), length, count,
                                        /*batched=*/rows.size() > 1);
-  } else if (backend == ConvolutionBackend::kAutoV1) {
-    // The v1 policy resolved once, then upgraded a full-FFT choice to pair
-    // packing — replicated verbatim for results_version = 1 bit-compat.
-    backend = ChooseConvolutionBackendV1(series_.size(), length, count);
-    if (backend == ConvolutionBackend::kFftSingle) {
-      backend = ConvolutionBackend::kFftPair;
-    }
   }
 
   if (backend == ConvolutionBackend::kDirect ||
@@ -631,8 +619,6 @@ Result<std::vector<double>> MassEngine::DistanceProfile(
     // margin, and unconditionally taking an FFT path would also pay the
     // engine's one-time spectrum build for a single cheap call.
     backend = ChooseConvolutionBackend(series_.size(), length, count);
-  } else if (backend == ConvolutionBackend::kAutoV1) {
-    backend = ChooseConvolutionBackendV1(series_.size(), length, count);
   }
 
   VALMOD_ASSIGN_OR_RETURN(CenteredQuery centered, CenterQuery(query));
@@ -654,7 +640,6 @@ Result<std::vector<double>> MassEngine::DistanceProfile(
       OverlapSaveDotsPair(centered.values, {}, length, &dots, nullptr);
       break;
     case ConvolutionBackend::kAuto:
-    case ConvolutionBackend::kAutoV1:
       return Status::Internal("unresolved convolution backend");
   }
   NoteEngineRows(backend, 1);

@@ -43,11 +43,9 @@ namespace valmod::mass {
 ///
 /// `ConvolutionBackend::kAuto` (the default everywhere) applies the
 /// calibrated cost model in `ChooseConvolutionBackend` — batched calls are
-/// priced pair-packed, exactly as they execute; `kAutoV1` applies the frozen
-/// v1 (PR 3) policy for results_version = 1 bit-compat; forcing a specific
-/// backend exists for tests and benches. Backends agree to ~1e-9 relative,
-/// not bit-for-bit (the
-/// evaluation order differs); within one backend, batched results depend
+/// priced pair-packed, exactly as they execute; forcing a specific backend
+/// exists for tests and benches. Backends agree to ~1e-9 relative, not
+/// bit-for-bit (the evaluation order differs); within one backend, batched results depend
 /// only on the row order, never on `num_threads`. The auto single-query
 /// path remains bit-identical to the `mass::ComputeRowProfile` free
 /// function, which is a thin wrapper over an engine.
@@ -73,12 +71,11 @@ class MassEngine {
 
   /// Batched form: row profiles for every offset in `rows` at one length,
   /// in input order. Under kAuto this resolves the backend once for the
-  /// whole batch with the FFT family priced pair-packed (kAutoV1 replays
-  /// the v1 resolve-then-upgrade sequence instead);
-  /// adjacent rows share one transform, and an odd tail row runs the
-  /// historical single-query path under kAuto but stays on the forced
-  /// backend (empty second lane) when one was given, matching the
-  /// single-row forced semantics. The row pairing — and therefore the
+  /// whole batch with the FFT family priced pair-packed; adjacent rows
+  /// share one transform, and an odd tail row runs the historical
+  /// single-query path under kAuto but stays on the forced backend (empty
+  /// second lane) when one was given, matching the single-row forced
+  /// semantics. The row pairing — and therefore the
   /// numeric result — depends only on the order of `rows`, never on
   /// `num_threads`, which only controls how pairs fan out over the pool.
   Result<std::vector<RowProfile>> ComputeRowProfiles(
@@ -257,7 +254,7 @@ struct EngineCounters {
   std::uint64_t chunk_spectra_evictions = 0;
   // Chunks copied across append generations (AdoptChunkSpectraFrom).
   std::uint64_t chunk_spectra_adopted = 0;
-  // Rows of sliding-dot work per executed backend (kAuto/kAutoV1 resolve
+  // Rows of sliding-dot work per executed backend (kAuto resolves
   // before counting, so every row lands on a concrete backend).
   std::uint64_t rows_direct = 0;
   std::uint64_t rows_fft_single = 0;
@@ -267,7 +264,7 @@ struct EngineCounters {
 EngineCounters EngineCountersSnapshot();
 
 /// Adds `rows` to the counter for concrete backend `backend` (must not be
-/// kAuto/kAutoV1). Exposed for the engine internals; relaxed atomics.
+/// kAuto). Exposed for the engine internals; relaxed atomics.
 void NoteEngineRows(ConvolutionBackend backend, std::uint64_t rows);
 
 }  // namespace valmod::mass

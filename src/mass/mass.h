@@ -95,15 +95,6 @@ std::vector<double> DirectExternalSlidingDots(
     std::span<const double> centered_series,
     std::span<const double> centered_query, std::size_t count);
 
-/// True when an FFT path is estimated cheaper than `count * length` direct
-/// multiply-adds under the fixed weight-18 butterfly constant. This is the
-/// *v1* direct-vs-FFT boundary, kept verbatim as the backbone of
-/// `ChooseConvolutionBackendV1` (mass/backend.h) so `results_version = 1`
-/// runs stay bit-identical to historical output; the default (v2) policy
-/// prices every backend with the calibrated `BackendCostModel` instead.
-bool PreferFftSlidingDots(std::size_t series_size, std::size_t length,
-                          std::size_t count);
-
 /// Fills `distances` (resized to `dots.size()`) with the z-normalized pair
 /// distances of the window at `query_offset` against every window, given
 /// the centered sliding dot products of that row.

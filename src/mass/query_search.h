@@ -29,9 +29,6 @@ struct QuerySearchOptions {
   /// Convolution backend for the distance profile; kAuto applies the
   /// engine's cost-model crossover.
   ConvolutionBackend backend = ConvolutionBackend::kAuto;
-  /// Which automatic selection policy resolves kAuto (see kResultsVersion):
-  /// 2 (default) is the calibrated cost model, 1 the frozen v1 boundary.
-  int results_version = kResultsVersion;
   /// Cooperative timeout / cancellation, checked before the distance
   /// profile is computed (one profile is the whole cost of a query search,
   /// so there is no finer-grained checkpoint to poll). The service

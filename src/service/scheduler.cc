@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <new>
 #include <utility>
 
 #include "common/fault.h"
@@ -14,6 +15,17 @@ double ElapsedSeconds(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        since)
       .count();
+}
+
+/// Runs one job. An allocation the process cannot satisfy fails that
+/// request with a structured error instead of taking the server down.
+Result<std::string> RunJob(const QueryScheduler::Job& job,
+                           const Deadline& deadline) {
+  try {
+    return job(deadline);
+  } catch (const std::bad_alloc&) {
+    return Status::ResourceExhausted("request exhausted memory");
+  }
 }
 
 }  // namespace
@@ -212,7 +224,7 @@ void QueryScheduler::WorkerLoop() {
     // call itself had faulted.
     const Status fault = VALMOD_FAULT_POINT("scheduler.worker.stall");
     Result<std::string> result =
-        fault.ok() ? ticket->job_(ticket->deadline_)
+        fault.ok() ? RunJob(ticket->job_, ticket->deadline_)
                    : Result<std::string>(fault);
     // Counters first, then Resolve: a waiter woken by Resolve must already
     // see this request as completed in stats().

@@ -16,7 +16,7 @@
 // no FMA contraction, the same per-element operation order, and the exact
 // four-accumulator reduction pattern for dot products on every width. This
 // keeps golden results byte-stable across `VALMOD_SIMD` targets, so
-// switching targets never needs a results-version bump.
+// switching targets never needs a kResultsVersion bump.
 //
 // Override order (strongest last): cpuid auto-detection, then the
 // `VALMOD_SIMD=scalar|avx2|avx512|neon` environment variable (read at first

@@ -1,6 +1,5 @@
 // The calibrated backend-aware cost model (mass/backend.h): the chooser
-// must pick the backend that actually measures cheapest, the frozen v1
-// policy must stay exactly the historical weight-18 boundary, and runtime
+// must pick the backend that actually measures cheapest, and runtime
 // calibration may move *choices* but never the numerics a given backend
 // produces.
 
@@ -37,14 +36,13 @@ struct GridCase {
 // Expected winners are the *measured* cheapest backends from the
 // boundary_sweep rows of BENCH_engine.json (bench_mass_engine, batched
 // single-threaded per-row timings; see the sweep summary in README /
-// ROADMAP): overlap-save wins the whole short-length grid the v1 boundary
-// used to keep on direct dots, direct survives only tiny problems, and the
-// full-size FFT family keeps queries whose overlap-save chunk degenerates
-// to the full transform.
+// ROADMAP): overlap-save wins the whole short-length grid, direct survives
+// only tiny problems, and the full-size FFT family keeps queries whose
+// overlap-save chunk degenerates to the full transform.
 TEST_F(BackendCostTest, ChoiceMatchesMeasuredWinnerOnBenchGrid) {
   const GridCase cases[] = {
-      // The retuned boundary region (v1 chose direct everywhere here;
-      // measured overlap-save speedups 1.15x-4.5x, see boundary_sweep).
+      // Short windows on mid-size series: measured overlap-save speedups
+      // over direct dots of 1.15x-4.5x, see boundary_sweep.
       {std::size_t{1} << 12, 64, true, ConvolutionBackend::kOverlapSave},
       {std::size_t{1} << 12, 128, true, ConvolutionBackend::kOverlapSave},
       {std::size_t{1} << 12, 256, true, ConvolutionBackend::kOverlapSave},
@@ -91,7 +89,6 @@ TEST_F(BackendCostTest, ResolvesToConcreteBackendEverywhere) {
         const ConvolutionBackend b =
             ChooseConvolutionBackend(n, length, count, batched);
         EXPECT_NE(b, ConvolutionBackend::kAuto);
-        EXPECT_NE(b, ConvolutionBackend::kAutoV1);
         if (!batched) EXPECT_NE(b, ConvolutionBackend::kFftPair);
         if (batched) EXPECT_NE(b, ConvolutionBackend::kFftSingle);
         if (b == ConvolutionBackend::kOverlapSave) {
@@ -102,42 +99,6 @@ TEST_F(BackendCostTest, ResolvesToConcreteBackendEverywhere) {
       }
     }
   }
-}
-
-// The frozen v1 policy must remain the historical composition of the
-// weight-18 PreferFftSlidingDots boundary and the chunk-vs-full split —
-// that equivalence is what makes results_version = 1 bit-compatible with
-// PR 3 output (proven end-to-end by valmod_golden_test).
-TEST_F(BackendCostTest, V1PolicyIsTheLegacyBoundary) {
-  for (std::size_t n : {100u, 600u, 2048u, 8192u, 65536u}) {
-    for (std::size_t length : {4u, 16u, 64u, 128u, 512u, 1024u}) {
-      if (length >= n) continue;
-      const std::size_t count = n - length + 1;
-      const ConvolutionBackend v1 =
-          ChooseConvolutionBackendV1(n, length, count);
-      if (!PreferFftSlidingDots(n, length, count)) {
-        EXPECT_EQ(v1, ConvolutionBackend::kDirect);
-      } else if (fft::OverlapSaveFftSize(length) >=
-                 fft::NextPowerOfTwo(n + length - 1)) {
-        EXPECT_EQ(v1, ConvolutionBackend::kFftSingle);
-      } else {
-        EXPECT_EQ(v1, ConvolutionBackend::kOverlapSave);
-      }
-    }
-  }
-}
-
-// The retune in one assertion: the exact configuration the ROADMAP named
-// (2^13 points, length 128; overlap-save measured 1.5x+ over direct) moves
-// from direct under v1 to overlap-save under v2.
-TEST_F(BackendCostTest, RetiredWeight18BoundaryConfiguration) {
-  const std::size_t n = std::size_t{1} << 13;
-  const std::size_t length = 128;
-  const std::size_t count = n - length + 1;
-  EXPECT_EQ(ChooseConvolutionBackendV1(n, length, count),
-            ConvolutionBackend::kDirect);
-  EXPECT_EQ(ChooseConvolutionBackend(n, length, count, /*batched=*/true),
-            ConvolutionBackend::kOverlapSave);
 }
 
 // Cost functions: sanity of the shapes the chooser compares. Direct scales

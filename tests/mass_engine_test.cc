@@ -347,8 +347,8 @@ TEST(MassEngineTest, DistanceProfileMatchesUncached) {
 TEST(MassEngineTest, DistanceProfileDirectPathMatchesBruteForce) {
   const std::size_t n = 600;
   const std::size_t length = 16;
-  ASSERT_FALSE(
-      PreferFftSlidingDots(n, length, n - length + 1));  // direct branch
+  ASSERT_EQ(ChooseConvolutionBackend(n, length, n - length + 1),
+            ConvolutionBackend::kDirect);
   auto series = synth::ByName("ecg", n, 29);
   ASSERT_TRUE(series.ok());
   Rng rng(31);
@@ -369,7 +369,8 @@ TEST(MassEngineTest, DistanceProfileDirectPathMatchesBruteForce) {
 TEST(MassEngineTest, DistanceProfileFftPathMatchesBruteForce) {
   const std::size_t n = 2048;
   const std::size_t length = 1024;
-  ASSERT_TRUE(PreferFftSlidingDots(n, length, n - length + 1));  // FFT branch
+  ASSERT_EQ(ChooseConvolutionBackend(n, length, n - length + 1),
+            ConvolutionBackend::kFftSingle);
   auto series = synth::ByName("random_walk", n, 37);
   ASSERT_TRUE(series.ok());
   Rng rng(41);

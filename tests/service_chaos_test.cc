@@ -616,6 +616,59 @@ TEST(ServerChaosTcpTest, EnvVarArmsFaultsAtStartup) {
   EXPECT_DOUBLE_EQ(armed[0].GetNumber("fires", -1), 0.0);
 }
 
+// The two requests that used to kill the process on a 4096-point dataset
+// (p far beyond the window count: std::bad_alloc; a huge thread count: one
+// partial-profile set per thread until the OOM killer) now get structured
+// responses, and the server still shuts down cleanly. The thread count is
+// clamped rather than rejected, so the answer must match threads=1 byte
+// for byte; the two runs use separate datasets so the second is computed,
+// not served from the first's cache entry.
+TEST(ServerChaosStdioTest, OversizedRequestsGetStructuredResponses) {
+  const std::string script =
+      R"({"id":1,"verb":"load","dataset":"a","params":{"generator":"random_walk","n":4096}})" "\n"
+      R"({"id":2,"verb":"load","dataset":"b","params":{"generator":"random_walk","n":4096}})" "\n"
+      R"({"id":3,"verb":"motifs","dataset":"a","params":{"lmin":64,"lmax":72,"p":200000}})" "\n"
+      R"({"id":4,"verb":"motifs","dataset":"a","params":{"lmin":64,"lmax":72,"threads":100000}})" "\n"
+      R"({"id":5,"verb":"motifs","dataset":"b","params":{"lmin":64,"lmax":72,"threads":1}})" "\n"
+      R"({"id":6,"verb":"shutdown"})" "\n";
+  const std::string command = std::string("printf '%s' '") + script +
+                              "' | " + VALMOD_SERVER_BINARY +
+                              " --stdio 2>/dev/null";
+  std::FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  char buffer[4096];
+  std::size_t n;
+  while ((n = fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
+    output.append(buffer, n);
+  }
+  EXPECT_EQ(pclose(pipe), 0) << output;
+
+  std::vector<Value> responses;
+  std::size_t start = 0, newline;
+  while ((newline = output.find('\n', start)) != std::string::npos) {
+    auto parsed = json::Parse(output.substr(start, newline - start));
+    ASSERT_TRUE(parsed.ok()) << output;
+    responses.push_back(*parsed);
+    start = newline + 1;
+  }
+  ASSERT_EQ(responses.size(), 6u) << output;
+  EXPECT_TRUE(Ok(responses[0])) << output;
+  EXPECT_TRUE(Ok(responses[1])) << output;
+
+  EXPECT_FALSE(Ok(responses[2])) << output;
+  EXPECT_EQ(ErrorCode(responses[2]), "InvalidArgument") << output;
+
+  const Value& clamped = responses[3];
+  const Value& serial = responses[4];
+  ASSERT_TRUE(Ok(clamped)) << output;
+  ASSERT_TRUE(Ok(serial)) << output;
+  EXPECT_FALSE(serial.GetBool("cached", true));
+  EXPECT_EQ(clamped.Find("result")->Serialize(),
+            serial.Find("result")->Serialize());
+  EXPECT_TRUE(Ok(responses[5])) << output;
+}
+
 #endif  // VALMOD_SERVER_BINARY
 
 }  // namespace

@@ -1,20 +1,15 @@
-// Golden-results versioning for VALMOD motif output (see
-// mass::kResultsVersion). The automatic backend selection determines the
-// exact ulps of every motif distance, so the selection policy is versioned
-// and each version's output is pinned byte-for-byte:
-//
-//  - motifs_<case>_v1.csv was generated by the PR 3 build — the run with
-//    `results_version = 1` must reproduce it byte-identically, proving the
-//    frozen kAutoV1 policy really is the historical one.
-//  - motifs_<case>_v2.csv pins the current default. Any change to the cost
-//    model that shifts a choice fails this test; if the shift is
-//    intentional, bump/regenerate per the README ("Regenerating goldens"):
+// Golden results for VALMOD motif output (see mass::kResultsVersion). The
+// automatic backend selection determines the exact ulps of every motif
+// distance, so the output of the one selection policy is pinned
+// byte-for-byte in motifs_<case>_v<kResultsVersion>.csv. Any change to the
+// cost model that shifts a choice fails this test; if the shift is
+// intentional, bump mass::kResultsVersion and regenerate in place per the
+// README ("Regenerating goldens"):
 //
 //      VALMOD_REGEN_GOLDENS=1 ./build/valmod_golden_test
 //
-// The golden cases are chosen to recompute rows through the engine in the
-// boundary region where v1 (direct dots) and v2 (overlap-save) disagree, so
-// the two versions genuinely exercise different kernels.
+// The golden cases recompute rows through the engine, so the pinned bytes
+// cover the backend the cost model picks, not just the initial scan.
 
 #include <gtest/gtest.h>
 
@@ -43,7 +38,7 @@ struct GoldenCase {
 };
 
 // Must stay in sync with the header comment of the committed goldens; the
-// files bind (case, results_version) to exact output bytes.
+// files bind each case to exact output bytes.
 constexpr GoldenCase kCases[] = {
     {"ecg8192", "ecg", 8192, 7, 120, 136, 2, 10},
     {"random_walk3000", "random_walk", 3000, 5, 48, 64, 3, 5},
@@ -51,8 +46,7 @@ constexpr GoldenCase kCases[] = {
 
 /// Renders a result exactly as the golden files store it: full-precision
 /// %.17g so equality means bit-equality of every double.
-std::string FormatGolden(const GoldenCase& c, int results_version,
-                         const ValmodResult& result) {
+std::string FormatGolden(const GoldenCase& c, const ValmodResult& result) {
   std::string out;
   char line[256];
   std::snprintf(line, sizeof(line),
@@ -60,7 +54,7 @@ std::string FormatGolden(const GoldenCase& c, int results_version,
                 "lmin=%zu lmax=%zu k=%zu p=%zu results_version=%d\n",
                 c.name, c.generator, c.n,
                 static_cast<unsigned long long>(c.seed), c.lmin, c.lmax, c.k,
-                c.p, results_version);
+                c.p, mass::kResultsVersion);
   out += line;
   out += "length,rank,offset_a,offset_b,distance,normalized\n";
   for (const auto& lm : result.per_length) {
@@ -76,12 +70,12 @@ std::string FormatGolden(const GoldenCase& c, int results_version,
   return out;
 }
 
-std::string GoldenPath(const GoldenCase& c, int results_version) {
+std::string GoldenPath(const GoldenCase& c) {
   return std::string(VALMOD_GOLDEN_DIR) + "/motifs_" + c.name + "_v" +
-         std::to_string(results_version) + ".csv";
+         std::to_string(mass::kResultsVersion) + ".csv";
 }
 
-std::string RunCase(const GoldenCase& c, int results_version) {
+std::string RunCase(const GoldenCase& c) {
   auto series = synth::ByName(c.generator, c.n, c.seed);
   EXPECT_TRUE(series.ok());
   ValmodOptions options;
@@ -89,10 +83,9 @@ std::string RunCase(const GoldenCase& c, int results_version) {
   options.max_length = c.lmax;
   options.k = c.k;
   options.p = c.p;
-  options.results_version = results_version;
   auto result = RunValmod(*series, options);
   EXPECT_TRUE(result.ok());
-  return FormatGolden(c, results_version, *result);
+  return FormatGolden(c, *result);
 }
 
 bool RegenRequested() {
@@ -100,9 +93,9 @@ bool RegenRequested() {
   return regen != nullptr && regen[0] != '\0' && regen[0] != '0';
 }
 
-void CompareOrRegen(const GoldenCase& c, int results_version) {
-  const std::string actual = RunCase(c, results_version);
-  const std::string path = GoldenPath(c, results_version);
+void CompareOrRegen(const GoldenCase& c) {
+  const std::string actual = RunCase(c);
+  const std::string path = GoldenPath(c);
   if (RegenRequested()) {
     std::ofstream out(path, std::ios::binary);
     ASSERT_TRUE(out.good()) << "cannot write " << path;
@@ -117,7 +110,7 @@ void CompareOrRegen(const GoldenCase& c, int results_version) {
   std::stringstream want;
   want << in.rdbuf();
   // Byte equality, not numeric closeness: the golden pins the exact result
-  // ulps of this (case, results_version) pair.
+  // ulps of this case under the current policy.
   EXPECT_EQ(actual, want.str())
       << "output of " << c.name << " diverged from " << path
       << "; if the backend-selection policy changed intentionally, bump "
@@ -126,44 +119,11 @@ void CompareOrRegen(const GoldenCase& c, int results_version) {
 
 class GoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
-// results_version = 1 must reproduce the PR 3 output byte-for-byte: the v1
-// files were generated by the PR 3 build itself, before the calibrated cost
-// model existed, so this is a genuine cross-PR bit-compat regression.
-TEST_P(GoldenTest, LegacyV1IsBitCompatible) {
-  CompareOrRegen(GetParam(), mass::kLegacyResultsVersion);
-}
-
-// The default policy's output is pinned too, so an accidental cost-model
-// drift (new weights, new formula) cannot silently change released results.
-TEST_P(GoldenTest, CurrentV2MatchesGolden) {
-  CompareOrRegen(GetParam(), mass::kResultsVersion);
-}
+// The policy's output is pinned, so an accidental cost-model drift (new
+// weights, new formula) cannot silently change released results.
+TEST_P(GoldenTest, CurrentV2MatchesGolden) { CompareOrRegen(GetParam()); }
 
 INSTANTIATE_TEST_SUITE_P(Cases, GoldenTest, ::testing::ValuesIn(kCases));
-
-/// The motif rows without the version-stamped header, so comparisons see
-/// only the numbers.
-std::string DataRows(const std::string& golden) {
-  const std::string::size_type eol = golden.find('\n');
-  return eol == std::string::npos ? golden : golden.substr(eol + 1);
-}
-
-// The two policies must actually disagree somewhere in the case set —
-// otherwise the versioning (and this suite) would be vacuous. Per-case
-// coincidence is possible and fine: only engine-recomputed rows change
-// ulps, and a case's reported top-k may avoid them (ecg8192 does exactly
-// that — its data rows agree at %.17g while random_walk3000's diverge), so
-// the assertion is over all cases, on the data rows alone.
-TEST(GoldenDivergenceTest, PoliciesDivergeInUlpsSomewhere) {
-  bool any_diverged = false;
-  for (const GoldenCase& c : kCases) {
-    any_diverged |= DataRows(RunCase(c, mass::kLegacyResultsVersion)) !=
-                    DataRows(RunCase(c, mass::kResultsVersion));
-  }
-  EXPECT_TRUE(any_diverged)
-      << "v1 and v2 produced identical motif rows on every golden case; "
-         "the results versioning is not exercising different kernels";
-}
 
 }  // namespace
 }  // namespace valmod::core

@@ -439,6 +439,26 @@ TEST(ValmodTest, ValidatesOptions) {
   EXPECT_TRUE(RunValmod(*series, options).ok());
 }
 
+// p larger than the number of windows can never fill a row's partial
+// profile and only inflates the per-thread n*p allocation, so it is
+// rejected up front; p equal to the window count is the largest valid
+// setting.
+TEST(ValmodTest, RejectsPBeyondWindowCount) {
+  auto series = synth::ByName("random_walk", 300, 17);
+  ASSERT_TRUE(series.ok());
+  ValmodOptions options;
+  options.min_length = 20;
+  options.max_length = 24;
+  const std::size_t windows = series->NumSubsequences(options.min_length);
+
+  options.p = windows + 1;
+  EXPECT_EQ(RunValmod(*series, options).status().code(),
+            StatusCode::kInvalidArgument);
+
+  options.p = windows;
+  EXPECT_TRUE(RunValmod(*series, options).ok());
+}
+
 TEST(ValmodTest, HonorsDeadline) {
   auto series = synth::ByName("random_walk", 2000, 53);
   ASSERT_TRUE(series.ok());
