@@ -7,6 +7,8 @@
 #include <span>
 #include <vector>
 
+#include "simd/dispatch.h"
+
 namespace valmod::core {
 
 /// One stored candidate of a partial distance profile (paper Figure 2): the
@@ -25,8 +27,16 @@ struct Entry {
 ///
 /// Storage is one flat array with stride p for cache-friendly per-length
 /// sweeps. Each row records:
-///  * its entries (the p candidates with smallest base LB seen at seed time,
-///    maintained as a max-heap during seeding, compacted as candidates die);
+///  * its entries (the p first candidates seen at seed time under
+///    MatchPrecedes on base LB — smallest base LB, then nearest, then
+///    smallest offset — maintained as a max-heap during seeding, compacted
+///    as candidates die). The order is total, so the stored set does not
+///    depend on the order candidates were offered in;
+///  * `admit`: the row's admission gate, a contiguous array the seeding scan
+///    reads with one vector compare per cell. +infinity while the row holds
+///    fewer than p entries, then the heap root's base LB (a candidate above
+///    it can never enter), and -infinity for a closed row, which takes no
+///    candidates;
 ///  * `max_base_lb`: the p-th smallest base LB at seed time — a lower bound
 ///    factor for every *non-stored* candidate. Frozen at seeding: +infinity
 ///    while the row holds fewer than p candidates (then the stored set is
@@ -42,15 +52,42 @@ class PartialProfileSet {
   std::size_t rows() const { return row_size_.size(); }
   std::size_t capacity_per_row() const { return p_; }
 
-  /// Offers a candidate during (re-)seeding; keeps the p smallest base LBs.
+  /// Offers a candidate during (re-)seeding; keeps the p first candidates
+  /// under MatchPrecedes on base LB. For open rows only (filling a closed
+  /// row would reopen its gate); the seeding scan's gate keeps closed rows
+  /// out.
   void Offer(std::size_t row, int64_t match, double dot, double base_lb);
+
+  /// The seeding scan's view of Offer: candidates pass the `admit` gate
+  /// (base_lb <= admit[row], so ties still reach Offer's total order) and
+  /// are then offered to this set.
+  simd::OfferSink Sink();
 
   /// Freezes `max_base_lb` after seeding finished for `row` (call once per
   /// row per seeding pass) and orders its entries by ascending base LB.
   void FinishSeeding(std::size_t row);
 
-  /// Clears a row and re-anchors it at `base_length` before re-seeding.
+  /// Clears a row, re-anchors it at `base_length` and reopens it before
+  /// re-seeding.
   void Reset(std::size_t row, std::size_t base_length);
+
+  /// The admission gate: false when Offer would reject a candidate of
+  /// `row` with this base LB outright. Checking it first spares the call.
+  bool Admits(std::size_t row, double base_lb) const {
+    return base_lb <= admit_[row];
+  }
+
+  /// Closes a row: its gate rejects every candidate and seeded() turns
+  /// false. Rows whose window is constant at their base length are closed —
+  /// the lower bound needs a positive base standard deviation.
+  void Close(std::size_t row) {
+    admit_[row] = -std::numeric_limits<double>::infinity();
+  }
+
+  /// False for a closed row, whose entries (if any) must not be used.
+  bool seeded(std::size_t row) const {
+    return admit_[row] != -std::numeric_limits<double>::infinity();
+  }
 
   /// Live entries of a row (mutable: the per-length sweep updates dot /
   /// distance in place).
@@ -88,6 +125,7 @@ class PartialProfileSet {
   std::vector<Entry> entries_;          // rows * p, heap/sorted per row
   std::vector<std::size_t> row_size_;   // live entries per row
   std::vector<double> max_base_lb_;     // frozen at FinishSeeding
+  std::vector<double> admit_;           // admission gate per row
   std::vector<std::size_t> base_length_;
 };
 

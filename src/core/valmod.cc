@@ -1,7 +1,6 @@
 #include "core/valmod.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -10,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/match_order.h"
 #include "common/parallel.h"
 #include "common/status.h"
 #include "common/trace.h"
@@ -17,6 +17,7 @@
 #include "core/partial_profile.h"
 #include "mass/engine.h"
 #include "mass/mass.h"
+#include "mp/diagonal.h"
 #include "series/znorm.h"
 #include "stats/moving_stats.h"
 
@@ -64,7 +65,7 @@ class ValmodRunner {
                           std::size_t exclusion, mass::RowProfile* profile);
   Result<std::vector<mp::MotifPair>> SelectTopK(std::size_t length,
                                                 std::size_t exclusion) const;
-  void RefreshWindowProfile(std::size_t length);
+  Status RefreshWindowProfile(std::size_t length);
   void ConstantRowMinimum(std::size_t row, std::size_t length,
                           std::size_t exclusion, RowState* state) const;
   void EmitLength(std::size_t length, std::vector<mp::MotifPair> motifs);
@@ -81,14 +82,12 @@ class ValmodRunner {
   /// amortize across *runs* (the one-shot overload constructs a local one).
   mass::MassEngine& engine_;
 
-  // Phase-1 products.
+  // Phase-1 product; rows closed at their base length have no usable
+  // partial profile.
   std::unique_ptr<PartialProfileSet> partial_;
-  std::vector<char> seeded_;  // row has a usable partial profile
 
   // Per-length working arrays (reused across lengths).
-  std::vector<double> means_;
-  std::vector<double> stds_;
-  std::vector<char> is_const_;
+  mp::WindowStats windows_;
   std::vector<std::size_t> const_offsets_;
   std::vector<std::size_t> non_const_offsets_;
   std::vector<RowState> states_;
@@ -128,24 +127,16 @@ Status ValmodRunner::Validate() const {
   return Status::Ok();
 }
 
-void ValmodRunner::RefreshWindowProfile(std::size_t length) {
-  const std::size_t count = series_.NumSubsequences(length);
-  means_.resize(count);
-  stds_.resize(count);
-  is_const_.assign(count, 0);
+Status ValmodRunner::RefreshWindowProfile(std::size_t length) {
+  // The same statistics STOMP reads, so the min-length profile of the
+  // initial scan equals ComputeStomp's bit for bit.
+  VALMOD_RETURN_IF_ERROR(windows_.Compute(series_, length));
   const_offsets_.clear();
   non_const_offsets_.clear();
-  const double threshold = stats_.constant_std_threshold();
-  for (std::size_t i = 0; i < count; ++i) {
-    means_[i] = stats_.CenteredMean(i, length);
-    stds_[i] = stats_.StdDev(i, length);
-    if (stds_[i] <= threshold) {
-      is_const_[i] = 1;
-      const_offsets_.push_back(i);
-    } else {
-      non_const_offsets_.push_back(i);
-    }
+  for (std::size_t i = 0; i < windows_.is_const.size(); ++i) {
+    (windows_.is_const[i] ? const_offsets_ : non_const_offsets_).push_back(i);
   }
+  return Status::Ok();
 }
 
 /// Nearest offset in `sorted` at least `exclusion` away from `row`, or -1.
@@ -206,10 +197,7 @@ Status ValmodRunner::InitialScan() {
   const std::size_t exclusion =
       mp::ExclusionZoneFor(length, options_.exclusion_fraction);
 
-  RefreshWindowProfile(length);
-  partial_ = std::make_unique<PartialProfileSet>(count, options_.p, length);
-  seeded_.assign(count, 0);
-  for (std::size_t i = 0; i < count; ++i) seeded_[i] = is_const_[i] ? 0 : 1;
+  VALMOD_RETURN_IF_ERROR(RefreshWindowProfile(length));
 
   mp::MatrixProfile& profile = result_.min_length_profile;
   profile.subsequence_length = length;
@@ -218,97 +206,41 @@ Status ValmodRunner::InitialScan() {
   profile.indices.assign(count, -1);
 
   // Fused STOMP sweep: each computed pair updates the row minima of both
-  // endpoints and is offered to both partial profiles. With multiple
-  // threads, diagonals are assigned round-robin and every thread fills its
-  // own profile/partial set; since every pair is handled by exactly one
-  // thread, merging local sets with Offer() preserves "p smallest base LBs".
-  const int threads = std::max(1, options_.num_threads);
-  std::vector<std::vector<double>> local_dist(
-      threads, std::vector<double>(count, kInfinity));
-  std::vector<std::vector<int64_t>> local_idx(
-      threads, std::vector<int64_t>(count, -1));
-  std::vector<std::unique_ptr<PartialProfileSet>> local_partial;
-  local_partial.reserve(threads);
-  local_partial.emplace_back(std::move(partial_));
-  for (int t = 1; t < threads; ++t) {
-    local_partial.emplace_back(
-        std::make_unique<PartialProfileSet>(count, options_.p, length));
+  // endpoints and is offered to both partial profiles. Every walker worker
+  // seeds its own partial set; since every pair is handled by exactly one
+  // worker and the sets keep a total order, merging them with Offer()
+  // yields the same p entries per row at any worker count.
+  mp::DiagonalScan scan;
+  scan.a = windows_.Arrays(series_);
+  scan.length = length;
+  scan.exclusion = exclusion;
+  const std::size_t workers = mp::DiagonalWorkers(scan, options_.num_threads);
+  std::vector<std::unique_ptr<PartialProfileSet>> partials(workers);
+  std::vector<simd::OfferSink> sinks;
+  sinks.reserve(workers);
+  for (auto& partial : partials) {
+    partial = std::make_unique<PartialProfileSet>(count, options_.p, length);
+    for (std::size_t row : const_offsets_) partial->Close(row);
+    sinks.push_back(partial->Sink());
   }
-
-  std::atomic<bool> expired{false};
-  auto walk = [&](int thread_index) {
-    std::vector<double>& dist = local_dist[thread_index];
-    std::vector<int64_t>& idx = local_idx[thread_index];
-    PartialProfileSet& partial = *local_partial[thread_index];
-    std::size_t steps = 0;
-    for (std::size_t diag = exclusion + static_cast<std::size_t>(thread_index);
-         diag < count; diag += static_cast<std::size_t>(threads)) {
-      if ((++steps & 127) == 0 && (expired.load(std::memory_order_relaxed) ||
-                                   options_.deadline.Expired())) {
-        expired.store(true, std::memory_order_relaxed);
-        return;
-      }
-      double qt = series::DotProduct(centered_.data(),
-                                     centered_.data() + diag, length);
-      for (std::size_t i = 0; i + diag < count; ++i) {
-        const std::size_t j = i + diag;
-        if (i > 0) {
-          qt += centered_[i + length - 1] * centered_[j + length - 1] -
-                centered_[i - 1] * centered_[j - 1];
-        }
-        double rho = 0.0;
-        double d;
-        if (!is_const_[i] && !is_const_[j]) {
-          rho = series::CorrelationFromDot(qt, means_[i], means_[j],
-                                           stds_[i], stds_[j], length);
-          d = series::DistanceFromCorrelation(rho, length);
-        } else if (is_const_[i] && is_const_[j]) {
-          d = 0.0;
-        } else {
-          d = std::sqrt(static_cast<double>(length));
-        }
-        if (d < dist[i]) {
-          dist[i] = d;
-          idx[i] = static_cast<int64_t>(j);
-        }
-        if (d < dist[j]) {
-          dist[j] = d;
-          idx[j] = static_cast<int64_t>(i);
-        }
-        const double base_lb = BaseLowerBound(rho, length);
-        if (seeded_[i]) partial.Offer(i, static_cast<int64_t>(j), qt, base_lb);
-        if (seeded_[j]) partial.Offer(j, static_cast<int64_t>(i), qt, base_lb);
-      }
-    }
-  };
-
-  // One chunk per logical worker on the persistent pool (the round-robin
-  // diagonal split is the load balancer; the pool only supplies threads).
-  ParallelFor(0, static_cast<std::size_t>(threads), threads,
-              [&](std::size_t t) { walk(static_cast<int>(t)); });
-  if (expired.load()) {
+  if (!mp::WalkDiagonals(scan, workers, options_.deadline, sinks,
+                         profile.distances.data(), profile.indices.data())) {
     return Status::DeadlineExceeded("VALMOD initial scan timed out");
   }
 
-  // Merge thread-local results.
-  partial_ = std::move(local_partial[0]);
-  for (int t = 0; t < threads; ++t) {
+  // Closed rows are empty in every set (the gate rejected all their
+  // candidates), so the merge offers only to open rows.
+  partial_ = std::move(partials[0]);
+  for (std::size_t w = 1; w < workers; ++w) {
     for (std::size_t i = 0; i < count; ++i) {
-      if (local_dist[t][i] < profile.distances[i]) {
-        profile.distances[i] = local_dist[t][i];
-        profile.indices[i] = local_idx[t][i];
-      }
-    }
-    if (t == 0) continue;
-    for (std::size_t i = 0; i < count; ++i) {
-      if (!seeded_[i]) continue;
-      for (const Entry& e : local_partial[t]->Row(i)) {
+      for (const Entry& e : partials[w]->Row(i)) {
         partial_->Offer(i, e.match, e.dot, e.base_lb);
       }
     }
+    partials[w].reset();
   }
   for (std::size_t i = 0; i < count; ++i) {
-    if (seeded_[i]) partial_->FinishSeeding(i);
+    if (partial_->seeded(i)) partial_->FinishSeeding(i);
   }
 
   // Constant rows the sweep already profiled are exact as-is: the scan's
@@ -368,19 +300,23 @@ void ValmodRunner::ApplyRecomputedRow(std::size_t row, std::size_t length,
   for (std::size_t j = 0; j < count; ++j) {
     const double d = profile->distances[j];
     if (d == kInfinity) continue;  // excluded
-    if (d < state.min_dist) {
+    if (MatchPrecedes(d, static_cast<int64_t>(j), state.min_dist,
+                      state.best_match, row)) {
       state.min_dist = d;
       state.best_match = static_cast<int64_t>(j);
     }
     double rho = 0.0;
-    if (!is_const_[row] && !is_const_[j]) {
+    if (!windows_.is_const[row] && !windows_.is_const[j]) {
       rho = CorrelationFromDistance(d, length);
     }
-    partial_->Offer(row, static_cast<int64_t>(j), profile->dots[j],
-                    BaseLowerBound(rho, length));
+    const double base_lb = BaseLowerBound(rho, length);
+    if (partial_->Admits(row, base_lb)) {
+      partial_->Offer(row, static_cast<int64_t>(j), profile->dots[j],
+                      base_lb);
+    }
   }
   partial_->FinishSeeding(row);
-  seeded_[row] = is_const_[row] ? 0 : 1;
+  if (windows_.is_const[row]) partial_->Close(row);
   state.valid = true;
   state.max_lb = kInfinity;  // exact now; nothing unexplored this length
 }
@@ -429,7 +365,7 @@ Status ValmodRunner::ProcessLength(std::size_t length) {
   LengthStats stats;
   stats.length = length;
 
-  RefreshWindowProfile(length);
+  VALMOD_RETURN_IF_ERROR(RefreshWindowProfile(length));
   states_.assign(count, RowState{});
 
   // Sweep 1: advance every seeded row's entries by one point and evaluate
@@ -438,9 +374,10 @@ Status ValmodRunner::ProcessLength(std::size_t length) {
   // cleanly across threads.
   ParallelFor(0, count, options_.num_threads, [&](std::size_t i) {
     RowState& state = states_[i];
-    state.constant = is_const_[i] != 0;
+    state.constant = windows_.is_const[i] != 0;
 
-    if (seeded_[i]) {
+    const bool seeded = partial_->seeded(i);
+    if (seeded) {
       // Candidates past the shrunken subsequence range or inside the grown
       // exclusion zone are dead for every future length too.
       partial_->CompactRow(i, [&](const Entry& e) {
@@ -450,13 +387,15 @@ Status ValmodRunner::ProcessLength(std::size_t length) {
       });
       const std::size_t tail = length - 1;
       const double ci = centered_[i + tail];
+      const mp::WindowStats& w = windows_;
       for (Entry& e : partial_->MutableRow(i)) {
         const std::size_t j = static_cast<std::size_t>(e.match);
         e.dot += ci * centered_[j + tail];
         e.distance = series::PairDistanceFromDot(
-            e.dot, means_[i], means_[j], stds_[i], stds_[j], length,
-            state.constant, is_const_[j] != 0);
-        if (e.distance < state.min_dist) {
+            e.dot, w.means[i], w.means[j], w.stds[i], w.stds[j], length,
+            state.constant, w.is_const[j] != 0);
+        if (MatchPrecedes(e.distance, e.match, state.min_dist,
+                          state.best_match, i)) {
           state.min_dist = e.distance;
           state.best_match = e.match;
         }
@@ -471,10 +410,11 @@ Status ValmodRunner::ProcessLength(std::size_t length) {
       return;
     }
 
-    if (seeded_[i]) {
+    if (seeded) {
       const std::size_t base = partial_->base_length(i);
-      state.max_lb = ScaledLowerBound(partial_->max_base_lb(i),
-                                      stats_.StdDev(i, base), stds_[i]);
+      state.max_lb =
+          ScaledLowerBound(partial_->max_base_lb(i), stats_.StdDev(i, base),
+                           windows_.stds[i]);
       state.valid = state.min_dist <= state.max_lb;
     } else {
       // Row had no usable partial profile (constant at its base length):
@@ -522,11 +462,12 @@ Status ValmodRunner::ProcessLength(std::size_t length) {
     // Recomputations run through the engine's batched entry point: rows in
     // a batch pair up to share transforms, and the k = 1 threshold tightens
     // between batches (smaller batches would tighten faster but batch
-    // worse). The floor of 16 keeps the batch composition — and therefore
-    // the row pairing — identical across the typical 1..4 thread counts,
-    // so results don't depend on num_threads.
-    const std::size_t batch_size = std::max<std::size_t>(
-        16, 4 * static_cast<std::size_t>(std::max(1, options_.num_threads)));
+    // worse). The batch size is fixed, not scaled by num_threads: the
+    // batch composition decides the row pairing, and with it the last ulps
+    // of a recomputed distance, so a fixed size keeps results independent
+    // of the thread count (16 rows are 8 pair transforms, enough to keep a
+    // handful of workers busy).
+    constexpr std::size_t batch_size = 16;
     std::vector<std::size_t> batch;
     std::size_t cursor = 0;
     while (cursor < to_recompute.size()) {
@@ -581,47 +522,54 @@ Result<ValmodResult> ValmodRunner::Run() {
   VALMOD_RETURN_IF_ERROR(Validate());
 
   WallTimer timer;
-  VALMOD_RETURN_IF_ERROR(InitialScan());
+  {
+    const trace::TraceSpan span("initial_scan");
+    VALMOD_RETURN_IF_ERROR(InitialScan());
+  }
   result_.init_seconds = timer.ElapsedSeconds();
 
   timer.Restart();
-  // Under allow_partial a deadline after the initial scan degrades to a
-  // partial result: the lengths completed so far (each exact — ProcessLength
-  // emits a length only after its certification loop finishes, so an
-  // interrupted length leaves no trace) instead of a bare error.
-  for (std::size_t length = options_.min_length + 1;
-       length <= options_.max_length; ++length) {
-    if (options_.deadline.Expired()) {
-      if (options_.allow_partial && !result_.per_length.empty()) {
-        result_.partial = true;
+  {
+    const trace::TraceSpan span("length_sweep");
+    // Under allow_partial a deadline after the initial scan degrades to a
+    // partial result: the lengths completed so far (each exact —
+    // ProcessLength emits a length only after its certification loop
+    // finishes, so an interrupted length leaves no trace) instead of a bare
+    // error.
+    for (std::size_t length = options_.min_length + 1;
+         length <= options_.max_length; ++length) {
+      if (options_.deadline.Expired()) {
+        if (options_.allow_partial && !result_.per_length.empty()) {
+          result_.partial = true;
+          break;
+        }
+        return Status::DeadlineExceeded("VALMOD timed out at length " +
+                                        std::to_string(length));
+      }
+      const std::size_t count = series_.NumSubsequences(length);
+      const std::size_t exclusion =
+          mp::ExclusionZoneFor(length, options_.exclusion_fraction);
+      if (count <= exclusion) {
+        // No non-trivial pair can exist at this or any longer length. Each
+        // skipped length still gets a (zeroed) stats entry so result_.stats
+        // stays aligned with result_.per_length for consumers that zip them.
+        for (std::size_t l = length; l <= options_.max_length; ++l) {
+          EmitLength(l, {});
+          LengthStats skipped;
+          skipped.length = l;
+          result_.stats.push_back(skipped);
+          if (options_.build_valmap) result_.valmap.Checkpoint(l);
+        }
         break;
       }
-      return Status::DeadlineExceeded("VALMOD timed out at length " +
-                                      std::to_string(length));
-    }
-    const std::size_t count = series_.NumSubsequences(length);
-    const std::size_t exclusion =
-        mp::ExclusionZoneFor(length, options_.exclusion_fraction);
-    if (count <= exclusion) {
-      // No non-trivial pair can exist at this or any longer length. Each
-      // skipped length still gets a (zeroed) stats entry so result_.stats
-      // stays aligned with result_.per_length for consumers that zip them.
-      for (std::size_t l = length; l <= options_.max_length; ++l) {
-        EmitLength(l, {});
-        LengthStats skipped;
-        skipped.length = l;
-        result_.stats.push_back(skipped);
-        if (options_.build_valmap) result_.valmap.Checkpoint(l);
+      if (Status status = ProcessLength(length); !status.ok()) {
+        if (status.code() == StatusCode::kDeadlineExceeded &&
+            options_.allow_partial && !result_.per_length.empty()) {
+          result_.partial = true;
+          break;
+        }
+        return status;
       }
-      break;
-    }
-    if (Status status = ProcessLength(length); !status.ok()) {
-      if (status.code() == StatusCode::kDeadlineExceeded &&
-          options_.allow_partial && !result_.per_length.empty()) {
-        result_.partial = true;
-        break;
-      }
-      return status;
     }
   }
   result_.update_seconds = timer.ElapsedSeconds();

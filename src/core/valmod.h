@@ -30,7 +30,12 @@ struct ValmodOptions {
   double exclusion_fraction = 0.5;
   /// Worker threads: parallelizes the initial fixed-length scan (the O(n^2)
   /// part), the per-length update sweeps, and exact-recompute batches.
-  /// Results are identical to the serial run.
+  /// Results are identical to the serial run at every thread count: ties
+  /// between candidates break by MatchPrecedes (distance, then gap, then
+  /// offset) and the recompute batches do not scale with the count. The
+  /// scan keeps per-worker state (one n*p partial-profile set each) for at
+  /// most min(num_threads, ThreadPool::kMaxThreads) workers, so its memory
+  /// stops growing at the pool size.
   int num_threads = 1;
   /// Whether to maintain the VALMAP meta-data (paper §2). Disabling skips
   /// the structure for callers that only want per-length motifs.

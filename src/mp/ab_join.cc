@@ -1,55 +1,11 @@
 #include "mp/ab_join.h"
 
 #include <string>
-#include <vector>
 
 #include "common/status.h"
-#include "series/znorm.h"
-#include "stats/moving_stats.h"
+#include "mp/diagonal.h"
 
 namespace valmod::mp {
-
-namespace {
-
-/// One diagonal of the cross matrix: cells (i, j) with j - i = shift fixed,
-/// where i indexes windows of a and j indexes windows of b. `shift` may be
-/// negative (b starts earlier). Statistics arrive in the *centered*
-/// representation of each series (the two series have independent centers;
-/// correlations are shift-invariant per argument, so mixing them is sound).
-void WalkJoinDiagonal(std::span<const double> ca, std::span<const double> cb,
-                      std::size_t length, std::size_t count_a,
-                      std::size_t count_b, long shift,
-                      std::span<const double> means_a,
-                      std::span<const double> stds_a,
-                      const std::vector<char>& const_a,
-                      std::span<const double> means_b,
-                      std::span<const double> stds_b,
-                      const std::vector<char>& const_b,
-                      MatrixProfile* profile) {
-  const std::size_t i0 = shift >= 0 ? 0 : static_cast<std::size_t>(-shift);
-  const std::size_t j0 = shift >= 0 ? static_cast<std::size_t>(shift) : 0;
-  if (i0 >= count_a || j0 >= count_b) return;
-
-  double qt = series::DotProduct(ca.data() + i0, cb.data() + j0, length);
-  for (std::size_t step = 0; i0 + step < count_a && j0 + step < count_b;
-       ++step) {
-    const std::size_t i = i0 + step;
-    const std::size_t j = j0 + step;
-    if (step > 0) {
-      qt += ca[i + length - 1] * cb[j + length - 1] -
-            ca[i - 1] * cb[j - 1];
-    }
-    const double d = series::PairDistanceFromDot(
-        qt, means_a[i], means_b[j], stds_a[i], stds_b[j], length,
-        const_a[i] != 0, const_b[j] != 0);
-    if (d < profile->distances[i]) {
-      profile->distances[i] = d;
-      profile->indices[i] = static_cast<int64_t>(j);
-    }
-  }
-}
-
-}  // namespace
 
 Result<MatrixProfile> ComputeAbJoin(const series::DataSeries& series_a,
                                     const series::DataSeries& series_b,
@@ -71,32 +27,21 @@ Result<MatrixProfile> ComputeAbJoin(const series::DataSeries& series_a,
   profile.distances.assign(count_a, kInfinity);
   profile.indices.assign(count_a, -1);
 
-  std::vector<double> means_a, stds_a, means_b, stds_b;
-  VALMOD_RETURN_IF_ERROR(
-      series_a.stats().CenteredWindowStats(length, &means_a, &stds_a));
-  VALMOD_RETURN_IF_ERROR(
-      series_b.stats().CenteredWindowStats(length, &means_b, &stds_b));
-
-  const double threshold_a = series_a.stats().constant_std_threshold();
-  const double threshold_b = series_b.stats().constant_std_threshold();
-  std::vector<char> const_a(count_a), const_b(count_b);
-  for (std::size_t i = 0; i < count_a; ++i) {
-    const_a[i] = stds_a[i] <= threshold_a ? 1 : 0;
-  }
-  for (std::size_t j = 0; j < count_b; ++j) {
-    const_b[j] = stds_b[j] <= threshold_b ? 1 : 0;
-  }
-
-  const auto ca = series_a.centered();
-  const auto cb = series_b.centered();
-  long checked = 0;
-  for (long shift = -static_cast<long>(count_a) + 1;
-       shift < static_cast<long>(count_b); ++shift) {
-    if ((++checked & 255) == 0 && options.deadline.Expired()) {
-      return Status::DeadlineExceeded("AB-join timed out");
-    }
-    WalkJoinDiagonal(ca, cb, length, count_a, count_b, shift, means_a,
-                     stds_a, const_a, means_b, stds_b, const_b, &profile);
+  // Each side's statistics are in its own centered representation (the
+  // two series have independent centers; correlations are shift-invariant
+  // per argument, so mixing them is sound).
+  WindowStats windows_a, windows_b;
+  VALMOD_RETURN_IF_ERROR(windows_a.Compute(series_a, length));
+  VALMOD_RETURN_IF_ERROR(windows_b.Compute(series_b, length));
+  DiagonalScan scan;
+  scan.a = windows_a.Arrays(series_a);
+  scan.b = windows_b.Arrays(series_b);
+  scan.length = length;
+  scan.self_join = false;
+  if (!WalkDiagonals(scan, DiagonalWorkers(scan, options.num_threads),
+                     options.deadline, {}, profile.distances.data(),
+                     profile.indices.data())) {
+    return Status::DeadlineExceeded("AB-join timed out");
   }
   return profile;
 }

@@ -17,7 +17,10 @@ namespace valmod::mp {
 /// Unlike the self-join there are no trivial matches, so no exclusion zone
 /// applies (`exclusion_zone` is 0 in the result). The join is directional:
 /// `JoinAb(a, b)` profiles a against b; swap the arguments for the other
-/// direction. O(|a| * |b|) via the diagonal dot-product recurrence.
+/// direction. O(|a| * |b|) via the diagonal dot-product recurrence
+/// (mp/diagonal.h), on `options.num_threads` workers. Among matches at
+/// equal distance the one nearest to the row's own offset wins, then the
+/// smaller offset (MatchPrecedes).
 Result<MatrixProfile> ComputeAbJoin(const series::DataSeries& series_a,
                                     const series::DataSeries& series_b,
                                     std::size_t length,

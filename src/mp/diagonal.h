@@ -1,0 +1,79 @@
+#ifndef VALMOD_MP_DIAGONAL_H_
+#define VALMOD_MP_DIAGONAL_H_
+
+#include <cstddef>
+#include <cstdint>
+#include <span>
+#include <vector>
+
+#include "common/status.h"
+#include "common/timer.h"
+#include "series/data_series.h"
+#include "simd/dispatch.h"
+
+namespace valmod::mp {
+
+/// The one walker behind every O(n^2) profile scan: STOMP, the AB-join and
+/// VALMOD's seeding scan.
+///
+/// It visits the cells (i, j) of the matrix of window pairs diagonal by
+/// diagonal (d = j - i fixed), carrying each diagonal's dot product by the
+/// recurrence QT(i, j) = QT(i-1, j-1) + a[i+l-1] b[j+l-1] - a[i-1] b[j-1]
+/// from a direct dot product at its first cell. Adjacent diagonals are
+/// grouped into tiles of simd::kDiagonalLanes walked in lockstep, one SIMD
+/// lane per diagonal, by the dispatched `diagonal_tile` kernel; each lane
+/// keeps the scalar recurrence order, so every distance is bit-identical to
+/// a one-diagonal-at-a-time scalar walk on every target.
+///
+/// Tiles are claimed longest-first from a shared counter by the workers of
+/// the thread pool. Each worker keeps its own minima (and seeding sink) and
+/// the minima are merged at the end; because every pick uses MatchPrecedes
+/// (common/match_order.h), the result does not depend on which worker
+/// walked which tile, nor on the worker count.
+struct DiagonalScan {
+  /// The profiled side: the scan reports the minimum of each of its windows.
+  simd::WindowArrays a;
+  /// The other side of an AB-join; ignored in a self-join.
+  simd::WindowArrays b;
+  std::size_t length = 0;
+  /// Self-join: every cell updates both endpoints and diagonals below
+  /// `exclusion` are trivial matches. AB-join (false): all cells of a x b,
+  /// including negative diagonals (b's window starts first).
+  bool self_join = true;
+  std::size_t exclusion = 1;
+};
+
+/// Workers a scan runs on: min(num_threads, ThreadPool::kMaxThreads, tiles),
+/// at least 1. Per-worker state (the minima here, a caller's seeding sinks)
+/// is sized by this, never by the requested thread count.
+std::size_t DiagonalWorkers(const DiagonalScan& scan, int num_threads);
+
+/// Runs `scan` on `workers` workers (from DiagonalWorkers). `distances` /
+/// `indices` hold a.count entries, pre-filled (+inf / -1 for a fresh
+/// profile), and receive the minima of a's windows under MatchPrecedes.
+/// `sinks` is empty, or holds one partial-profile sink per worker for a
+/// self-join (worker w offers to sinks[w]). Returns false when the deadline
+/// fired before every tile was walked; the outputs are then incomplete.
+bool WalkDiagonals(const DiagonalScan& scan, std::size_t workers,
+                   const Deadline& deadline,
+                   std::span<const simd::OfferSink> sinks, double* distances,
+                   std::int64_t* indices);
+
+/// The per-window statistics of a series at one length that a scan reads.
+struct WindowStats {
+  std::vector<double> means;  // centered window means
+  std::vector<double> stds;
+  std::vector<char> is_const;  // std <= the series' constant threshold
+
+  /// Fills the statistics of `series` at `length`, reusing the buffers (a
+  /// caller stepping through lengths allocates once).
+  Status Compute(const series::DataSeries& series, std::size_t length);
+
+  /// The arrays of `series` (which must be the series these stats were
+  /// computed from) as a scan side.
+  simd::WindowArrays Arrays(const series::DataSeries& series) const;
+};
+
+}  // namespace valmod::mp
+
+#endif  // VALMOD_MP_DIAGONAL_H_

@@ -34,7 +34,8 @@ struct ProfileOptions {
   /// Trivial-match exclusion zone as a fraction of the subsequence length:
   /// offsets with |i - j| < ceil(fraction * l) never match (min 1 = self).
   double exclusion_fraction = 0.5;
-  /// Number of worker threads for STOMP and STAMP; <= 1 runs serially.
+  /// Number of worker threads for STOMP, STAMP and the AB-join; <= 1 runs
+  /// serially.
   int num_threads = 1;
   /// Cooperative deadline; algorithms return kDeadlineExceeded when it
   /// fires (checked at coarse granularity).

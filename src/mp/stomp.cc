@@ -1,58 +1,11 @@
 #include "mp/stomp.h"
 
-#include <atomic>
 #include <string>
-#include <vector>
 
-#include "common/parallel.h"
 #include "common/status.h"
-#include "series/znorm.h"
-#include "stats/moving_stats.h"
+#include "mp/diagonal.h"
 
 namespace valmod::mp {
-
-namespace {
-
-/// Per-thread working state: local best distance/index per row, merged
-/// serially after the parallel sweep.
-struct LocalProfile {
-  std::vector<double> distances;
-  std::vector<int64_t> indices;
-
-  explicit LocalProfile(std::size_t count)
-      : distances(count, kInfinity), indices(count, -1) {}
-
-  void Update(std::size_t row, double distance, std::size_t match) {
-    if (distance < distances[row]) {
-      distances[row] = distance;
-      indices[row] = static_cast<int64_t>(match);
-    }
-  }
-};
-
-/// Walks one diagonal (fixed j - i = diag), updating the local profile for
-/// both endpoints of every cell.
-void WalkDiagonal(std::span<const double> c, std::size_t length,
-                  std::size_t count, std::size_t diag,
-                  std::span<const double> means, std::span<const double> stds,
-                  const std::vector<char>& is_const, LocalProfile* local) {
-  // First cell of the diagonal: direct dot product.
-  double qt = series::DotProduct(c.data(), c.data() + diag, length);
-
-  for (std::size_t i = 0; i + diag < count; ++i) {
-    const std::size_t j = i + diag;
-    if (i > 0) {
-      qt += c[i + length - 1] * c[j + length - 1] - c[i - 1] * c[j - 1];
-    }
-    const double d = series::PairDistanceFromDot(
-        qt, means[i], means[j], stds[i], stds[j], length,
-        is_const[i] != 0, is_const[j] != 0);
-    local->Update(i, d, j);
-    local->Update(j, d, i);
-  }
-}
-
-}  // namespace
 
 Result<MatrixProfile> ComputeStomp(const series::DataSeries& series,
                                    std::size_t length,
@@ -70,68 +23,16 @@ Result<MatrixProfile> ComputeStomp(const series::DataSeries& series,
   profile.distances.assign(count, kInfinity);
   profile.indices.assign(count, -1);
 
-  std::vector<double> means, stds;
-  VALMOD_RETURN_IF_ERROR(
-      series.stats().CenteredWindowStats(length, &means, &stds));
-  const double const_threshold = series.stats().constant_std_threshold();
-  std::vector<char> is_const(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    is_const[i] = stds[i] <= const_threshold ? 1 : 0;
-  }
-
-  const auto c = series.centered();
-  const std::size_t first_diag = profile.exclusion_zone;
-
-  const int threads =
-      options.num_threads > 1 ? options.num_threads : 1;
-  if (threads == 1) {
-    LocalProfile local(count);
-    for (std::size_t diag = first_diag; diag < count; ++diag) {
-      if ((diag & 255) == 0 && options.deadline.Expired()) {
-        return Status::DeadlineExceeded("STOMP timed out");
-      }
-      WalkDiagonal(c, length, count, diag, means, stds, is_const, &local);
-    }
-    profile.distances = std::move(local.distances);
-    profile.indices = std::move(local.indices);
-    return profile;
-  }
-
-  // Parallel sweep on the persistent pool: round-robin diagonal assignment
-  // balances work because diagonal lengths decrease linearly. Each chunk t
-  // fills its own LocalProfile, so chunks are independent regardless of
-  // which pool thread runs them.
-  std::vector<LocalProfile> locals;
-  locals.reserve(threads);
-  for (int t = 0; t < threads; ++t) locals.emplace_back(count);
-  std::atomic<bool> expired{false};
-
-  ParallelFor(0, static_cast<std::size_t>(threads), threads,
-              [&](std::size_t t) {
-    LocalProfile& local = locals[t];
-    std::size_t steps = 0;
-    for (std::size_t diag = first_diag + t; diag < count;
-         diag += static_cast<std::size_t>(threads)) {
-      if ((++steps & 255) == 0 &&
-          (expired.load(std::memory_order_relaxed) ||
-           options.deadline.Expired())) {
-        expired.store(true, std::memory_order_relaxed);
-        return;
-      }
-      WalkDiagonal(c, length, count, diag, means, stds, is_const, &local);
-    }
-  });
-  if (expired.load()) {
+  WindowStats windows;
+  VALMOD_RETURN_IF_ERROR(windows.Compute(series, length));
+  DiagonalScan scan;
+  scan.a = windows.Arrays(series);
+  scan.length = length;
+  scan.exclusion = profile.exclusion_zone;
+  if (!WalkDiagonals(scan, DiagonalWorkers(scan, options.num_threads),
+                     options.deadline, {}, profile.distances.data(),
+                     profile.indices.data())) {
     return Status::DeadlineExceeded("STOMP timed out");
-  }
-
-  for (const LocalProfile& local : locals) {
-    for (std::size_t i = 0; i < count; ++i) {
-      if (local.distances[i] < profile.distances[i]) {
-        profile.distances[i] = local.distances[i];
-        profile.indices[i] = local.indices[i];
-      }
-    }
   }
   return profile;
 }

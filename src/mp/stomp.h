@@ -14,10 +14,11 @@ namespace valmod::mp {
 ///
 ///   QT(i+1, j+1) = QT(i, j) - c[i] c[j] + c[i+l] c[j+l]
 ///
-/// over the globally centered values `c`. With `options.num_threads > 1` the
-/// diagonals are distributed round-robin across threads (balanced load, as
-/// diagonal k has n - l + 1 - k cells) with per-thread profiles merged at
-/// the end.
+/// over the globally centered values `c`, walked in SIMD tiles of adjacent
+/// diagonals by mp/diagonal.h. With `options.num_threads > 1` the tiles
+/// are shared out among pool workers whose profiles are merged at the end;
+/// ties break by MatchPrecedes, so the result is identical at every thread
+/// count.
 Result<MatrixProfile> ComputeStomp(const series::DataSeries& series,
                                    std::size_t length,
                                    const ProfileOptions& options = {});

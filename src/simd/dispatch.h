@@ -1,13 +1,14 @@
 #ifndef VALMOD_SIMD_DISPATCH_H_
 #define VALMOD_SIMD_DISPATCH_H_
 
-// Runtime SIMD dispatch for the MASS hot kernels.
+// Runtime SIMD dispatch for the hot kernels.
 //
-// The engine's dense numeric sweeps — FFT butterflies, spectrum products,
-// direct sliding dots, and the moving mean/std sweep — are implemented once
-// per instruction set in per-ISA translation units (kernels_scalar.cc,
-// kernels_avx2.cc, kernels_avx512.cc, kernels_neon.cc), each compiled with
-// per-file arch flags so the rest of the binary stays generic-arch. The
+// The dense numeric sweeps — FFT butterflies, spectrum products, direct
+// sliding dots, the moving mean/std sweep, and the diagonal tile of the
+// O(n^2) profile scans — are implemented once per instruction set in
+// per-ISA translation units (kernels_scalar.cc, kernels_avx2.cc,
+// kernels_avx512.cc, kernels_neon.cc), each compiled with per-file arch
+// flags so the rest of the binary stays generic-arch. The
 // best target the CPU supports is detected once at startup (cpuid on x86,
 // baseline ASIMD on aarch64) and resolved to a table of function pointers;
 // every hot loop reads the table through one atomic pointer load.
@@ -27,6 +28,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/result.h"
@@ -38,6 +40,67 @@ enum class Target {
   kAvx2 = 1,
   kAvx512 = 2,
   kNeon = 3,
+};
+
+/// Receives the partial-profile candidates a diagonal tile admits. The simd
+/// layer knows only this array-and-callback contract; the caller (VALMOD's
+/// seeding scan) owns the storage behind it.
+struct OfferSink {
+  /// Per-row admission gate: the candidate (row, match) reaches `offer`
+  /// only when its base LB is <= admit[row]. The owner keeps it at +inf
+  /// while a row can still grow, at the current worst stored base LB once
+  /// it is full, and at -inf for rows that take no candidates. `offer` may
+  /// change admit[] — tiles re-read it for every cell.
+  const double* admit;
+  void (*offer)(void* context, std::size_t row, std::int64_t match,
+                double dot, double base_lb);
+  void* context;
+};
+
+/// Per-window arrays of one side of a diagonal walk (all indexed by window
+/// offset): the globally centered series, centered window means, standard
+/// deviations and the constant-window flags.
+struct WindowArrays {
+  const double* values = nullptr;
+  const double* means = nullptr;
+  const double* stds = nullptr;
+  const char* is_const = nullptr;
+  std::size_t count = 0;  // windows
+};
+
+/// Lanes of one diagonal tile: one 256-bit vector of doubles.
+inline constexpr std::size_t kDiagonalLanes = 4;
+
+/// One tile of the O(n^2) profile scans (mp/diagonal.h): `lanes` adjacent
+/// diagonals first_diagonal + k, k < lanes, walked in lockstep from row 0.
+/// Lane k visits the cells (i, j = i + first_diagonal + k) while both
+/// windows exist, carrying the dot product QT(i, j) by the recurrence
+///
+///   QT(i, j) = QT(i-1, j-1) + rows[i+l-1] * cols[j+l-1]
+///                           - rows[i-1] * cols[j-1]
+///
+/// from `initial_dots[k]` = QT(0, first_diagonal + k). Each cell's distance
+/// (series::PairDistanceFromDot conventions) updates the row minimum of i
+/// and/or the column minimum of j under MatchPrecedes (common/match_order.h),
+/// and, with a sink, offers the pair's base LB (core::BaseLowerBound) to
+/// both rows through the admission gate. Every target computes every cell
+/// with the scalar operation order, so results are bit-identical.
+struct DiagonalTile {
+  WindowArrays rows;
+  WindowArrays cols;  // the same arrays as `rows` in a self-join
+  std::size_t length;
+  std::size_t first_diagonal;
+  std::size_t lanes;  // 1..kDiagonalLanes
+  const double* initial_dots;
+  /// Minima of the row windows; null when rows are not profiled.
+  double* row_dist;
+  std::int64_t* row_idx;
+  /// Minima of the column windows; null when columns are not profiled.
+  double* col_dist;
+  std::int64_t* col_idx;
+  /// Partial-profile seeding; null for a plain profile. Self-joins only
+  /// (rows and cols are one series, and both minima are profiled).
+  const OfferSink* sink;
 };
 
 /// The hot-kernel table. One instance per compiled-in target; all entries
@@ -79,6 +142,11 @@ struct Kernels {
   void (*window_stats)(const double* prefix, const double* prefix_sq,
                        std::size_t count, std::size_t length,
                        double global_mean, double* means, double* std_devs);
+
+  /// Walks one diagonal tile (see DiagonalTile). Vector targets run the
+  /// lanes in one register and drop to the scalar cell body for minimum or
+  /// gate hits, constant windows and the ragged tail rows.
+  void (*diagonal_tile)(const DiagonalTile& tile);
 };
 
 /// Name for a target: "scalar", "avx2", "avx512", "neon".

@@ -38,12 +38,17 @@ void WindowStatsAvx2(const double* prefix, const double* prefix_sq,
                            means, std_devs);
 }
 
+void DiagonalTileAvx2(const DiagonalTile& tile) {
+  avx2_kernel::DiagonalTileWalk(tile);
+}
+
 }  // namespace
 
 const Kernels& Avx2Kernels() {
   static constexpr Kernels kTable = {
       &Radix2PassAvx2,      &FusedRadix4DitAvx2, &FusedRadix4DifAvx2,
       &ComplexMultiplyAvx2, &DotProductAvx2,     &WindowStatsAvx2,
+      &DiagonalTileAvx2,
   };
   return kTable;
 }

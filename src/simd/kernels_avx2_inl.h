@@ -13,11 +13,17 @@
 //     sums the two cross products in the opposite order, which is exact by
 //     commutativity of IEEE addition);
 //   * the dot product keeps one 4-lane accumulator vector whose lane j is
-//     exactly the scalar kernel's acc_j.
+//     exactly the scalar kernel's acc_j;
+//   * the diagonal tile carries one diagonal per lane, so each lane runs the
+//     scalar recurrence and distance formulas in their scalar order, and
+//     the clamp/compare-select idioms below reproduce std::clamp and the
+//     scalar `x > 0 ? sqrt(x) : 0` selects exactly, NaN included.
 
 #include <immintrin.h>
 
 #include <cstddef>
+#include <cstdint>
+#include <cstring>
 
 #include "simd/kernels_scalar_inl.h"
 
@@ -233,6 +239,123 @@ inline void WindowStats(const double* prefix, const double* prefix_sq,
     scalar_kernel::WindowStatsAt(prefix, prefix_sq, i, length, dlen, inv_len,
                                  global_mean, means, std_devs);
   }
+}
+
+/// The diagonal tile's full-width rows: all four lanes in one register,
+/// with the distance (and, when seeding, the base LB) of every cell
+/// computed in-lane. A row drops to the scalar cell body only when it holds
+/// a constant window or some lane may change a minimum or pass a gate
+/// (compared with <=, so MatchPrecedes settles exact ties); the ragged tail
+/// rows run the scalar walk. Templated on what the tile updates so the
+/// common no-hit row carries no dead work.
+template <bool kRows, bool kCols, bool kSeed>
+inline void DiagonalTileBody(const DiagonalTile& t, std::size_t full_rows,
+                             double* qt_out) {
+  const std::size_t tail = t.length - 1;
+  const double l = static_cast<double>(t.length);
+  const __m256d vl = _mm256_set1_pd(l);
+  const __m256d two_l = _mm256_set1_pd(2.0 * l);
+  const __m256d sqrt_l = _mm256_set1_pd(std::sqrt(l));
+  const __m256d one = _mm256_set1_pd(1.0);
+  const __m256d neg_one = _mm256_set1_pd(-1.0);
+  const __m256d zero = _mm256_setzero_pd();
+  const double* rv = t.rows.values;
+  const double* cv = t.cols.values;
+  __m256d qt = _mm256_loadu_pd(t.initial_dots);
+  alignas(32) double qt_lanes[kDiagonalLanes];
+  alignas(32) double d_lanes[kDiagonalLanes];
+  alignas(32) double lb_lanes[kDiagonalLanes];
+
+  for (std::size_t i = 0; i < full_rows; ++i) {
+    const std::size_t j = i + t.first_diagonal;
+    if (i > 0) {
+      const __m256d enter = _mm256_mul_pd(_mm256_set1_pd(rv[i + tail]),
+                                          _mm256_loadu_pd(cv + j + tail));
+      const __m256d leave = _mm256_mul_pd(_mm256_set1_pd(rv[i - 1]),
+                                          _mm256_loadu_pd(cv + j - 1));
+      qt = _mm256_add_pd(qt, _mm256_sub_pd(enter, leave));
+    }
+    std::uint32_t col_const;
+    std::memcpy(&col_const, t.cols.is_const + j, sizeof(col_const));
+    if ((t.rows.is_const[i] | col_const) != 0) {
+      _mm256_store_pd(qt_lanes, qt);
+      for (std::size_t k = 0; k < kDiagonalLanes; ++k) {
+        scalar_kernel::DiagonalCell(t, i, j + k, qt_lanes[k]);
+      }
+      continue;
+    }
+
+    const __m256d cov =
+        _mm256_sub_pd(_mm256_div_pd(qt, vl),
+                      _mm256_mul_pd(_mm256_set1_pd(t.rows.means[i]),
+                                    _mm256_loadu_pd(t.cols.means + j)));
+    const __m256d ratio =
+        _mm256_div_pd(cov, _mm256_mul_pd(_mm256_set1_pd(t.rows.stds[i]),
+                                         _mm256_loadu_pd(t.cols.stds + j)));
+    // std::clamp(ratio, -1, 1): maxpd/minpd return their second operand on
+    // NaN, as std::clamp returns its argument.
+    const __m256d rho = _mm256_min_pd(one, _mm256_max_pd(neg_one, ratio));
+    const __m256d sq = _mm256_mul_pd(two_l, _mm256_sub_pd(one, rho));
+    const __m256d d = _mm256_and_pd(_mm256_cmp_pd(sq, zero, _CMP_GT_OQ),
+                                    _mm256_sqrt_pd(sq));
+
+    __m256d hit = zero;
+    if constexpr (kRows) {
+      hit = _mm256_cmp_pd(d, _mm256_set1_pd(t.row_dist[i]), _CMP_LE_OQ);
+    }
+    if constexpr (kCols) {
+      hit = _mm256_or_pd(
+          hit, _mm256_cmp_pd(d, _mm256_loadu_pd(t.col_dist + j), _CMP_LE_OQ));
+    }
+    __m256d lb = zero;
+    if constexpr (kSeed) {
+      const __m256d residual =
+          _mm256_mul_pd(vl, _mm256_sub_pd(one, _mm256_mul_pd(rho, rho)));
+      const __m256d positive_lb =
+          _mm256_and_pd(_mm256_cmp_pd(residual, zero, _CMP_GT_OQ),
+                        _mm256_sqrt_pd(residual));
+      lb = _mm256_blendv_pd(positive_lb, sqrt_l,
+                            _mm256_cmp_pd(rho, zero, _CMP_LE_OQ));
+      const double* admit = t.sink->admit;
+      hit = _mm256_or_pd(
+          hit, _mm256_cmp_pd(lb, _mm256_set1_pd(admit[i]), _CMP_LE_OQ));
+      hit = _mm256_or_pd(
+          hit, _mm256_cmp_pd(lb, _mm256_loadu_pd(admit + j), _CMP_LE_OQ));
+    }
+    if (_mm256_movemask_pd(hit) == 0) continue;
+
+    _mm256_store_pd(qt_lanes, qt);
+    _mm256_store_pd(d_lanes, d);
+    _mm256_store_pd(lb_lanes, lb);
+    for (std::size_t k = 0; k < kDiagonalLanes; ++k) {
+      scalar_kernel::ApplyDiagonalCell(t, i, j + k, qt_lanes[k], d_lanes[k],
+                                       lb_lanes[k]);
+    }
+  }
+  _mm256_storeu_pd(qt_out, qt);
+}
+
+inline void DiagonalTileWalk(const DiagonalTile& t) {
+  double qt[kDiagonalLanes];
+  std::copy(t.initial_dots, t.initial_dots + t.lanes, qt);
+  const std::size_t full_rows =
+      t.lanes == kDiagonalLanes
+          ? scalar_kernel::DiagonalLaneRows(t, kDiagonalLanes - 1)
+          : 0;
+  if (full_rows > 0) {
+    const bool rows = t.row_dist != nullptr;
+    const bool cols = t.col_dist != nullptr;
+    if (t.sink != nullptr) {
+      DiagonalTileBody<true, true, true>(t, full_rows, qt);
+    } else if (rows && cols) {
+      DiagonalTileBody<true, true, false>(t, full_rows, qt);
+    } else if (rows) {
+      DiagonalTileBody<true, false, false>(t, full_rows, qt);
+    } else {
+      DiagonalTileBody<false, true, false>(t, full_rows, qt);
+    }
+  }
+  scalar_kernel::DiagonalTileRows(t, full_rows, qt);
 }
 
 }  // namespace valmod::simd::avx2_kernel

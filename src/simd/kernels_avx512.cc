@@ -266,12 +266,20 @@ void WindowStatsAvx512(const double* prefix, const double* prefix_sq,
   }
 }
 
+// The diagonal tile reuses the 4-lane AVX2 body: the walker tiles by
+// kDiagonalLanes on every target, so a wider body would need its own tile
+// order and its own measurement.
+void DiagonalTileAvx512(const DiagonalTile& tile) {
+  avx2_kernel::DiagonalTileWalk(tile);
+}
+
 }  // namespace
 
 const Kernels& Avx512Kernels() {
   static constexpr Kernels kTable = {
       &Radix2PassAvx512,      &FusedRadix4DitAvx512, &FusedRadix4DifAvx512,
       &ComplexMultiplyAvx512, &DotProductAvx512,     &WindowStatsAvx512,
+      &DiagonalTileAvx512,
   };
   return kTable;
 }

@@ -202,12 +202,18 @@ void WindowStatsNeon(const double* prefix, const double* prefix_sq,
   }
 }
 
+// No NEON diagonal body yet: the tile runs the scalar walk.
+void DiagonalTileNeon(const DiagonalTile& tile) {
+  scalar_kernel::DiagonalTileWalk(tile);
+}
+
 }  // namespace
 
 const Kernels& NeonKernels() {
   static constexpr Kernels kTable = {
       &Radix2PassNeon,      &FusedRadix4DitNeon, &FusedRadix4DifNeon,
       &ComplexMultiplyNeon, &DotProductNeon,     &WindowStatsNeon,
+      &DiagonalTileNeon,
   };
   return kTable;
 }

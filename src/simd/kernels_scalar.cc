@@ -85,12 +85,17 @@ void WindowStatsScalar(const double* prefix, const double* prefix_sq,
   }
 }
 
+void DiagonalTileScalar(const DiagonalTile& tile) {
+  scalar_kernel::DiagonalTileWalk(tile);
+}
+
 }  // namespace
 
 const Kernels& ScalarKernels() {
   static constexpr Kernels kTable = {
       &Radix2PassScalar,      &FusedRadix4DitScalar, &FusedRadix4DifScalar,
       &ComplexMultiplyScalar, &DotProductScalar,     &WindowStatsScalar,
+      &DiagonalTileScalar,
   };
   return kTable;
 }

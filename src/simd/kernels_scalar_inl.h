@@ -10,8 +10,13 @@
 // All kernels_*.cc are compiled with -ffp-contract=off, so these bodies
 // never turn into FMAs even on ISAs that have them.
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+
+#include "common/match_order.h"
+#include "simd/dispatch.h"
 
 namespace valmod::simd::scalar_kernel {
 
@@ -129,6 +134,118 @@ inline void WindowStatsAt(const double* prefix, const double* prefix_sq,
   const double mean_sq = (prefix_sq[i + length] - prefix_sq[i]) * inv_len;
   const double var = mean_sq - cm * cm;
   std_devs[i] = std::sqrt(var > 0.0 ? var : 0.0);
+}
+
+/// Distance and correlation of the diagonal cell (i, j) from its dot
+/// product: the operations, in order, of series::CorrelationFromDot and
+/// series::DistanceFromCorrelation, with the constant-window conventions of
+/// series::PairDistanceFromDot (a pair with a constant window has
+/// correlation 0, so its base LB is sqrt(l)).
+struct CellValue {
+  double distance;
+  double rho;
+};
+
+inline CellValue DiagonalCellValue(const DiagonalTile& t, std::size_t i,
+                                   std::size_t j, double qt) {
+  const double l = static_cast<double>(t.length);
+  const bool const_i = t.rows.is_const[i] != 0;
+  const bool const_j = t.cols.is_const[j] != 0;
+  if (const_i || const_j) {
+    return {const_i && const_j ? 0.0 : std::sqrt(l), 0.0};
+  }
+  const double cov = qt / l - t.rows.means[i] * t.cols.means[j];
+  const double rho =
+      std::clamp(cov / (t.rows.stds[i] * t.cols.stds[j]), -1.0, 1.0);
+  const double sq = 2.0 * l * (1.0 - rho);
+  return {sq > 0.0 ? std::sqrt(sq) : 0.0, rho};
+}
+
+/// core::BaseLowerBound, operation for operation.
+inline double DiagonalBaseLb(double rho, std::size_t length) {
+  const double l = static_cast<double>(length);
+  if (rho <= 0.0) return std::sqrt(l);
+  const double residual = l * (1.0 - rho * rho);
+  return residual > 0.0 ? std::sqrt(residual) : 0.0;
+}
+
+/// Applies one evaluated cell: the row minimum of i and the column minimum
+/// of j under MatchPrecedes, then the admission gate of both rows.
+inline void ApplyDiagonalCell(const DiagonalTile& t, std::size_t i,
+                              std::size_t j, double qt, double distance,
+                              double base_lb) {
+  const auto match_i = static_cast<std::int64_t>(i);
+  const auto match_j = static_cast<std::int64_t>(j);
+  if (t.row_dist != nullptr &&
+      MatchPrecedes(distance, match_j, t.row_dist[i], t.row_idx[i], i)) {
+    t.row_dist[i] = distance;
+    t.row_idx[i] = match_j;
+  }
+  if (t.col_dist != nullptr &&
+      MatchPrecedes(distance, match_i, t.col_dist[j], t.col_idx[j], j)) {
+    t.col_dist[j] = distance;
+    t.col_idx[j] = match_i;
+  }
+  if (t.sink != nullptr) {
+    const OfferSink& sink = *t.sink;
+    if (base_lb <= sink.admit[i]) {
+      sink.offer(sink.context, i, match_j, qt, base_lb);
+    }
+    if (base_lb <= sink.admit[j]) {
+      sink.offer(sink.context, j, match_i, qt, base_lb);
+    }
+  }
+}
+
+/// Evaluates and applies the cell (i, j).
+inline void DiagonalCell(const DiagonalTile& t, std::size_t i, std::size_t j,
+                         double qt) {
+  const CellValue v = DiagonalCellValue(t, i, j, qt);
+  const double base_lb =
+      t.sink != nullptr ? DiagonalBaseLb(v.rho, t.length) : 0.0;
+  ApplyDiagonalCell(t, i, j, qt, v.distance, base_lb);
+}
+
+/// Rows lane k visits: both windows of (i, i + first_diagonal + k) exist.
+/// Non-increasing in k.
+inline std::size_t DiagonalLaneRows(const DiagonalTile& t, std::size_t k) {
+  const std::size_t diagonal = t.first_diagonal + k;
+  const std::size_t col_rows =
+      t.cols.count > diagonal ? t.cols.count - diagonal : 0;
+  return std::min(t.rows.count, col_rows);
+}
+
+/// The dot-product recurrence from cell (i-1, j-1) to (i, j), i >= 1.
+inline double DiagonalStep(const DiagonalTile& t, std::size_t i,
+                           std::size_t j, double qt) {
+  const std::size_t tail = t.length - 1;
+  return qt + (t.rows.values[i + tail] * t.cols.values[j + tail] -
+               t.rows.values[i - 1] * t.cols.values[j - 1]);
+}
+
+/// The tile in its row-major order from `first_row` on, one lane after the
+/// other in each row. `qt[k]` holds lane k's dot product of row
+/// first_row - 1 (or its initial dot when first_row is 0) and is advanced
+/// in place. Vector targets finish their ragged tail rows here.
+inline void DiagonalTileRows(const DiagonalTile& t, std::size_t first_row,
+                             double* qt) {
+  std::size_t lane_rows[kDiagonalLanes];
+  for (std::size_t k = 0; k < t.lanes; ++k) {
+    lane_rows[k] = DiagonalLaneRows(t, k);
+  }
+  for (std::size_t i = first_row; i < lane_rows[0]; ++i) {
+    for (std::size_t k = 0; k < t.lanes && i < lane_rows[k]; ++k) {
+      const std::size_t j = i + t.first_diagonal + k;
+      if (i > 0) qt[k] = DiagonalStep(t, i, j, qt[k]);
+      DiagonalCell(t, i, j, qt[k]);
+    }
+  }
+}
+
+inline void DiagonalTileWalk(const DiagonalTile& t) {
+  double qt[kDiagonalLanes];
+  std::copy(t.initial_dots, t.initial_dots + t.lanes, qt);
+  DiagonalTileRows(t, 0, qt);
 }
 
 }  // namespace valmod::simd::scalar_kernel

@@ -103,6 +103,18 @@ double MovingStats::StdDev(std::size_t offset, std::size_t length) const {
 
 Status MovingStats::WindowStats(std::size_t length, std::vector<double>* means,
                                 std::vector<double>* std_devs) const {
+  return SweepWindowStats(length, global_mean_, means, std_devs);
+}
+
+Status MovingStats::CenteredWindowStats(std::size_t length,
+                                        std::vector<double>* means,
+                                        std::vector<double>* std_devs) const {
+  return SweepWindowStats(length, 0.0, means, std_devs);
+}
+
+Status MovingStats::SweepWindowStats(std::size_t length, double mean_shift,
+                                     std::vector<double>* means,
+                                     std::vector<double>* std_devs) const {
   if (length == 0) {
     return Status::InvalidArgument("window length must be positive");
   }
@@ -116,24 +128,19 @@ Status MovingStats::WindowStats(std::size_t length, std::vector<double>* means,
   if (length == 1) {
     // Variance(i, 1) is exactly 0 (see Variance's early return); the
     // dispatched sweep kernel assumes length >= 2.
-    for (std::size_t i = 0; i < count; ++i) (*means)[i] = Mean(i, length);
+    for (std::size_t i = 0; i < count; ++i) {
+      (*means)[i] = CenteredMean(i, length) + mean_shift;
+    }
     std::fill(std_devs->begin(), std_devs->end(), 0.0);
     return Status::Ok();
   }
   // One dense sweep over the prefix arrays, runtime-dispatched to the best
-  // SIMD target; bit-identical to the per-window Mean/StdDev loop.
+  // SIMD target; bit-identical to the per-window Mean/StdDev loop (and,
+  // with a zero shift, to CenteredMean).
   simd::ActiveKernels().window_stats(prefix_.data(), prefix_sq_.data(), count,
-                                     length, global_mean_, means->data(),
+                                     length, mean_shift, means->data(),
                                      std_devs->data());
   simd::NoteKernelCalls(simd::KernelKind::kWindowStats, 1);
-  return Status::Ok();
-}
-
-Status MovingStats::CenteredWindowStats(std::size_t length,
-                                        std::vector<double>* means,
-                                        std::vector<double>* std_devs) const {
-  VALMOD_RETURN_IF_ERROR(WindowStats(length, means, std_devs));
-  for (double& m : *means) m -= global_mean_;
   return Status::Ok();
 }
 

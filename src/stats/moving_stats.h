@@ -87,8 +87,9 @@ class MovingStats {
   Status WindowStats(std::size_t length, std::vector<double>* means,
                      std::vector<double>* std_devs) const;
 
-  /// Same as WindowStats but with means in the centered representation; this
-  /// is the variant the distance kernels consume.
+  /// Same as WindowStats but with means in the centered representation,
+  /// bit-identical to CenteredMean(); this is the variant the distance
+  /// kernels consume.
   Status CenteredWindowStats(std::size_t length, std::vector<double>* means,
                              std::vector<double>* std_devs) const;
 
@@ -111,6 +112,11 @@ class MovingStats {
 
  private:
   MovingStats() = default;
+
+  /// The WindowStats sweep with `mean_shift` added to every centered mean.
+  Status SweepWindowStats(std::size_t length, double mean_shift,
+                          std::vector<double>* means,
+                          std::vector<double>* std_devs) const;
 
   static Result<MovingStats> CreateImpl(std::span<const double> data,
                                         double center);

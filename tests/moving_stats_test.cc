@@ -161,6 +161,7 @@ TEST(MovingStatsTest, CenteredWindowStatsShifted) {
   ASSERT_TRUE(stats->CenteredWindowStats(10, &cmeans, &cstds).ok());
   for (std::size_t i = 0; i < means.size(); ++i) {
     EXPECT_NEAR(cmeans[i] + stats->global_mean(), means[i], 1e-10);
+    EXPECT_EQ(cmeans[i], stats->CenteredMean(i, 10));  // bit-identical
     EXPECT_DOUBLE_EQ(cstds[i], stds[i]);
   }
 }

@@ -334,6 +334,51 @@ TEST(TracingTest, TracedRequestSpansAccountForWallTime) {
   EXPECT_EQ(untraced.Find("trace"), nullptr);
 }
 
+// Inside `compute`, a motifs request's `valmod_run` span splits into its two
+// phases: the O(n^2) initial scan and the per-length sweep. Together they
+// must account for the run, so a trace shows where its time went.
+TEST(TracingTest, ValmodRunSplitsIntoScanAndSweepSpans) {
+  trace::SetEnabled(true);
+  Service service;
+  LoadBench(service, 16384);
+  Value response = Roundtrip(
+      service,
+      R"({"verb":"motifs","dataset":"bench",)"
+      R"("params":{"lmin":128,"lmax":132},"trace":true})");
+  ASSERT_TRUE(Ok(response)) << response.Serialize();
+  const Value* trace = response.Find("trace");
+  ASSERT_NE(trace, nullptr);
+  const Value* spans = trace->Find("spans");
+  ASSERT_NE(spans, nullptr);
+  const auto& list = spans->AsArray();
+
+  int run = -1;
+  for (std::size_t i = 0; i < list.size(); ++i) {
+    if (list[i].GetString("name", "") == "valmod_run") {
+      run = static_cast<int>(i);
+    }
+  }
+  ASSERT_GE(run, 0) << response.Serialize();
+  double phases_ns = 0.0;
+  bool saw_scan = false, saw_sweep = false;
+  for (const Value& span : list) {
+    if (span.GetNumber("parent", -1) != run) continue;
+    const std::string name = span.GetString("name", "");
+    saw_scan |= name == "initial_scan";
+    saw_sweep |= name == "length_sweep";
+    if (name == "initial_scan" || name == "length_sweep") {
+      phases_ns += span.GetNumber("duration_ns", 0);
+    }
+  }
+  EXPECT_TRUE(saw_scan);
+  EXPECT_TRUE(saw_sweep);
+  const double run_ns = list[run].GetNumber("duration_ns", 0);
+  ASSERT_GT(run_ns, 0.0);
+  EXPECT_GE(phases_ns, 0.90 * run_ns)
+      << "initial_scan + length_sweep cover only "
+      << (phases_ns / run_ns * 100.0) << "% of valmod_run";
+}
+
 TEST(TracingTest, ErrorResponsesCarryTraceWhenRequested) {
   trace::SetEnabled(true);
   Service service;

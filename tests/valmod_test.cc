@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <set>
@@ -270,7 +271,7 @@ TEST(ValmodTest, ThreadedInitialScanMatchesSerial) {
 }
 
 // The certification loop routes recompute batches through the engine's
-// batched entry point. The batch composition (floor of 16 rows) and the
+// batched entry point. The batch composition (a fixed 16 rows) and the
 // row pairing inside a batch depend only on the row order — never on the
 // thread count — so the entire result must be bit-identical, not just
 // close, across thread counts.
@@ -311,6 +312,89 @@ TEST(ValmodTest, BatchedRecomputeBitIdenticalAcrossThreadCounts) {
                 reference->min_length_profile.distances[j])
           << "threads=" << threads << " j=" << j;
     }
+  }
+}
+
+/// A random walk with two 300-point constant plateaus and a 300-point
+/// block repeated twice: windows inside the plateaus are at distance 0 from
+/// many partners, and the repeated block puts equal distances on both
+/// sides of a row. A tie-break by visit order picks differently at each
+/// thread count.
+series::DataSeries TieProbeSeries() {
+  auto walk = synth::ByName("random_walk", 5200, 17);
+  EXPECT_TRUE(walk.ok());
+  std::vector<double> values(walk->values().begin(), walk->values().end());
+  std::fill(values.begin() + 800, values.begin() + 1100, values[800]);
+  std::fill(values.begin() + 2600, values.begin() + 2900, values[800]);
+  std::copy(values.begin() + 1700, values.begin() + 2000,
+            values.begin() + 4100);
+  auto series = series::DataSeries::Create(std::move(values));
+  EXPECT_TRUE(series.ok());
+  return std::move(*series);
+}
+
+void ExpectSameProfile(const mp::MatrixProfile& got,
+                       const mp::MatrixProfile& want, const char* what,
+                       int threads) {
+  ASSERT_EQ(got.distances.size(), want.distances.size());
+  for (std::size_t i = 0; i < want.distances.size(); ++i) {
+    EXPECT_EQ(got.distances[i], want.distances[i])
+        << what << " threads=" << threads << " row " << i;
+    EXPECT_EQ(got.indices[i], want.indices[i])
+        << what << " threads=" << threads << " row " << i;
+  }
+}
+
+TEST(ValmodTest, TiesBreakIdenticallyAtEveryThreadCount) {
+  const series::DataSeries series = TieProbeSeries();
+  ValmodOptions base;
+  base.min_length = 64;
+  base.max_length = 72;
+  base.k = 3;
+
+  auto reference = RunValmod(series, base);
+  ASSERT_TRUE(reference.ok());
+  auto reference_stomp = mp::ComputeStomp(series, base.min_length, {});
+  ASSERT_TRUE(reference_stomp.ok());
+  ExpectSameProfile(reference->min_length_profile, *reference_stomp,
+                    "min-length profile vs STOMP", 1);
+
+  for (int threads : {2, 3, 4, 8}) {
+    ValmodOptions options = base;
+    options.num_threads = threads;
+    auto result = RunValmod(series, options);
+    ASSERT_TRUE(result.ok());
+    ASSERT_EQ(result->per_length.size(), reference->per_length.size());
+    for (std::size_t i = 0; i < reference->per_length.size(); ++i) {
+      const auto& want = reference->per_length[i].motifs;
+      const auto& got = result->per_length[i].motifs;
+      ASSERT_EQ(got.size(), want.size()) << "threads=" << threads;
+      for (std::size_t m = 0; m < want.size(); ++m) {
+        const std::size_t length = reference->per_length[i].length;
+        EXPECT_EQ(got[m].offset_a, want[m].offset_a)
+            << "threads=" << threads << " length " << length << " rank " << m;
+        EXPECT_EQ(got[m].offset_b, want[m].offset_b)
+            << "threads=" << threads << " length " << length << " rank " << m;
+        EXPECT_EQ(got[m].distance, want[m].distance)
+            << "threads=" << threads << " length " << length << " rank " << m;
+      }
+    }
+    ASSERT_EQ(result->stats.size(), reference->stats.size());
+    for (std::size_t i = 0; i < reference->stats.size(); ++i) {
+      EXPECT_EQ(result->stats[i].valid_rows, reference->stats[i].valid_rows);
+      EXPECT_EQ(result->stats[i].recomputed_rows,
+                reference->stats[i].recomputed_rows);
+      EXPECT_EQ(result->stats[i].passes, reference->stats[i].passes);
+    }
+    ExpectSameProfile(result->min_length_profile,
+                      reference->min_length_profile, "min-length profile",
+                      threads);
+
+    mp::ProfileOptions stomp_options;
+    stomp_options.num_threads = threads;
+    auto stomp = mp::ComputeStomp(series, base.min_length, stomp_options);
+    ASSERT_TRUE(stomp.ok());
+    ExpectSameProfile(*stomp, *reference_stomp, "STOMP", threads);
   }
 }
 
