@@ -6,6 +6,7 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -30,7 +31,9 @@ namespace valmod {
 /// spread over the pool workers plus the calling thread, and returns when
 /// all chunks are done. Chunks are claimed dynamically from a shared
 /// counter, so which thread runs which chunk is unspecified; `fn` must be
-/// safe to call concurrently for distinct indices and must not throw.
+/// safe to call concurrently for distinct indices. A chunk that throws
+/// does not stop the others: every chunk still runs, and `Run` rethrows the
+/// first exception on the calling thread once all of them have finished.
 ///
 /// The pool grows on demand up to `kMaxThreads` (a region with N chunks
 /// wants N - 1 helpers; the caller executes chunks too) and never shrinks;
@@ -78,7 +81,8 @@ class ThreadPool {
   }
 
   /// Runs `fn(c)` once for every c in [0, num_chunks), blocking until all
-  /// chunks complete. The calling thread participates.
+  /// chunks complete. The calling thread participates. Rethrows the first
+  /// exception a chunk threw, after every chunk has finished.
   void Run(std::size_t num_chunks, const std::function<void(std::size_t)>& fn) {
     if (num_chunks == 0) return;
     if (num_chunks == 1 || InParallelRegion()) {
@@ -121,6 +125,8 @@ class ThreadPool {
              region->chunks;
     });
     current_.reset();
+    lock.unlock();
+    if (region->error) std::rethrow_exception(region->error);
   }
 
  private:
@@ -139,6 +145,11 @@ class ThreadPool {
     trace::Binding binding;
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> completed{0};
+    /// The first exception a chunk threw; written before that chunk counts
+    /// as completed, so the dispatcher reads it after the wait without a
+    /// lock.
+    std::mutex error_mutex;
+    std::exception_ptr error;
   };
 
   /// True while this thread is executing chunks of some region — pool
@@ -160,7 +171,12 @@ class ThreadPool {
       const std::size_t c =
           region.next.fetch_add(1, std::memory_order_relaxed);
       if (c >= region.chunks) return;
-      (*region.fn)(c);
+      try {
+        (*region.fn)(c);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(region.error_mutex);
+        if (!region.error) region.error = std::current_exception();
+      }
       if (region.completed.fetch_add(1, std::memory_order_acq_rel) + 1 ==
           region.chunks) {
         std::lock_guard<std::mutex> lock(mutex_);

@@ -50,8 +50,8 @@ Result<MotifSet> ExpandMotifSet(const series::DataSeries& series,
 
 /// Engine form: expands against `engine.series()`, reusing the engine's
 /// cached series spectrum across the two seed profiles — and across calls,
-/// which is how EnumerateMotifSets expands every ranked pair for the cost
-/// of one series transform. The series-taking overload wraps this one.
+/// so expanding several pairs against one engine costs one series
+/// transform. The series-taking overload wraps this one.
 Result<MotifSet> ExpandMotifSet(mass::MassEngine& engine,
                                 const mp::MotifPair& pair,
                                 const MotifSetOptions& options = {});

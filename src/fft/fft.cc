@@ -66,51 +66,6 @@ std::size_t OverlapSaveFftSize(std::size_t filter_size) {
   return four_m < 64 ? 64 : four_m;
 }
 
-Result<std::vector<double>> OverlapSaveConvolve(std::span<const double> a,
-                                                std::span<const double> b) {
-  if (a.empty() || b.empty()) {
-    return Status::InvalidArgument(
-        "OverlapSaveConvolve requires non-empty inputs");
-  }
-  const std::size_t n = a.size();
-  const std::size_t m = b.size();
-  const std::size_t out_size = n + m - 1;
-  const std::size_t chunk_size = OverlapSaveFftSize(m);
-  const std::shared_ptr<const FftPlan> plan = GetPlan(chunk_size);
-  const std::size_t bins = plan->half_spectrum_size();
-
-  // The filter spectrum is computed once and reused by every chunk.
-  std::vector<std::complex<double>> filter(bins);
-  plan->RealForward(b, filter);
-
-  // Each chunk reads `chunk_size` samples of the signal as if it were
-  // prefixed with m-1 zeros (so the first chunk's alias-free region starts
-  // at output 0) and yields `hop` fresh outputs: circular-convolution
-  // positions m-1..chunk_size-1 of a chunk starting at padded position t
-  // equal linear-convolution outputs t..t+hop-1.
-  const std::size_t hop = chunk_size - m + 1;
-  std::vector<double> out(out_size);
-  std::vector<double> chunk(chunk_size);
-  std::vector<std::complex<double>> product(bins);
-  std::vector<double> conv(chunk_size);
-  for (std::size_t t = 0; t < out_size; t += hop) {
-    for (std::size_t i = 0; i < chunk_size; ++i) {
-      const std::size_t u = t + i;  // position in the zero-prefixed signal
-      chunk[i] = (u >= m - 1 && u - (m - 1) < n) ? a[u - (m - 1)] : 0.0;
-    }
-    plan->RealForward(chunk, product);
-    simd::ActiveKernels().complex_multiply(
-        reinterpret_cast<const double*>(product.data()),
-        reinterpret_cast<const double*>(filter.data()),
-        reinterpret_cast<double*>(product.data()), bins);
-    simd::NoteKernelCalls(simd::KernelKind::kComplexMultiply, 1);
-    plan->RealInverse(product, conv);
-    const std::size_t emit = std::min(hop, out_size - t);
-    for (std::size_t i = 0; i < emit; ++i) out[t + i] = conv[m - 1 + i];
-  }
-  return out;
-}
-
 Result<std::vector<double>> SlidingDotProducts(std::span<const double> series,
                                                std::span<const double> query) {
   const std::size_t n = series.size();

@@ -37,18 +37,6 @@ Result<std::vector<double>> Convolve(std::span<const double> a,
 /// fragmenting the signal into thousands of micro-chunks.
 std::size_t OverlapSaveFftSize(std::size_t filter_size);
 
-/// Linear convolution with the same contract as Convolve, computed by
-/// overlap-save: the signal is processed in overlapping chunks of
-/// OverlapSaveFftSize(b.size()) points, each circularly convolved with `b`'s
-/// (once-computed) spectrum, and the aliased first b.size()-1 outputs of
-/// every chunk are discarded. The flop count scales with
-/// n * log(chunk) instead of n * log(n), so for filters much shorter than
-/// the signal this is substantially cheaper than the full-size transform.
-/// Results agree with Convolve to rounding, not bit-for-bit: the evaluation
-/// order of every output differs.
-Result<std::vector<double>> OverlapSaveConvolve(std::span<const double> a,
-                                                std::span<const double> b);
-
 /// Sliding dot products of `query` against `series`:
 ///
 ///   out[i] = sum_{t=0}^{m-1} query[t] * series[i + t],

@@ -81,8 +81,8 @@ struct BackendCostModel {
   /// The SIMD dispatch target the weights apply to. Calibrated weights are
   /// keyed by the target that was active when they were measured: the
   /// relative price of a butterfly unit versus a direct multiply-add shifts
-  /// with the vector width, so weights fitted under avx512 must not steer
-  /// the chooser after a switch to scalar (VALMOD_SIMD / --simd). When
+  /// with the vector width, so weights fitted under avx2 must not steer the
+  /// chooser after a switch to scalar (VALMOD_SIMD / --simd). When
   /// ActiveBackendCostModel() detects a target change it resets to the
   /// static fit and bumps the model generation (invalidating memoized kAuto
   /// results). For the static fit this field reports the currently active

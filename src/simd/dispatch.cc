@@ -26,16 +26,6 @@ bool CpuHasAvx2() {
 #endif
 }
 
-bool CpuHasAvx512() {
-#if defined(__x86_64__) || defined(_M_X64)
-  // __builtin_cpu_supports folds in the OSXSAVE / XCR0 state check, so a
-  // kernel that disabled AVX-512 state saving reports unsupported here.
-  return __builtin_cpu_supports("avx512f") != 0;
-#else
-  return false;
-#endif
-}
-
 const Kernels* KernelsFor(Target target) {
   switch (target) {
     case Target::kScalar:
@@ -43,12 +33,6 @@ const Kernels* KernelsFor(Target target) {
     case Target::kAvx2:
 #if defined(VALMOD_SIMD_HAVE_AVX2)
       return &Avx2Kernels();
-#else
-      return nullptr;
-#endif
-    case Target::kAvx512:
-#if defined(VALMOD_SIMD_HAVE_AVX512)
-      return &Avx512Kernels();
 #else
       return nullptr;
 #endif
@@ -73,7 +57,6 @@ Dispatch& State() {
 }
 
 Target DetectBestTarget() {
-  if (TargetSupported(Target::kAvx512)) return Target::kAvx512;
   if (TargetSupported(Target::kAvx2)) return Target::kAvx2;
   if (TargetSupported(Target::kNeon)) return Target::kNeon;
   return Target::kScalar;
@@ -91,7 +74,7 @@ Target ResolveStartupTarget() {
     if (!parsed.ok()) {
       std::fprintf(stderr,
                    "valmod: ignoring unknown VALMOD_SIMD=%s "
-                   "(want scalar|avx2|avx512|neon); using %s\n",
+                   "(want scalar|avx2|neon); using %s\n",
                    env, TargetName(target));
     } else if (!TargetSupported(*parsed)) {
       std::fprintf(stderr,
@@ -124,8 +107,6 @@ const char* TargetName(Target target) {
       return "scalar";
     case Target::kAvx2:
       return "avx2";
-    case Target::kAvx512:
-      return "avx512";
     case Target::kNeon:
       return "neon";
   }
@@ -135,11 +116,10 @@ const char* TargetName(Target target) {
 Result<Target> ParseTarget(std::string_view name) {
   if (name == "scalar") return Target::kScalar;
   if (name == "avx2") return Target::kAvx2;
-  if (name == "avx512") return Target::kAvx512;
   if (name == "neon") return Target::kNeon;
   return Status::InvalidArgument(
       "unknown SIMD target '" + std::string(name) +
-      "' (want scalar|avx2|avx512|neon)");
+      "' (want scalar|avx2|neon)");
 }
 
 bool TargetCompiled(Target target) { return KernelsFor(target) != nullptr; }
@@ -151,8 +131,6 @@ bool TargetSupported(Target target) {
       return true;
     case Target::kAvx2:
       return CpuHasAvx2();
-    case Target::kAvx512:
-      return CpuHasAvx512();
     case Target::kNeon:
       return !kIsX86;  // compiled in only on aarch64, where ASIMD is baseline
   }
@@ -161,8 +139,7 @@ bool TargetSupported(Target target) {
 
 std::vector<Target> SupportedTargets() {
   std::vector<Target> targets;
-  for (Target t : {Target::kAvx512, Target::kAvx2, Target::kNeon,
-                   Target::kScalar}) {
+  for (Target t : {Target::kAvx2, Target::kNeon, Target::kScalar}) {
     if (TargetSupported(t)) targets.push_back(t);
   }
   return targets;

@@ -7,11 +7,11 @@
 // sliding dots, the moving mean/std sweep, and the diagonal tile of the
 // O(n^2) profile scans — are implemented once per instruction set in
 // per-ISA translation units (kernels_scalar.cc, kernels_avx2.cc,
-// kernels_avx512.cc, kernels_neon.cc), each compiled with per-file arch
-// flags so the rest of the binary stays generic-arch. The
-// best target the CPU supports is detected once at startup (cpuid on x86,
-// baseline ASIMD on aarch64) and resolved to a table of function pointers;
-// every hot loop reads the table through one atomic pointer load.
+// kernels_neon.cc), each compiled with per-file arch flags so the rest of
+// the binary stays generic-arch. The best target the CPU supports is
+// detected once at startup (cpuid on x86, baseline ASIMD on aarch64) and
+// resolved to a table of function pointers; every hot loop reads the table
+// through one atomic pointer load.
 //
 // Every vector kernel is written to be BIT-IDENTICAL to the scalar oracle:
 // no FMA contraction, the same per-element operation order, and the exact
@@ -20,7 +20,7 @@
 // switching targets never needs a kResultsVersion bump.
 //
 // Override order (strongest last): cpuid auto-detection, then the
-// `VALMOD_SIMD=scalar|avx2|avx512|neon` environment variable (read at first
+// `VALMOD_SIMD=scalar|avx2|neon` environment variable (read at first
 // use; invalid or unsupported values warn once and fall back to
 // auto-detection), then an explicit SetTarget() call (the `--simd` flag in
 // valmod_cli / valmod_server, and tests).
@@ -38,8 +38,7 @@ namespace valmod::simd {
 enum class Target {
   kScalar = 0,
   kAvx2 = 1,
-  kAvx512 = 2,
-  kNeon = 3,
+  kNeon = 2,
 };
 
 /// Receives the partial-profile candidates a diagonal tile admits. The simd
@@ -149,7 +148,7 @@ struct Kernels {
   void (*diagonal_tile)(const DiagonalTile& tile);
 };
 
-/// Name for a target: "scalar", "avx2", "avx512", "neon".
+/// Name for a target: "scalar", "avx2", "neon".
 const char* TargetName(Target target);
 
 /// Parses a target name (the values accepted by VALMOD_SIMD and --simd).
@@ -161,7 +160,7 @@ bool TargetCompiled(Target target);
 /// True when the target is compiled in AND the running CPU supports it.
 bool TargetSupported(Target target);
 
-/// All supported targets, best-first (e.g. {avx512, avx2, scalar}).
+/// All supported targets, best-first (e.g. {avx2, scalar}).
 std::vector<Target> SupportedTargets();
 
 /// The active kernel table. First call resolves the startup target
@@ -201,7 +200,7 @@ enum class KernelKind {
   kWindowStats = 5,
 };
 
-inline constexpr int kNumTargets = 4;
+inline constexpr int kNumTargets = 3;
 inline constexpr int kNumKernelKinds = 6;
 
 /// Metric-label spelling: "radix2_pass", "complex_multiply", ...

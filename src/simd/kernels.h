@@ -16,10 +16,6 @@ const Kernels& ScalarKernels();
 const Kernels& Avx2Kernels();
 #endif
 
-#if defined(VALMOD_SIMD_HAVE_AVX512)
-const Kernels& Avx512Kernels();
-#endif
-
 #if defined(VALMOD_SIMD_HAVE_NEON)
 const Kernels& NeonKernels();
 #endif

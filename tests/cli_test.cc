@@ -17,9 +17,11 @@ struct CliRun {
   std::string out;
 };
 
-CliRun RunCli(const std::string& args) {
+/// Runs valmod_cli with `args`; `env` (e.g. "VAR=value") prefixes the
+/// command's environment.
+CliRun RunCli(const std::string& args, const std::string& env = "") {
   const std::string command =
-      std::string(VALMOD_CLI_BINARY) + " " + args + " 2>/dev/null";
+      env + " " + VALMOD_CLI_BINARY + " " + args + " 2>/dev/null";
   std::FILE* pipe = popen(command.c_str(), "r");
   CliRun run;
   if (pipe == nullptr) return run;
@@ -46,6 +48,20 @@ TEST(CliTest, HugeThreadCountRunsAndMatchesSerial) {
   EXPECT_NE(huge.out.find("\n64,1,"), std::string::npos) << huge.out;
   EXPECT_NE(huge.out.find("\n66,1,"), std::string::npos) << huge.out;
   EXPECT_EQ(huge.out, serial.out);
+}
+
+// avx512 is not a dispatch target. As a flag it is a usage error; as the
+// VALMOD_SIMD value it only warns and keeps the auto-detected target, so the
+// motifs are the bytes of a run without it.
+TEST(CliTest, Avx512IsAnUnknownSimdTarget) {
+  const std::string motifs =
+      "motifs --generate=ecg --n=1024 --lmin=32 --lmax=34";
+  EXPECT_NE(RunCli(motifs + " --simd=avx512").status, 0);
+  const CliRun plain = RunCli(motifs);
+  ASSERT_EQ(plain.status, 0);
+  const CliRun env = RunCli(motifs, "VALMOD_SIMD=avx512");
+  ASSERT_EQ(env.status, 0);
+  EXPECT_EQ(env.out, plain.out);
 }
 
 }  // namespace

@@ -1,46 +1,15 @@
-// Parity tests for the overlap-save convolution against the full-size
-// Convolve path and against the brute-force definition. Overlap-save
-// changes the evaluation order of every output (chunk-size transforms
-// instead of one full-size transform), so parity here is relative-1e-9,
-// not bit-identity.
+// Tests for the overlap-save chunk sizing the MASS engine's overlap-save
+// backend uses (its row parity against the other backends lives in
+// mass_engine_test).
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstddef>
-#include <vector>
 
-#include "common/rng.h"
 #include "fft/fft.h"
 
 namespace valmod::fft {
 namespace {
-
-std::vector<double> RandomSignal(std::size_t n, std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<double> out(n);
-  for (double& x : out) x = rng.Gaussian();
-  return out;
-}
-
-std::vector<double> BruteConvolve(const std::vector<double>& a,
-                                  const std::vector<double>& b) {
-  std::vector<double> out(a.size() + b.size() - 1, 0.0);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    for (std::size_t j = 0; j < b.size(); ++j) out[i + j] += a[i] * b[j];
-  }
-  return out;
-}
-
-void ExpectConvolutionParity(const std::vector<double>& got,
-                             const std::vector<double>& want,
-                             const char* label) {
-  ASSERT_EQ(got.size(), want.size()) << label;
-  for (std::size_t k = 0; k < got.size(); ++k) {
-    EXPECT_NEAR(got[k], want[k], 1e-9 * (1.0 + std::abs(want[k])))
-        << label << " k=" << k;
-  }
-}
 
 TEST(OverlapSaveFftSizeTest, FourTimesFilterWithFloor) {
   EXPECT_EQ(OverlapSaveFftSize(1), 64u);
@@ -53,63 +22,6 @@ TEST(OverlapSaveFftSizeTest, FourTimesFilterWithFloor) {
                         std::size_t{100}, std::size_t{4097}}) {
     EXPECT_LE(m - 1, OverlapSaveFftSize(m) / 2) << "m=" << m;
   }
-}
-
-TEST(OverlapSaveConvolveTest, MatchesConvolveAcrossShapes) {
-  // Signal lengths around chunk multiples and filter lengths around the
-  // chunk-size steps (the 4*m power-of-two jump at m = 16 -> 17) exercise
-  // partial final chunks, single-chunk runs, and hop boundaries.
-  const std::size_t signal_lengths[] = {1, 5, 48, 63, 64, 65, 127, 128,
-                                        200, 1000};
-  const std::size_t filter_lengths[] = {1, 2, 15, 16, 17, 31, 48, 64};
-  std::uint64_t seed = 1;
-  for (std::size_t n : signal_lengths) {
-    for (std::size_t m : filter_lengths) {
-      const std::vector<double> a = RandomSignal(n, seed++);
-      const std::vector<double> b = RandomSignal(m, seed++);
-      auto ols = OverlapSaveConvolve(a, b);
-      ASSERT_TRUE(ols.ok()) << "n=" << n << " m=" << m;
-      auto full = Convolve(a, b);
-      ASSERT_TRUE(full.ok()) << "n=" << n << " m=" << m;
-      ExpectConvolutionParity(*ols, *full, "vs Convolve");
-    }
-  }
-}
-
-TEST(OverlapSaveConvolveTest, MatchesBruteForce) {
-  for (std::size_t n : {std::size_t{7}, std::size_t{64}, std::size_t{150}}) {
-    for (std::size_t m : {std::size_t{1}, std::size_t{7}, std::size_t{33}}) {
-      const std::vector<double> a = RandomSignal(n, 1000 + n);
-      const std::vector<double> b = RandomSignal(m, 2000 + m);
-      auto ols = OverlapSaveConvolve(a, b);
-      ASSERT_TRUE(ols.ok());
-      ExpectConvolutionParity(*ols, BruteConvolve(a, b), "vs brute");
-    }
-  }
-}
-
-TEST(OverlapSaveConvolveTest, ConstantInputs) {
-  // Constant signals make every aliasing or mis-alignment error visible as
-  // a step in what must be a flat-topped trapezoid.
-  const std::vector<double> a(130, 2.5);
-  const std::vector<double> b(17, -1.0);
-  auto ols = OverlapSaveConvolve(a, b);
-  ASSERT_TRUE(ols.ok());
-  ExpectConvolutionParity(*ols, BruteConvolve(a, b), "constant");
-}
-
-TEST(OverlapSaveConvolveTest, FilterLongerThanSignal) {
-  const std::vector<double> a = RandomSignal(9, 77);
-  const std::vector<double> b = RandomSignal(40, 78);
-  auto ols = OverlapSaveConvolve(a, b);
-  ASSERT_TRUE(ols.ok());
-  ExpectConvolutionParity(*ols, BruteConvolve(a, b), "long filter");
-}
-
-TEST(OverlapSaveConvolveTest, RejectsEmptyInputs) {
-  const std::vector<double> a = {1.0};
-  EXPECT_FALSE(OverlapSaveConvolve(a, {}).ok());
-  EXPECT_FALSE(OverlapSaveConvolve({}, a).ok());
 }
 
 }  // namespace

@@ -1,12 +1,14 @@
 // Tests for the persistent thread pool behind ParallelFor: coverage and
 // partitioning semantics, thread reuse across regions (the no-spawn-per-batch
-// guarantee), nested and concurrent regions, and the status variant's
-// deterministic error selection.
+// guarantee), nested and concurrent regions, exceptions thrown inside a
+// region, and the status variant's deterministic error selection.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
+#include <new>
 #include <numeric>
 #include <thread>
 #include <vector>
@@ -84,6 +86,95 @@ TEST(ThreadPoolTest, WidthBeyondMaxThreadsStillCoversRange) {
     ASSERT_EQ(hits[i].load(), 1) << "i=" << i;
   }
   EXPECT_LE(ThreadPool::Shared().worker_count(), ThreadPool::kMaxThreads);
+}
+
+/// Spins until `flag` is set (or a generous deadline passes, so a broken
+/// pool fails the test instead of hanging it).
+void AwaitFlag(const std::atomic<bool>& flag) {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!flag.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+}
+
+/// A follow-up region on the shared pool covers its range exactly once.
+void ExpectNextRegionRunsNormally() {
+  std::vector<std::atomic<int>> hits(1000);
+  for (auto& h : hits) h.store(0);
+  ParallelFor(0, hits.size(), 4, [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "i=" << i;
+  }
+}
+
+TEST(ThreadPoolTest, WorkerExceptionIsRethrownOnCallerAfterAllChunks) {
+  constexpr std::size_t kChunks = 16;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> runs(kChunks);
+  for (auto& r : runs) r.store(0);
+  std::atomic<bool> worker_started{false};
+  std::atomic<bool> thrown{false};
+  std::atomic<std::size_t> thrown_chunk{kChunks};
+  // The caller's chunks wait until a worker has claimed one, so the throw
+  // is guaranteed to happen on a pool worker.
+  EXPECT_THROW(
+      ThreadPool::Shared().Run(
+          kChunks,
+          [&](std::size_t c) {
+            if (std::this_thread::get_id() == caller) {
+              AwaitFlag(worker_started);
+            } else {
+              worker_started.store(true);
+              if (!thrown.exchange(true)) {
+                thrown_chunk.store(c);
+                throw std::bad_alloc();
+              }
+            }
+            runs[c].fetch_add(1);
+          }),
+      std::bad_alloc);
+  ASSERT_LT(thrown_chunk.load(), kChunks);
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    EXPECT_EQ(runs[c].load(), c == thrown_chunk.load() ? 0 : 1) << "c=" << c;
+  }
+  ExpectNextRegionRunsNormally();
+}
+
+TEST(ThreadPoolTest, CallerExceptionWaitsForWorkersBeforeRethrowing) {
+  // More chunks than the pool has workers, and worker chunks block until
+  // the caller has started one: the caller is guaranteed a chunk, and the
+  // workers are still running theirs when it throws. Run must not unwind
+  // until they have all finished.
+  constexpr std::size_t kChunks = ThreadPool::kMaxThreads + 2;
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::atomic<int>> runs(kChunks);
+  for (auto& r : runs) r.store(0);
+  std::atomic<bool> caller_started{false};
+  std::atomic<bool> thrown{false};
+  std::atomic<std::size_t> thrown_chunk{kChunks};
+  EXPECT_THROW(
+      ThreadPool::Shared().Run(
+          kChunks,
+          [&](std::size_t c) {
+            if (std::this_thread::get_id() == caller) {
+              caller_started.store(true);
+              if (!thrown.exchange(true)) {
+                thrown_chunk.store(c);
+                throw std::bad_alloc();
+              }
+            } else {
+              AwaitFlag(caller_started);
+              std::this_thread::sleep_for(std::chrono::milliseconds(5));
+            }
+            runs[c].fetch_add(1);
+          }),
+      std::bad_alloc);
+  ASSERT_LT(thrown_chunk.load(), kChunks);
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    EXPECT_EQ(runs[c].load(), c == thrown_chunk.load() ? 0 : 1) << "c=" << c;
+  }
+  ExpectNextRegionRunsNormally();
 }
 
 TEST(ParallelForWithStatusTest, ReportsLowestFailingIndex) {

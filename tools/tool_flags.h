@@ -47,7 +47,7 @@ inline Result<series::DataSeries> LoadSeriesFromFlags(const Flags& flags) {
                        static_cast<std::uint64_t>(flags.GetInt("seed", 1)));
 }
 
-/// Applies the shared `--simd=<scalar|avx2|avx512|neon>` flag: forces the
+/// Applies the shared `--simd=<scalar|avx2|neon>` flag: forces the
 /// runtime SIMD dispatch target, exactly like the VALMOD_SIMD environment
 /// variable (the flag wins over the env var because it is applied after
 /// startup resolution). Unlike the env var — which only warns, so a bad

@@ -68,7 +68,7 @@ int Usage() {
                "  generate: --output=<csv>\n"
                "  version: report results version, SIMD dispatch target, "
                "and CPU features\n"
-               "  all but generate: [--simd=scalar|avx2|avx512|neon] "
+               "  all but generate: [--simd=scalar|avx2|neon] "
                "(force kernel dispatch;\n"
                "          same values as VALMOD_SIMD, but a bad flag value "
                "is a hard error)\n");

@@ -57,7 +57,7 @@ int Usage() {
                "       [--event-loop=epoll|threads] [--max-inflight=64] "
                "[--page-bytes=1048576]\n"
                "       [--timeout-s=<default deadline>] [--calibrate] "
-               "[--simd=scalar|avx2|avx512|neon]\n"
+               "[--simd=scalar|avx2|neon]\n"
                "       [--preload=<name> (--input=<csv> [--column=0] "
                "[--allow-nonfinite] | --generate=<gen> [--n] [--seed])]\n"
                "       [--log-level=debug|info|warn|error] [--log-json] "
