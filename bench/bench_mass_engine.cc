@@ -668,8 +668,7 @@ int main(int argc, char** argv) {
         r.single_seconds / r.overlap_save_seconds, r.auto_backend);
   }
 
-  const valmod::mass::BackendCostModel model =
-      valmod::mass::ActiveBackendCostModel();
+  const valmod::mass::BackendCostModel model;  // the static fit
   std::string boundary_json;
   for (std::size_t b = 0; b < boundary.size(); ++b) {
     const BoundaryResult& r = boundary[b];

@@ -136,7 +136,7 @@ RunResult RunCold(const DataSeries& series,
     options.cache_capacity = 0;
     Service service(options);
     auto loaded = service.registry().LoadSeries("bench", series.Clone());
-    if (!loaded.ok() || !ResponseOk(service.HandleRequestLine(request))) {
+    if (!loaded.ok() || !ResponseOk(service.HandleRequest(request))) {
       ++errors;
     }
     latencies_ms.push_back(timer.ElapsedMillis());
@@ -157,7 +157,7 @@ RunResult RunWarm(Service& service, const std::vector<std::string>& stream,
     threads.emplace_back([&, c] {
       for (std::size_t i = c; i < stream.size(); i += clients) {
         WallTimer timer;
-        if (!ResponseOk(service.HandleRequestLine(stream[i]))) ++errors[c];
+        if (!ResponseOk(service.HandleRequest(stream[i]))) ++errors[c];
         latencies[c].push_back(timer.ElapsedMillis());
       }
     });
@@ -217,7 +217,7 @@ Value RunOverload(const DataSeries& series, std::size_t length) {
       const int priority = high ? 5 : 0;
       valmod::service::CallbackTransport transport(
           [&service](const std::string& line) {
-            return service.HandleRequestLine(line);
+            return service.HandleRequest(line);
           });
       valmod::service::RetryOptions retry;
       retry.max_attempts = 4;
@@ -336,7 +336,7 @@ Value RunTcpSweep(const DataSeries& series,
 
   // Warm every cache entry in-process so the sweep measures the wire.
   for (const std::string& request : stream) {
-    (void)service.HandleRequestLine(request);
+    (void)service.HandleRequest(request);
   }
 
   const char* label = threaded ? "tcp threads" : "tcp epoll  ";
@@ -415,7 +415,7 @@ Value RunMissStorm(const DataSeries& series, std::size_t length) {
   // Baseline: one cold miss, alone.
   WallTimer baseline_timer;
   const bool baseline_ok =
-      ResponseOk(service.HandleRequestLine(profile_request(length + 5)));
+      ResponseOk(service.HandleRequest(profile_request(length + 5)));
   const double baseline_ms = baseline_timer.ElapsedMillis();
 
   // Storm: a different cold key, hit by every client at once.
@@ -427,7 +427,7 @@ Value RunMissStorm(const DataSeries& series, std::size_t length) {
   clients.reserve(kClients);
   for (std::size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
-      if (!ResponseOk(service.HandleRequestLine(storm_request))) ++errors[c];
+      if (!ResponseOk(service.HandleRequest(storm_request))) ++errors[c];
     });
   }
   for (std::thread& t : clients) t.join();
@@ -440,7 +440,7 @@ Value RunMissStorm(const DataSeries& series, std::size_t length) {
 
   std::uint64_t coalesced = 0;
   auto stats = valmod::json::Parse(
-      service.HandleRequestLine("{\"verb\":\"stats\"}"));
+      service.HandleRequest("{\"verb\":\"stats\"}"));
   if (stats.ok()) {
     if (const Value* cache = stats->Find("result")->Find("cache")) {
       coalesced = static_cast<std::uint64_t>(cache->GetNumber("coalesced", 0));
@@ -488,7 +488,7 @@ Value RunTraceOverhead(const DataSeries& series,
   }
   // Warm every cache entry so all three runs measure pure hits.
   for (const std::string& request : stream) {
-    (void)service.HandleRequestLine(request);
+    (void)service.HandleRequest(request);
   }
   // Same shapes, each asking for its span tree back.
   std::vector<std::string> traced;
@@ -509,7 +509,7 @@ Value RunTraceOverhead(const DataSeries& series,
       threads.emplace_back([&, c] {
         for (const std::string& request : requests) {
           WallTimer timer;
-          if (!ResponseOk(service.HandleRequestLine(request))) ++errors[c];
+          if (!ResponseOk(service.HandleRequest(request))) ++errors[c];
           latencies[c].push_back(timer.ElapsedMillis());
         }
       });
@@ -607,7 +607,7 @@ Value RunStreamingIngest(std::size_t length) {
     ServiceOptions options;
     options.workers = 2;
     Service service(options);
-    if (!ResponseOk(service.HandleRequestLine(
+    if (!ResponseOk(service.HandleRequest(
             "{\"verb\":\"load\",\"dataset\":\"stream\",\"params\":{"
             "\"streaming_length\":" + std::to_string(length) +
             ",\"window\":" + std::to_string(window) + "}}"))) {
@@ -622,7 +622,7 @@ Value RunStreamingIngest(std::size_t length) {
     for (std::size_t b = 0; b < batches; ++b) {
       const std::string request = AppendRequest(raw.data() + b * batch, batch);
       WallTimer timer;
-      if (!ResponseOk(service.HandleRequestLine(request))) ++errors;
+      if (!ResponseOk(service.HandleRequest(request))) ++errors;
       batch_ms.push_back(timer.ElapsedMillis());
     }
     const double seconds = total.ElapsedSeconds();
@@ -677,7 +677,7 @@ Value RunStreamingIngest(std::size_t length) {
     ServiceOptions options;
     options.workers = 2;
     Service service(options);
-    if (!ResponseOk(service.HandleRequestLine(
+    if (!ResponseOk(service.HandleRequest(
             "{\"verb\":\"load\",\"dataset\":\"stream\",\"params\":{"
             "\"streaming_length\":" + std::to_string(length) +
             ",\"max_points\":" + std::to_string(window) + "}}"))) {
@@ -689,22 +689,22 @@ Value RunStreamingIngest(std::size_t length) {
     for (std::size_t begin = 0; begin < total_points; begin += batch) {
       const std::size_t count = std::min(batch, total_points - begin);
       const std::string request = AppendRequest(raw.data() + begin, count);
-      if (!ResponseOk(service.HandleRequestLine(request))) ++errors;
+      if (!ResponseOk(service.HandleRequest(request))) ++errors;
     }
     const double ingest_seconds = ingest_timer.ElapsedSeconds();
 
     WallTimer profile_timer;
-    const bool profile_ok = ResponseOk(service.HandleRequestLine(
+    const bool profile_ok = ResponseOk(service.HandleRequest(
         "{\"verb\":\"profile\",\"dataset\":\"stream\"}"));
     const double profile_ms = profile_timer.ElapsedMillis();
     WallTimer motifs_timer;
-    const bool motifs_ok = ResponseOk(service.HandleRequestLine(
+    const bool motifs_ok = ResponseOk(service.HandleRequest(
         "{\"verb\":\"motifs\",\"dataset\":\"stream\",\"params\":{\"k\":3}}"));
     const double motifs_ms = motifs_timer.ElapsedMillis();
 
     double memory_bytes = 0.0;
     auto stats = valmod::json::Parse(
-        service.HandleRequestLine("{\"verb\":\"stats\"}"));
+        service.HandleRequest("{\"verb\":\"stats\"}"));
     if (stats.ok()) {
       if (const Value* datasets = stats->Find("result")->Find("datasets")) {
         if (!datasets->AsArray().empty()) {
@@ -822,7 +822,7 @@ int main(int argc, char** argv) {
     // The per-verb latency panel the `stats` verb serves (Welford mean +
     // histogram p50/p99), as observed after the whole warm sweep.
     auto stats = valmod::json::Parse(
-        service.HandleRequestLine("{\"verb\":\"stats\"}"));
+        service.HandleRequest("{\"verb\":\"stats\"}"));
     if (stats.ok()) {
       if (const Value* verbs = stats->Find("result")->Find("verbs")) {
         doc.emplace("verb_latency", *verbs);

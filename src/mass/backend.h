@@ -2,9 +2,6 @@
 #define VALMOD_MASS_BACKEND_H_
 
 #include <cstddef>
-#include <cstdint>
-
-#include "simd/dispatch.h"
 
 namespace valmod::mass {
 
@@ -17,7 +14,7 @@ namespace valmod::mass {
 /// tests/goldens/ are regenerated in place. It is output-only: reported in
 /// responses, CLI headers and build info, never selectable.
 ///
-/// v2 is the calibrated backend-aware cost model below — every backend is
+/// v2 is the static backend-aware cost model below — every backend is
 /// priced by the work its kernel actually does.
 inline constexpr int kResultsVersion = 2;
 
@@ -58,8 +55,8 @@ const char* ConvolutionBackendName(ConvolutionBackend backend);
 /// cost functions below for the exact formulas. The static defaults were
 /// fitted offline from the boundary sweep in bench_mass_engine (the
 /// `boundary_sweep` rows of BENCH_engine.json hold the measurements the fit
-/// is audited against); `CalibrateBackendCostModel()` refits them on the
-/// running machine.
+/// is audited against). They are the only weights the library prices with,
+/// so which backend kAuto picks never depends on the machine or on timing.
 struct BackendCostModel {
   /// Cost of one direct sliding-dot multiply-add. The unit of the model.
   double direct = 1.0;
@@ -78,16 +75,6 @@ struct BackendCostModel {
   /// Cost per chunk point of the per-chunk pointwise product + unload sweep
   /// (the O(C) work between the cached chunk spectrum and the output dots).
   double overlap_save_chunk = 2.0;
-  /// The SIMD dispatch target the weights apply to. Calibrated weights are
-  /// keyed by the target that was active when they were measured: the
-  /// relative price of a butterfly unit versus a direct multiply-add shifts
-  /// with the vector width, so weights fitted under avx2 must not steer the
-  /// chooser after a switch to scalar (VALMOD_SIMD / --simd). When
-  /// ActiveBackendCostModel() detects a target change it resets to the
-  /// static fit and bumps the model generation (invalidating memoized kAuto
-  /// results). For the static fit this field reports the currently active
-  /// target.
-  simd::Target simd_target = simd::Target::kScalar;
 };
 
 /// Predicted cost of one row of sliding dot products, per backend family.
@@ -106,53 +93,18 @@ double OverlapSaveSlidingDotsCost(const BackendCostModel& model,
                                   std::size_t length, std::size_t count,
                                   bool pair);
 
-/// The process-wide model used by `ChooseConvolutionBackend`. Defaults to
-/// the (deterministic) static fit above; `SetBackendCostModel` installs a
-/// replacement — typically the result of `CalibrateBackendCostModel()`.
-/// Thread-safe.
-BackendCostModel ActiveBackendCostModel();
-void SetBackendCostModel(const BackendCostModel& model);
-
-/// Monotone generation counter of the active cost model: bumped by every
-/// SetBackendCostModel call — and therefore by CalibrateBackendCostModel,
-/// which installs its fit. Calibration changes which backend kAuto picks,
-/// which changes result ulps, so anything that memoizes kAuto results
-/// (the service result cache) folds this generation into its keys; a
-/// recalibration then invalidates the memoized responses instead of
-/// serving output computed under the retired model.
-std::uint64_t BackendCostModelGeneration();
-
-/// One-shot runtime calibration (~100 ms): microbenchmarks the direct,
-/// full-size FFT, and overlap-save kernels on this machine, fits the
-/// per-backend weights, installs the fitted model as the active one, and
-/// returns it. Calibration changes only which backend `kAuto` *chooses* —
-/// never the numerics a given backend produces — so it is safe for
-/// throughput but makes the choice machine-dependent; CI and the golden
-/// tests stay on the static fit for determinism.
-BackendCostModel CalibrateBackendCostModel();
-
-/// Number of CalibrateBackendCostModel runs this process has completed
-/// (telemetry for the `metrics` verb; distinct from the generation counter,
-/// which also counts SetBackendCostModel calls and stale-target resets).
-std::uint64_t CalibrationRefitCount();
-
-/// Resolves kAuto for one row profile: picks the backend with the smallest
-/// predicted cost under `model` (or the active model). With `batched` set
-/// the FFT family is priced pair-packed — two rows per transform, as the
+/// Resolves kAuto for one row profile: a pure function of its arguments that
+/// picks the backend with the smallest predicted cost under `model` (the
+/// static fit; tests pass other weights to steer the choice). With `batched`
+/// set the FFT family is priced pair-packed — two rows per transform, as the
 /// batched entry point executes it — and a full-FFT winner is reported as
 /// kFftPair; otherwise the single-row flavors compete and the full-FFT
 /// winner is kFftSingle. Overlap-save is excluded when its chunk would not
 /// be smaller than the full transform (chunking degenerates to one
 /// full-size block plus overhead). Never returns kAuto.
-ConvolutionBackend ChooseConvolutionBackend(std::size_t series_size,
-                                            std::size_t length,
-                                            std::size_t count,
-                                            bool batched,
-                                            const BackendCostModel& model);
-ConvolutionBackend ChooseConvolutionBackend(std::size_t series_size,
-                                            std::size_t length,
-                                            std::size_t count,
-                                            bool batched = false);
+ConvolutionBackend ChooseConvolutionBackend(
+    std::size_t series_size, std::size_t length, std::size_t count,
+    bool batched = false, const BackendCostModel& model = BackendCostModel{});
 
 }  // namespace valmod::mass
 

@@ -41,12 +41,12 @@ namespace valmod::mass {
 ///    cache resident; pairs of rows share the chunk pipeline the same way
 ///    the full-size pair path does.
 ///
-/// `ConvolutionBackend::kAuto` (the default everywhere) applies the
-/// calibrated cost model in `ChooseConvolutionBackend` — batched calls are
-/// priced pair-packed, exactly as they execute; forcing a specific backend
-/// exists for tests and benches. Backends agree to ~1e-9 relative, not
-/// bit-for-bit (the evaluation order differs); within one backend, batched results depend
-/// only on the row order, never on `num_threads`. The auto single-query
+/// `ConvolutionBackend::kAuto` (the default everywhere) applies the static
+/// cost model in `ChooseConvolutionBackend` — batched calls are priced
+/// pair-packed, exactly as they execute; forcing a specific backend through
+/// the per-call `backend` argument exists for tests and benches. Backends
+/// agree to ~1e-9 relative, not bit-for-bit (the evaluation order differs);
+/// within one backend, batched results depend only on the row order, never on `num_threads`. The auto single-query
 /// path remains bit-identical to the `mass::ComputeRowProfile` free
 /// function, which is a thin wrapper over an engine.
 ///

@@ -23,11 +23,12 @@ Result<std::vector<QueryMatch>> FindQueryMatches(
     const QuerySearchOptions& options) {
   const trace::TraceSpan span("query_search");
   if (options.k == 0) return Status::InvalidArgument("k must be >= 1");
+  VALMOD_RETURN_IF_ERROR(mp::CheckSubsequenceLength(query.size()));
   if (options.deadline.Expired()) {
     return Status::DeadlineExceeded("query search deadline expired");
   }
   VALMOD_ASSIGN_OR_RETURN(std::vector<double> distances,
-                          engine.DistanceProfile(query, options.backend));
+                          engine.DistanceProfile(query));
 
   const std::size_t exclusion =
       options.exclusion_fraction <= 0.0

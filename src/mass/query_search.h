@@ -26,9 +26,6 @@ struct QuerySearchOptions {
   /// Matches must be mutually separated by this fraction of the query
   /// length (0 disables separation entirely).
   double exclusion_fraction = 0.5;
-  /// Convolution backend for the distance profile; kAuto applies the
-  /// engine's cost-model crossover.
-  ConvolutionBackend backend = ConvolutionBackend::kAuto;
   /// Cooperative timeout / cancellation, checked before the distance
   /// profile is computed (one profile is the whole cost of a query search,
   /// so there is no finer-grained checkpoint to poll). The service

@@ -11,6 +11,7 @@ Result<MatrixProfile> ComputeAbJoin(const series::DataSeries& series_a,
                                     const series::DataSeries& series_b,
                                     std::size_t length,
                                     const ProfileOptions& options) {
+  VALMOD_RETURN_IF_ERROR(CheckSubsequenceLength(length));
   const std::size_t count_a = series_a.NumSubsequences(length);
   const std::size_t count_b = series_b.NumSubsequences(length);
   if (count_a == 0 || count_b == 0) {

@@ -7,8 +7,8 @@
 #include <limits>
 #include <vector>
 
+#include "common/status.h"
 #include "common/timer.h"
-#include "mass/backend.h"
 
 namespace valmod::mp {
 
@@ -40,12 +40,16 @@ struct ProfileOptions {
   /// Cooperative deadline; algorithms return kDeadlineExceeded when it
   /// fires (checked at coarse granularity).
   Deadline deadline;
-  /// Convolution backend for the MASS-based algorithms (STAMP routes it
-  /// into MassEngine; STOMP and the brute-force path compute no
-  /// convolutions and ignore it). kAuto applies the engine's cost-model
-  /// crossover; forcing a backend exists for tests and benches.
-  mass::ConvolutionBackend backend = mass::ConvolutionBackend::kAuto;
 };
+
+/// The one length check of every fixed-length entry point (STOMP, STAMP,
+/// the AB-join, query search, streaming): a one-point window has zero
+/// deviation, so every z-normalized distance at length 1 would be a
+/// meaningless 0.
+inline Status CheckSubsequenceLength(std::size_t length) {
+  if (length >= 2) return Status::Ok();
+  return Status::InvalidArgument("subsequence length must be >= 2");
+}
 
 /// Exclusion-zone radius for a length under the given fraction (min 1, so
 /// the self-match is always excluded).

@@ -27,6 +27,7 @@ Result<MatrixProfile> ComputeStamp(mass::MassEngine& engine,
                                    std::size_t length,
                                    const ProfileOptions& options) {
   const trace::TraceSpan trace_span("stamp_compute");
+  VALMOD_RETURN_IF_ERROR(CheckSubsequenceLength(length));
   const series::DataSeries& series = engine.series();
   const std::size_t count = series.NumSubsequences(length);
   if (count == 0) {
@@ -60,8 +61,7 @@ Result<MatrixProfile> ComputeStamp(mass::MassEngine& engine,
     std::iota(rows.begin(), rows.end(), begin);
     VALMOD_ASSIGN_OR_RETURN(
         std::vector<mass::RowProfile> batch,
-        engine.ComputeRowProfiles(rows, length, num_threads,
-                                  options.backend));
+        engine.ComputeRowProfiles(rows, length, num_threads));
     for (std::size_t b = 0; b < batch.size(); ++b) {
       const std::size_t i = begin + b;
       mass::RowProfile& row = batch[b];

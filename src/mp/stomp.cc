@@ -10,6 +10,7 @@ namespace valmod::mp {
 Result<MatrixProfile> ComputeStomp(const series::DataSeries& series,
                                    std::size_t length,
                                    const ProfileOptions& options) {
+  VALMOD_RETURN_IF_ERROR(CheckSubsequenceLength(length));
   const std::size_t count = series.NumSubsequences(length);
   if (count == 0) {
     return Status::InvalidArgument(

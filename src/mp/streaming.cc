@@ -104,9 +104,7 @@ std::vector<DiscordEntry> TopKDiscords(const MatrixProfile& profile,
 
 Result<StreamingProfile> StreamingProfile::Create(
     std::size_t length, const StreamingOptions& options) {
-  if (length < 2) {
-    return Status::InvalidArgument("subsequence length must be >= 2");
-  }
+  VALMOD_RETURN_IF_ERROR(CheckSubsequenceLength(length));
   if (options.exclusion_fraction < 0.0 || options.exclusion_fraction > 1.0) {
     return Status::InvalidArgument("exclusion_fraction must be in [0, 1]");
   }

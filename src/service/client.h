@@ -47,7 +47,7 @@ class Transport {
 };
 
 /// In-process transport: forwards lines to a callback (typically
-/// Service::HandleRequestLine or HandleRequest). Lets benches and tests
+/// Service::HandleRequest). Lets benches and tests
 /// exercise the full client retry stack without sockets. A handler may
 /// return several '\n'-separated lines (HandleRequest's paged encoding
 /// does); RoundTrip yields the first and ReceiveLine the rest.

@@ -19,16 +19,12 @@ namespace valmod::service {
 /// identity of a computation:
 ///
 ///   dataset name + dataset generation + verb + resolved request params
-///   + backend cost-model generation
 ///
-/// (the server builds the key; see service/server.cc). Each component
-/// closes one staleness hole:
-///  - the dataset *generation* changes on every streaming append, so a
-///    cached answer is never served against newer data;
-///  - the cost-model generation (mass::BackendCostModelGeneration) bumps
-///    whenever CalibrateBackendCostModel installs a refit, which can
-///    silently change which backend kAuto picks — and with it the ulps of
-///    the result — for the same inputs.
+/// (the server builds the key; see service/server.cc). The dataset
+/// *generation* changes on every streaming append, so a cached answer is
+/// never served against newer data. Nothing else can change the bytes:
+/// the backend kAuto picks is a pure function of the request's shape
+/// (mass::ChooseConvolutionBackend over the static cost model).
 ///
 /// The request's `threads` param is deliberately NOT part of the key: the
 /// engine guarantees batched results depend only on row order, never on

@@ -302,17 +302,12 @@ struct QueryPlan {
   std::shared_ptr<std::atomic<bool>> partial_flag;
 };
 
-/// Key = dataset uid|generation|verb|params|versioning. The *uid* — not
-/// the name — identifies the data: names are reusable (unload "ecg", load
-/// a different series as "ecg"; static generations restart at 1), and a
-/// name-keyed cache would serve the old series' responses for the new
-/// one. `engine_backed` adds the cost-model generation component —
-/// profile (STOMP) and discords compute no convolutions, so their bytes are
-/// identical under every cost model and the component would only fragment
-/// the cache.
+/// Key = dataset uid|generation|verb|params. The *uid* — not the name —
+/// identifies the data: names are reusable (unload "ecg", load a different
+/// series as "ecg"; static generations restart at 1), and a name-keyed
+/// cache would serve the old series' responses for the new one.
 std::string CacheKey(const Dataset& dataset, std::uint64_t generation,
-                     std::string_view verb, const std::string& params_key,
-                     bool engine_backed) {
+                     std::string_view verb, const std::string& params_key) {
   std::string key = "ds";
   key += std::to_string(dataset.uid());
   key += "|g";
@@ -321,10 +316,6 @@ std::string CacheKey(const Dataset& dataset, std::uint64_t generation,
   key += verb;
   key += "|";
   key += params_key;
-  if (engine_backed) {
-    key += "|cm";
-    key += std::to_string(mass::BackendCostModelGeneration());
-  }
   return key;
 }
 
@@ -347,8 +338,7 @@ std::optional<QueryPlan> PlanMaintainedMotifs(
   // key-races-append note).
   plan.cache_key = CacheKey(*dataset, dataset->generation(), "motifs",
                             "maintained,l=" + std::to_string(native) +
-                                ",k=" + std::to_string(k),
-                            /*engine_backed=*/false);
+                                ",k=" + std::to_string(k));
   plan.job = [dataset, k, native](const Deadline& deadline)
       -> Result<std::string> {
     if (deadline.Expired()) {
@@ -397,8 +387,7 @@ std::optional<QueryPlan> PlanMaintainedDiscords(
   QueryPlan plan;
   plan.cache_key = CacheKey(*dataset, dataset->generation(), "discords",
                             "maintained,l=" + std::to_string(native) +
-                                ",k=" + std::to_string(k),
-                            /*engine_backed=*/false);
+                                ",k=" + std::to_string(k));
   plan.job = [dataset, k, native](const Deadline& deadline)
       -> Result<std::string> {
     if (deadline.Expired()) {
@@ -473,8 +462,7 @@ Result<QueryPlan> PlanValmod(const std::shared_ptr<Dataset>& dataset,
   QueryPlan plan;
   plan.cache_key =
       CacheKey(*dataset, snapshot->generation(),
-               build_valmap ? "valmap" : "motifs", params_key,
-               /*engine_backed=*/true);
+               build_valmap ? "valmap" : "motifs", params_key);
   plan.partial_flag = std::make_shared<std::atomic<bool>>(false);
   plan.job = [snapshot, options, build_valmap,
               partial_flag = plan.partial_flag](
@@ -564,8 +552,7 @@ Result<QueryPlan> PlanProfile(const std::shared_ptr<Dataset>& dataset,
     // plan keys at the new generation and recomputes.
     QueryPlan plan;
     plan.cache_key = CacheKey(*dataset, dataset->generation(), "profile",
-                              "l=" + std::to_string(length),
-                              /*engine_backed=*/false);
+                              "l=" + std::to_string(length));
     plan.job = [dataset](const Deadline& deadline) -> Result<std::string> {
       if (deadline.Expired()) {
         return Status::DeadlineExceeded("profile deadline expired");
@@ -600,8 +587,7 @@ Result<QueryPlan> PlanProfile(const std::shared_ptr<Dataset>& dataset,
   // alias one cache entry.
   plan.cache_key = CacheKey(*dataset, snapshot->generation(), "profile",
                             "l=" + std::to_string(length) +
-                                (use_stamp ? ",algo=stamp" : ""),
-                            /*engine_backed=*/use_stamp);
+                                (use_stamp ? ",algo=stamp" : ""));
   plan.job = [snapshot, length, threads,
               use_stamp](const Deadline& deadline) -> Result<std::string> {
     mp::ProfileOptions options;
@@ -638,8 +624,7 @@ Result<QueryPlan> PlanQuery(const std::shared_ptr<Dataset>& dataset,
   DoublesValue(query).SerializeTo(&params_key);
   QueryPlan plan;
   plan.cache_key =
-      CacheKey(*dataset, snapshot->generation(), "query", params_key,
-               /*engine_backed=*/true);
+      CacheKey(*dataset, snapshot->generation(), "query", params_key);
   auto shared_query = std::make_shared<std::vector<double>>(std::move(query));
   plan.job = [snapshot, options,
               shared_query](const Deadline& deadline) -> Result<std::string> {
@@ -689,7 +674,7 @@ Result<QueryPlan> PlanDiscords(const std::shared_ptr<Dataset>& dataset,
                            ",k=" + std::to_string(options.k);
   QueryPlan plan;
   plan.cache_key = CacheKey(*dataset, snapshot->generation(), "discords",
-                            params_key, /*engine_backed=*/false);
+                            params_key);
   plan.job = [snapshot,
               options](const Deadline& deadline) -> Result<std::string> {
     core::VariableDiscordOptions run_options = options;
@@ -906,8 +891,6 @@ Result<std::string> DoStats(Service& service) {
   payload.emplace("verbs", Value(std::move(verbs)));
   payload.emplace("uptime_seconds", Value(service.metrics().UptimeSeconds()));
 
-  payload.emplace("cost_model_generation",
-                  Value(mass::BackendCostModelGeneration()));
   payload.emplace("results_version", Value(mass::kResultsVersion));
   payload.emplace("simd_target",
                   Value(std::string(simd::TargetName(simd::ActiveTarget()))));
@@ -1054,27 +1037,6 @@ Result<std::string> DoSlowlog(Service& service) {
   return payload;
 }
 
-Result<std::string> DoCalibrate() {
-  const mass::BackendCostModel model = mass::CalibrateBackendCostModel();
-  Value::Object weights;
-  weights.emplace("direct", Value(model.direct));
-  weights.emplace("fft_single", Value(model.fft_single));
-  weights.emplace("fft_pair", Value(model.fft_pair));
-  weights.emplace("overlap_save", Value(model.overlap_save));
-  weights.emplace("overlap_save_chunk", Value(model.overlap_save_chunk));
-  Value::Object payload;
-  payload.emplace("model", Value(std::move(weights)));
-  payload.emplace("simd_target",
-                  Value(std::string(simd::TargetName(model.simd_target))));
-  payload.emplace("cost_model_generation",
-                  Value(mass::BackendCostModelGeneration()));
-  return Value(std::move(payload)).Serialize();
-}
-
-}  // namespace
-
-namespace {
-
 double ElapsedMs(std::chrono::steady_clock::time_point since) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                        since)
@@ -1122,7 +1084,6 @@ struct Service::RequestContext {
   std::string cache_key;
   int priority = 0;
   Deadline deadline;
-  std::size_t page_bytes = 0;
   ResponseCallback done;
   std::chrono::steady_clock::time_point started_at;
   /// Per-request span tree; null when tracing is globally disabled. Shared
@@ -1142,25 +1103,16 @@ Service::Service(const ServiceOptions& options)
 
 void Service::HandleRequestAsync(const std::string& line,
                                  ResponseCallback done) {
-  Handle(line, options_.page_bytes, std::move(done));
+  Handle(line, std::move(done));
 }
 
 std::string Service::HandleRequest(const std::string& line) {
   auto waiter = std::make_shared<SyncWaiter>();
-  Handle(line, options_.page_bytes, CaptureInto(waiter));
+  Handle(line, CaptureInto(waiter));
   return AwaitResponse(*waiter);
 }
 
-std::string Service::HandleRequestLine(const std::string& line) {
-  auto waiter = std::make_shared<SyncWaiter>();
-  Handle(line, /*page_bytes=*/0, CaptureInto(waiter));
-  std::string wire = AwaitResponse(*waiter);
-  if (!wire.empty() && wire.back() == '\n') wire.pop_back();
-  return wire;
-}
-
-void Service::Handle(const std::string& line, std::size_t page_bytes,
-                     ResponseCallback done) {
+void Service::Handle(const std::string& line, ResponseCallback done) {
   const auto started = std::chrono::steady_clock::now();
   Value id;  // null until the request proves parseable
   std::string verb;
@@ -1199,7 +1151,8 @@ void Service::Handle(const std::string& line, std::size_t page_bytes,
     if (tctx != nullptr) tctx->EndSpan(root_span);
     RecordSlowRequest(verb, latency_ms, /*ok=*/true, tctx.get());
     done(EncodeOkWire(id, verb, cached, /*coalesced=*/false, payload,
-                      page_bytes, TraceFragment(tctx.get(), want_trace)));
+                      options_.page_bytes,
+                      TraceFragment(tctx.get(), want_trace)));
   };
 
   Result<Value> parsed = [&] {
@@ -1257,11 +1210,6 @@ void Service::Handle(const std::string& line, std::size_t page_bytes,
   }
   if (verb == "stats") {
     Result<std::string> payload = DoStats(*this);
-    if (!payload.ok()) return fail(payload.status());
-    return ok(*payload, /*cached=*/false);
-  }
-  if (verb == "calibrate") {
-    Result<std::string> payload = DoCalibrate();
     if (!payload.ok()) return fail(payload.status());
     return ok(*payload, /*cached=*/false);
   }
@@ -1344,7 +1292,6 @@ void Service::Handle(const std::string& line, std::size_t page_bytes,
   ctx->priority = static_cast<int>(
       std::clamp(request.GetNumber("priority", 0.0), -1.0e6, 1.0e6));
   ctx->deadline = deadline;
-  ctx->page_bytes = page_bytes;
   ctx->done = std::move(done);
   ctx->started_at = started;
   ctx->trace_context = tctx;
@@ -1490,7 +1437,7 @@ void Service::DeliverOk(const std::shared_ptr<RequestContext>& ctx,
     const trace::ScopedBinding bind(trace::Binding{tctx, ctx->root_span});
     const trace::TraceSpan span("serialize");
     wire = EncodeOkWire(ctx->id, ctx->verb, cached, coalesced, payload,
-                        ctx->page_bytes, fragment);
+                        options_.page_bytes, fragment);
   }
   RecordSlowRequest(ctx->verb, latency_ms, /*ok=*/true, tctx);
   ctx->done(std::move(wire));

@@ -64,9 +64,9 @@ struct ServiceOptions {
 ///       "error":{"code":"InvalidArgument","message":"..."}}
 ///
 /// Verbs:
-///   admin  — load, unload, append, stats, health, faults, calibrate,
-///            metrics (OpenMetrics exposition), slowlog (worst-latency
-///            requests with span trees), shutdown
+///   admin  — load, unload, append, stats, health, faults, metrics
+///            (OpenMetrics exposition), slowlog (worst-latency requests
+///            with span trees), shutdown
 ///   query  — motifs, valmap, profile, query, discords (scheduled through
 ///            the bounded queue with priorities/deadlines; responses are
 ///            memoized in the result cache)
@@ -112,14 +112,10 @@ class Service {
 
   /// Synchronous wrapper over HandleRequestAsync: blocks until the
   /// response is ready and returns the same wire bytes ('\n'-terminated,
-  /// paged when large). Used by --stdio mode, which thereby shares the
-  /// paged-response encoder with TCP.
+  /// paged when larger than `page_bytes`; a service built with
+  /// `page_bytes = 0` always answers in one line). Used by --stdio mode,
+  /// which thereby shares the paged-response encoder with TCP.
   std::string HandleRequest(const std::string& line);
-
-  /// Legacy synchronous single-line entry point: like HandleRequest but
-  /// never pages (one response line, no trailing newline), preserving the
-  /// original line-in/line-out contract for embedders and tests.
-  std::string HandleRequestLine(const std::string& line);
 
   /// Set by the `shutdown` verb; the front ends exit their accept/read
   /// loops when this turns true.
@@ -137,10 +133,8 @@ class Service {
  private:
   struct RequestContext;
 
-  /// Shared implementation: parse, validate, dispatch. `page_bytes`
-  /// bounds the per-line result size (0 = never page).
-  void Handle(const std::string& line, std::size_t page_bytes,
-              ResponseCallback done);
+  /// Shared implementation: parse, validate, dispatch.
+  void Handle(const std::string& line, ResponseCallback done);
 
   /// Submits `ctx` as the leader of its flight (or as a plain request
   /// when it has no cache key). On admission failure the error is

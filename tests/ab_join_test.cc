@@ -132,6 +132,19 @@ TEST(AbJoinTest, ValidatesArguments) {
   EXPECT_TRUE(ComputeAbJoin(*a, *b, 30, {}).ok());
 }
 
+// Length 1 would join every window at distance 0; it gets the same
+// rejection as STOMP, STAMP and query search.
+TEST(AbJoinTest, RejectsLengthOne) {
+  auto a = synth::ByName("random_walk", 50, 58);
+  auto b = synth::ByName("random_walk", 30, 59);
+  ASSERT_TRUE(a.ok());
+  ASSERT_TRUE(b.ok());
+  const Status status = ComputeAbJoin(*a, *b, 1, {}).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), CheckSubsequenceLength(1).message());
+  EXPECT_TRUE(ComputeAbJoin(*a, *b, 2, {}).ok());
+}
+
 TEST(AbJoinTest, HonorsDeadline) {
   auto a = synth::ByName("random_walk", 3000, 60);
   auto b = synth::ByName("random_walk", 3000, 61);

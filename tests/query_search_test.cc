@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "mass/query_search.h"
+#include "mp/matrix_profile.h"
 #include "series/generators.h"
 
 namespace valmod::mass {
@@ -100,6 +101,19 @@ TEST(QuerySearchTest, ValidatesArguments) {
   EXPECT_FALSE(FindQueryMatches(*series, {}, {}).ok());
   std::vector<double> too_long(200, 1.0);
   EXPECT_FALSE(FindQueryMatches(*series, too_long, {}).ok());
+}
+
+// A one-point query matches every window at distance 0; it gets the shared
+// fixed-length rejection instead.
+TEST(QuerySearchTest, RejectsOnePointQuery) {
+  auto series = synth::ByName("random_walk", 100, 39);
+  ASSERT_TRUE(series.ok());
+  const std::vector<double> one_point = {1.0};
+  const Status status = FindQueryMatches(*series, one_point, {}).status();
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(status.message(), mp::CheckSubsequenceLength(1).message());
+  const std::vector<double> two_points = {1.0, 2.0};
+  EXPECT_TRUE(FindQueryMatches(*series, two_points, {}).ok());
 }
 
 }  // namespace

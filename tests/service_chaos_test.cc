@@ -33,7 +33,7 @@ namespace {
 using json::Value;
 
 Value Roundtrip(Service& service, const std::string& line) {
-  const std::string response = service.HandleRequestLine(line);
+  const std::string response = service.HandleRequest(line);
   auto parsed = json::Parse(response);
   EXPECT_TRUE(parsed.ok()) << "unparseable response: " << response;
   return parsed.ok() ? *parsed : Value();
@@ -94,7 +94,7 @@ TEST_F(ChaosTest, AllocFailureDuringLoadRetriesCleanly) {
   // failed load released the dataset name instead of leaking a claim.
   CallbackTransport transport(
       [&service](const std::string& line) {
-        return service.HandleRequestLine(line);
+        return service.HandleRequest(line);
       });
   RetryClient client(transport, FastRetry());
   auto loaded = client.Call(
@@ -255,7 +255,7 @@ TEST_F(ChaosTest, ProbabilisticFaultStormNeverKillsTheService) {
 
   CallbackTransport transport(
       [&service](const std::string& line) {
-        return service.HandleRequestLine(line);
+        return service.HandleRequest(line);
       });
   RetryClient client(transport, FastRetry());
   int ok_count = 0;
@@ -346,7 +346,7 @@ TEST_F(ChaosTest, SustainedWindowedAppendSoak) {
   for (std::size_t t = 0; t < num_appenders; ++t) {
     appenders.emplace_back([&, t] {
       CallbackTransport transport([&service](const std::string& line) {
-        return service.HandleRequestLine(line);
+        return service.HandleRequest(line);
       });
       RetryClient client(transport, FastRetry());
       const std::size_t offset = t * batches_per_thread * batch_points;

@@ -38,7 +38,7 @@ class CoalescingTest : public ::testing::Test {
 };
 
 Value Roundtrip(Service& service, const std::string& line) {
-  const std::string response = service.HandleRequestLine(line);
+  const std::string response = service.HandleRequest(line);
   auto parsed = json::Parse(response);
   EXPECT_TRUE(parsed.ok()) << "unparseable response: " << response;
   return parsed.ok() ? *parsed : Value();
@@ -79,7 +79,7 @@ TEST_F(CoalescingTest, ConcurrentIdenticalMissesComputeExactlyOnce) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kClients; ++t) {
     threads.emplace_back([&service, &responses, t] {
-      responses[t] = service.HandleRequestLine(kRequest);
+      responses[t] = service.HandleRequest(kRequest);
     });
   }
   for (auto& thread : threads) thread.join();
@@ -143,7 +143,7 @@ TEST_F(CoalescingTest, FailedLeaderFailsOverToOneWaiter) {
   std::vector<std::thread> threads;
   for (int t = 0; t < kClients; ++t) {
     threads.emplace_back([&service, &responses, t] {
-      responses[t] = service.HandleRequestLine(kRequest);
+      responses[t] = service.HandleRequest(kRequest);
     });
   }
   for (auto& thread : threads) thread.join();
@@ -184,12 +184,12 @@ TEST_F(CoalescingTest, DistinctRequestsAreNotCoalesced) {
 
   // Two requests differing in params must both compute.
   std::thread a([&service] {
-    const std::string wire = service.HandleRequestLine(kRequest);
+    const std::string wire = service.HandleRequest(kRequest);
     auto parsed = json::Parse(wire);
     ASSERT_TRUE(parsed.ok() && parsed->GetBool("ok", false)) << wire;
   });
   std::thread b([&service] {
-    const std::string wire = service.HandleRequestLine(
+    const std::string wire = service.HandleRequest(
         R"({"id":2,"verb":"motifs","dataset":"d",)"
         R"("params":{"lmin":64,"lmax":66,"k":2}})");
     auto parsed = json::Parse(wire);

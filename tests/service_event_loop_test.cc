@@ -120,7 +120,7 @@ TEST(ThreadedServerTest, RoundTripsAndCleanShutdown) {
 }
 
 /// The client must reassemble a paged profile into the same bytes an
-/// unpaged (legacy) response carries, on both transports.
+/// unpaged response carries, on both transports.
 void PagedReassemblySession(ServerHarness& harness) {
   TcpTransport transport(harness.port());
   RetryClient client(transport);
@@ -136,11 +136,18 @@ void PagedReassemblySession(ServerHarness& harness) {
   EXPECT_EQ(paged->Find("seq"), nullptr);
   EXPECT_EQ(paged->Find("partial"), nullptr);
 
-  // HandleRequestLine never pages; same request is now a cache hit, so
-  // the result bytes must match the reassembled ones exactly.
-  auto unpaged = json::Parse(harness.service.HandleRequestLine(kProfile));
+  // A service with paging off computes the same request into one line;
+  // its result bytes must match the reassembled ones exactly.
+  ServiceOptions unpaged_options;
+  unpaged_options.page_bytes = 0;
+  Service unpaged_service(unpaged_options);
+  ASSERT_TRUE(json::Parse(unpaged_service.HandleRequest(kLoad))
+                  ->GetBool("ok", false));
+  const std::string unpaged_wire = unpaged_service.HandleRequest(kProfile);
+  EXPECT_EQ(unpaged_wire.find('\n'), unpaged_wire.size() - 1);
+  auto unpaged = json::Parse(unpaged_wire);
   ASSERT_TRUE(unpaged.ok() && unpaged->GetBool("ok", false));
-  EXPECT_TRUE(unpaged->GetBool("cached", false));
+  EXPECT_FALSE(unpaged->GetBool("cached", true));
   EXPECT_EQ(paged->Find("result")->Serialize(),
             unpaged->Find("result")->Serialize());
 }

@@ -25,7 +25,7 @@ namespace {
 using json::Value;
 
 Value Roundtrip(Service& service, const std::string& line) {
-  const std::string response = service.HandleRequestLine(line);
+  const std::string response = service.HandleRequest(line);
   auto parsed = json::Parse(response);
   EXPECT_TRUE(parsed.ok()) << "unparseable response: " << response;
   return parsed.ok() ? *parsed : Value();

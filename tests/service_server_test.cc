@@ -23,7 +23,7 @@ using json::Value;
 /// Sends one request line and parses the response (which must always be
 /// valid JSON — that is itself part of the protocol contract).
 Value Roundtrip(Service& service, const std::string& line) {
-  const std::string response = service.HandleRequestLine(line);
+  const std::string response = service.HandleRequest(line);
   auto parsed = json::Parse(response);
   EXPECT_TRUE(parsed.ok()) << "unparseable response: " << response;
   return parsed.ok() ? *parsed : Value();
@@ -205,6 +205,44 @@ TEST(ServiceProtocolTest, MalformedRequestsReturnStructuredErrors) {
       R"({"verb":"query","dataset":"d",)"
       R"("params":{"values":[1,2,3,4,5,4,3,2],"k":1}})");
   EXPECT_TRUE(Ok(good)) << good.Serialize();
+}
+
+// The backend cost model is static, so there is no `calibrate` verb: it
+// gets the structured unknown-verb error that echoes the id.
+TEST(ServiceProtocolTest, CalibrateIsAnUnknownVerb) {
+  Service service;
+  Value response = Roundtrip(service, "{\"id\":3,\"verb\":\"calibrate\"}");
+  EXPECT_FALSE(Ok(response));
+  EXPECT_EQ(ErrorCode(response), "InvalidArgument");
+  const Value* error = response.Find("error");
+  ASSERT_NE(error, nullptr) << response.Serialize();
+  EXPECT_NE(error->GetString("message", "").find("unknown verb"),
+            std::string::npos)
+      << response.Serialize();
+  EXPECT_DOUBLE_EQ(response.Find("id")->AsDouble(), 3.0);
+}
+
+// A one-point window has zero deviation, so every distance at length 1 is
+// a meaningless 0. The fixed-length verbs reject it; length 2 still runs.
+TEST(ServiceProtocolTest, FixedLengthVerbsRejectLengthOne) {
+  Service service;
+  ASSERT_TRUE(Ok(Roundtrip(service,
+      R"({"verb":"load","dataset":"d",)"
+      R"("params":{"generator":"ecg","n":512}})")));
+  for (const char* stamp : {"", R"(,"algo":"stamp")"}) {
+    Value profile = Roundtrip(service,
+        std::string(R"({"verb":"profile","dataset":"d","params":{"l":1)") +
+            stamp + "}}");
+    EXPECT_EQ(ErrorCode(profile), "InvalidArgument") << profile.Serialize();
+    EXPECT_TRUE(Ok(Roundtrip(service,
+        std::string(R"({"verb":"profile","dataset":"d","params":{"l":2)") +
+            stamp + "}}")));
+  }
+  Value query = Roundtrip(service,
+      R"({"verb":"query","dataset":"d","params":{"values":[1]}})");
+  EXPECT_EQ(ErrorCode(query), "InvalidArgument") << query.Serialize();
+  EXPECT_TRUE(Ok(Roundtrip(service,
+      R"({"verb":"query","dataset":"d","params":{"values":[1,2]}})")));
 }
 
 TEST(ServiceProtocolTest, OverDeadlineRequestsFailStructurally) {
@@ -416,10 +454,19 @@ TEST(ServiceProtocolTest, HandleRequestPagesLargeResults) {
     EXPECT_LE(chunk->AsString().size(), 512u);
     payload += chunk->AsString();
   }
-  // The reassembled payload is the legacy single-line response's result.
-  auto unpaged = json::Parse(service.HandleRequestLine(request));
+  // The reassembled payload is the result an unpaged service computes for
+  // the same request.
+  ServiceOptions unpaged_options;
+  unpaged_options.page_bytes = 0;
+  Service unpaged_service(unpaged_options);
+  ASSERT_TRUE(Ok(Roundtrip(unpaged_service,
+      R"({"verb":"load","dataset":"d",)"
+      R"("params":{"generator":"sine","n":2048,"seed":5}})")));
+  const std::string unpaged_wire = unpaged_service.HandleRequest(request);
+  EXPECT_EQ(unpaged_wire.find('\n'), unpaged_wire.size() - 1);
+  auto unpaged = json::Parse(unpaged_wire);
   ASSERT_TRUE(unpaged.ok());
-  EXPECT_TRUE(unpaged->GetBool("cached", false));
+  EXPECT_FALSE(unpaged->GetBool("cached", true));
   auto result = json::Parse(payload);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->Serialize(), unpaged->Find("result")->Serialize());
@@ -564,7 +611,7 @@ TEST(ServiceProtocolTest, FourConcurrentClientsMixedWorkload) {
         };
         const std::string& request =
             requests[static_cast<std::size_t>(i) % requests.size()];
-        const std::string response = service.HandleRequestLine(request);
+        const std::string response = service.HandleRequest(request);
         auto parsed = json::Parse(response);
         if (!parsed.ok() || !parsed->GetBool("ok", false)) {
           ++failures[static_cast<std::size_t>(c)];

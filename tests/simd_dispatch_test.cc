@@ -28,15 +28,12 @@ namespace valmod {
 namespace {
 
 /// Every test forces dispatch targets; the fixture restores the entry
-/// target (and the static cost model, which is keyed by target) so test
-/// order cannot leak a forced target into other suites of this binary.
+/// target so test order cannot leak a forced target into other suites of
+/// this binary.
 class SimdDispatchTest : public ::testing::Test {
  protected:
   void SetUp() override { entry_ = simd::ActiveTarget(); }
-  void TearDown() override {
-    ASSERT_TRUE(simd::SetTarget(entry_).ok());
-    mass::SetBackendCostModel(mass::BackendCostModel{});
-  }
+  void TearDown() override { ASSERT_TRUE(simd::SetTarget(entry_).ok()); }
 
   /// The non-scalar targets this build+machine can run. Empty on a
   /// generic machine — every bit-identity test then degenerates to
@@ -362,46 +359,6 @@ TEST_F(SimdDispatchTest, MotifOutputBitIdenticalAcrossTargets) {
       }
     });
   }
-}
-
-// Satellite fix: calibrated cost-model weights are keyed by the dispatch
-// target they were fitted under. Switching targets must drop them back to
-// the static fit AND bump the generation (invalidating memoized kAuto
-// results), so weights fitted under a vector target can never steer the
-// chooser after a forced switch to scalar.
-TEST_F(SimdDispatchTest, CostModelInvalidatedOnTargetSwitch) {
-  const std::vector<simd::Target> vector_targets = VectorTargets();
-  if (vector_targets.empty()) {
-    GTEST_SKIP() << "only the scalar target is available on this machine";
-  }
-  const simd::Target vec = vector_targets.front();
-
-  ASSERT_TRUE(simd::SetTarget(vec).ok());
-  mass::BackendCostModel fitted;
-  fitted.fft_single = 123.0;
-  mass::SetBackendCostModel(fitted);
-  const std::uint64_t fitted_generation = mass::BackendCostModelGeneration();
-
-  mass::BackendCostModel active = mass::ActiveBackendCostModel();
-  EXPECT_EQ(active.fft_single, 123.0);
-  EXPECT_EQ(active.simd_target, vec);
-
-  // Same target: the installed model stays.
-  EXPECT_EQ(mass::ActiveBackendCostModel().fft_single, 123.0);
-  EXPECT_EQ(mass::BackendCostModelGeneration(), fitted_generation);
-
-  // Target switch: back to static defaults, new generation.
-  ASSERT_TRUE(simd::SetTarget(simd::Target::kScalar).ok());
-  active = mass::ActiveBackendCostModel();
-  EXPECT_EQ(active.fft_single, mass::BackendCostModel{}.fft_single);
-  EXPECT_EQ(active.simd_target, simd::Target::kScalar);
-  EXPECT_GT(mass::BackendCostModelGeneration(), fitted_generation);
-
-  // A model installed under the new target sticks again.
-  mass::SetBackendCostModel(fitted);
-  EXPECT_EQ(mass::ActiveBackendCostModel().fft_single, 123.0);
-  EXPECT_EQ(mass::ActiveBackendCostModel().simd_target,
-            simd::Target::kScalar);
 }
 
 }  // namespace

@@ -52,8 +52,8 @@ inline Result<series::DataSeries> LoadSeriesFromFlags(const Flags& flags) {
 /// variable (the flag wins over the env var because it is applied after
 /// startup resolution). Unlike the env var — which only warns, so a bad
 /// ops-side value cannot take down a server — the flag is a hard usage
-/// error on unknown or unsupported targets. Apply *before* --calibrate so
-/// calibration prices the kernels that will actually run.
+/// error on unknown or unsupported targets. Apply it before anything
+/// computes.
 inline Status ApplySimdFlag(const Flags& flags) {
   if (!flags.Has("simd")) return Status::Ok();
   VALMOD_ASSIGN_OR_RETURN(simd::Target target,
@@ -63,7 +63,7 @@ inline Status ApplySimdFlag(const Flags& flags) {
 
 inline constexpr std::string_view kMotifsFlags[] = {
     "input", "column", "generate", "n", "seed", "allow-nonfinite",
-    "lmin", "lmax", "k", "p", "threads", "calibrate", "simd",
+    "lmin", "lmax", "k", "p", "threads", "simd",
 };
 
 inline constexpr std::string_view kDiscordsFlags[] = {
@@ -73,17 +73,17 @@ inline constexpr std::string_view kDiscordsFlags[] = {
 
 inline constexpr std::string_view kValmapFlags[] = {
     "input", "column", "generate", "n", "seed", "allow-nonfinite",
-    "lmin", "lmax", "k", "p", "threads", "calibrate", "output", "simd",
+    "lmin", "lmax", "k", "p", "threads", "output", "simd",
 };
 
 inline constexpr std::string_view kProfileFlags[] = {
     "input", "column", "generate", "n", "seed", "allow-nonfinite",
-    "l", "k", "threads", "calibrate", "output", "simd",
+    "l", "k", "threads", "output", "simd",
 };
 
 inline constexpr std::string_view kQueryFlags[] = {
     "input", "column", "generate", "n", "seed", "allow-nonfinite",
-    "query", "k", "calibrate", "simd",
+    "query", "k", "simd",
 };
 
 inline constexpr std::string_view kGenerateFlags[] = {
@@ -102,7 +102,7 @@ inline constexpr std::string_view kVersionFlags[] = {
 inline constexpr std::string_view kServerFlags[] = {
     "input", "column", "generate", "n", "seed", "allow-nonfinite",
     "stdio", "port", "workers", "queue", "cache", "timeout-s", "preload",
-    "calibrate", "event-loop", "max-inflight", "page-bytes", "simd",
+    "event-loop", "max-inflight", "page-bytes", "simd",
     "log-level", "log-json", "slowlog", "no-trace",
 };
 

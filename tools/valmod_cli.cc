@@ -58,8 +58,6 @@ int Usage() {
                "--generate=<name> --n=<points> [--seed=1]\n"
                "          (loads reject nan/inf samples unless "
                "--allow-nonfinite drops them)\n"
-               "  motifs/valmap/query: [--calibrate] (fit backend weights "
-               "here)\n"
                "  motifs/valmap: --lmin --lmax [--k=1] [--p=10] "
                "[--threads=1]\n"
                "  discords: --lmin --lmax [--k=1] [--threads=1]\n"
@@ -75,21 +73,6 @@ int Usage() {
   return 2;
 }
 
-/// Applies the selection-policy flags shared by every engine-backed
-/// subcommand: --calibrate refits the backend cost model on this machine
-/// (choice-only: per-backend numerics are unaffected).
-void ApplyBackendFlags(const Flags& flags) {
-  if (flags.Has("calibrate")) {
-    const valmod::mass::BackendCostModel model =
-        valmod::mass::CalibrateBackendCostModel();
-    std::fprintf(stderr,
-                 "calibrated cost model: fft_single=%.2f fft_pair=%.2f "
-                 "overlap_save=%.2f overlap_save_chunk=%.2f (direct=1)\n",
-                 model.fft_single, model.fft_pair, model.overlap_save,
-                 model.overlap_save_chunk);
-  }
-}
-
 Result<DataSeries> LoadSeries(const Flags& flags) {
   return valmod::tools::LoadSeriesFromFlags(flags);
 }
@@ -98,7 +81,6 @@ int RunMotifs(const Flags& flags) {
   auto series = LoadSeries(flags);
   if (!series.ok()) return Fail(series.status());
 
-  ApplyBackendFlags(flags);
   valmod::core::ValmodOptions options;
   options.min_length = static_cast<std::size_t>(flags.GetInt("lmin", 0));
   options.max_length = static_cast<std::size_t>(flags.GetInt("lmax", 0));
@@ -157,7 +139,6 @@ int RunValmapCommand(const Flags& flags) {
   auto series = LoadSeries(flags);
   if (!series.ok()) return Fail(series.status());
 
-  ApplyBackendFlags(flags);
   valmod::core::ValmodOptions options;
   options.min_length = static_cast<std::size_t>(flags.GetInt("lmin", 0));
   options.max_length = static_cast<std::size_t>(flags.GetInt("lmax", 0));
@@ -190,7 +171,6 @@ int RunProfile(const Flags& flags) {
   auto series = LoadSeries(flags);
   if (!series.ok()) return Fail(series.status());
 
-  ApplyBackendFlags(flags);
   const std::size_t length =
       static_cast<std::size_t>(flags.GetInt("l", 0));
   valmod::mp::ProfileOptions options;
@@ -222,7 +202,6 @@ int RunQuery(const Flags& flags) {
       static_cast<std::size_t>(flags.GetInt("column", 0)));
   if (!query_series.ok()) return Fail(query_series.status());
 
-  ApplyBackendFlags(flags);
   valmod::mass::QuerySearchOptions options;
   options.k = static_cast<std::size_t>(flags.GetInt("k", 1));
   std::vector<double> query(query_series->values().begin(),
@@ -302,9 +281,7 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Force the SIMD dispatch target before anything computes — in
-  // particular before --calibrate, so calibration prices the kernels that
-  // will actually run under the forced target.
+  // Force the SIMD dispatch target before anything computes.
   if (valmod::Status status = valmod::tools::ApplySimdFlag(flags);
       !status.ok()) {
     std::fprintf(stderr, "error: --simd: %s\n", status.message().c_str());

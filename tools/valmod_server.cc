@@ -40,7 +40,6 @@
 #include "common/flags.h"
 #include "common/log.h"
 #include "common/trace.h"
-#include "mass/backend.h"
 #include "service/server.h"
 #include "service/tcp_server.h"
 #include "tool_flags.h"
@@ -56,7 +55,7 @@ int Usage() {
                "[--workers=4] [--queue=64] [--cache=128]\n"
                "       [--event-loop=epoll|threads] [--max-inflight=64] "
                "[--page-bytes=1048576]\n"
-               "       [--timeout-s=<default deadline>] [--calibrate] "
+               "       [--timeout-s=<default deadline>] "
                "[--simd=scalar|avx2|neon]\n"
                "       [--preload=<name> (--input=<csv> [--column=0] "
                "[--allow-nonfinite] | --generate=<gen> [--n] [--seed])]\n"
@@ -166,21 +165,14 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  // Force the SIMD dispatch target before --calibrate (and before any
-  // request computes), so calibration prices the kernels that will
-  // actually serve. The env-var spelling (VALMOD_SIMD) only warns on a bad
-  // value; the flag is a hard startup error.
+  // Force the SIMD dispatch target before any request computes. The
+  // env-var spelling (VALMOD_SIMD) only warns on a bad value; the flag is
+  // a hard startup error.
   if (valmod::Status status = valmod::tools::ApplySimdFlag(flags);
       !status.ok()) {
     valmod::log::Error("bad --simd").Field("status",
                                            std::string(status.message()));
     return 2;
-  }
-
-  if (flags.Has("calibrate")) {
-    (void)valmod::mass::CalibrateBackendCostModel();
-    valmod::log::Info("calibrated backend cost model")
-        .Field("generation", valmod::mass::BackendCostModelGeneration());
   }
 
   valmod::service::ServiceOptions options;
