@@ -300,15 +300,14 @@ Value RunOverload(const DataSeries& series, std::size_t length) {
 
 Value RunValue(const RunResult& run);
 
-/// TCP front-end sweep: one warm Service behind either transport, hammered
-/// by `client_counts` concurrent connections each issuing round trips from
-/// the (cache-hot) stream. Requests are hits, so the number measures the
-/// transport — accept/read/dispatch/write — not the compute behind it.
-/// That is exactly the epoll-vs-threads comparison: at 256 connections the
-/// threaded transport pays one blocked thread per client, the event loop
-/// one fd per client.
+/// TCP front-end sweep: one warm Service behind the epoll transport,
+/// hammered by `client_counts` concurrent connections each issuing round
+/// trips from the (cache-hot) stream. Requests are hits, so the number
+/// measures the transport — accept/read/dispatch/write — not the compute
+/// behind it. The 64–256 blocking client threads share the cores with the
+/// server, so this is a load check, not a transport comparison.
 Value RunTcpSweep(const DataSeries& series,
-                  const std::vector<std::string>& stream, bool threaded,
+                  const std::vector<std::string>& stream,
                   const std::vector<std::size_t>& client_counts,
                   std::size_t requests_per_client) {
   ServiceOptions options;
@@ -321,11 +320,7 @@ Value RunTcpSweep(const DataSeries& series,
                  loaded.status().ToString().c_str());
     return Value();
   }
-  valmod::service::TcpServerOptions tcp_options;
-  tcp_options.port = 0;
-  auto server = threaded
-                    ? valmod::service::MakeThreadedServer(service, tcp_options)
-                    : valmod::service::MakeEpollServer(service, tcp_options);
+  auto server = valmod::service::MakeEpollServer(service, {});
   if (!server.ok()) {
     std::fprintf(stderr, "tcp sweep bind failed: %s\n",
                  server.status().ToString().c_str());
@@ -339,7 +334,6 @@ Value RunTcpSweep(const DataSeries& series,
     (void)service.HandleRequest(request);
   }
 
-  const char* label = threaded ? "tcp threads" : "tcp epoll  ";
   Value::Object runs;
   for (const std::size_t clients : client_counts) {
     std::vector<std::vector<double>> latencies(clients);
@@ -372,8 +366,8 @@ Value RunTcpSweep(const DataSeries& series,
     const RunResult run = Finish(seconds, std::move(all), total_errors);
     std::fprintf(
         stderr,
-        "%s %3zu clients: %8.2f req/s (p50 %6.2f ms, p99 %6.2f ms)%s\n",
-        label, clients, run.throughput, run.p50_ms, run.p99_ms,
+        "tcp epoll %3zu clients: %8.2f req/s (p50 %6.2f ms, p99 %6.2f ms)%s\n",
+        clients, run.throughput, run.p50_ms, run.p99_ms,
         run.errors > 0 ? "  [errors!]" : "");
     Value::Object entry = RunValue(run).AsObject();
     entry.emplace("clients", Value(clients));
@@ -843,17 +837,18 @@ int main(int argc, char** argv) {
               RunStreamingIngest(static_cast<std::size_t>(
                   flags.GetInt("stream-length", 64))));
 
-  // TCP transport sweep at 64..tcp-clients connections, epoll vs the
-  // legacy thread-per-connection transport, over cache-hot requests.
+  // TCP transport sweep at 64..tcp-clients connections over cache-hot
+  // requests. Any failed request in it fails the run (exit 1).
   const std::size_t tcp_max =
       static_cast<std::size_t>(flags.GetInt("tcp-clients", 256));
   std::vector<std::size_t> client_counts;
   for (std::size_t c = 64; c <= tcp_max; c *= 2) client_counts.push_back(c);
+  bool tcp_failed = false;
   if (!client_counts.empty()) {
     const std::size_t per_client =
         static_cast<std::size_t>(flags.GetInt("tcp-requests", 16));
-    Value epoll_sweep = RunTcpSweep(*series, stream, /*threaded=*/false,
-                                    client_counts, per_client);
+    Value epoll_sweep =
+        RunTcpSweep(*series, stream, client_counts, per_client);
     // The acceptance-facing overhead number: the probe's absolute per-hit
     // tracing delta as a fraction of what a 64-client TCP request really
     // costs end to end. (The probe's own ratio divides by a microsecond
@@ -872,10 +867,13 @@ int main(int argc, char** argv) {
                    "trace overhead vs 64-client sweep p50: %+.4f%%\n",
                    fraction * 100.0);
     }
+    tcp_failed = !epoll_sweep.is_object();
+    if (!tcp_failed) {
+      for (const auto& [name, run] : epoll_sweep.AsObject()) {
+        tcp_failed |= run.GetNumber("errors", 0.0) > 0.0;
+      }
+    }
     doc.emplace("tcp_event_loop", std::move(epoll_sweep));
-    doc.emplace("tcp_threaded",
-                RunTcpSweep(*series, stream, /*threaded=*/true,
-                            client_counts, per_client));
   }
   doc.emplace("trace_overhead", std::move(trace_overhead));
 
@@ -892,6 +890,10 @@ int main(int argc, char** argv) {
     std::fputs(json.c_str(), out);
     std::fputc('\n', out);
     std::fclose(out);
+  }
+  if (tcp_failed) {
+    std::fprintf(stderr, "bench_service: the TCP sweep had errors\n");
+    return 1;
   }
   return 0;
 }

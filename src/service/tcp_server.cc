@@ -1,14 +1,12 @@
 #include "service/tcp_server.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstdint>
 #include <cstring>
@@ -16,7 +14,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -31,10 +28,11 @@ constexpr const char* kLineTooLongError =
     "{\"id\":null,\"ok\":false,\"error\":{\"code\":\"InvalidArgument\","
     "\"message\":\"request line exceeds 32 MiB\"}}\n";
 
-/// Binds a loopback listener. `port` 0 picks an ephemeral port; the bound
-/// port is written back either way.
+/// Binds a nonblocking loopback listener. `port` 0 picks an ephemeral
+/// port; the bound port is written back either way.
 Result<int> BindListener(int* port) {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
+  const int fd =
+      ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (fd < 0) {
     return Status::IoError(std::string("socket: ") + std::strerror(errno));
   }
@@ -66,30 +64,10 @@ Result<int> BindListener(int* port) {
   return fd;
 }
 
-/// Writes the whole buffer to a blocking client socket. MSG_NOSIGNAL
-/// (belt to the SIG_IGN braces in the server main): a client that closed
-/// its socket mid-response must surface as a failed send on this
-/// connection, never as a SIGPIPE that kills the process — and with it
-/// every other client's datasets.
-bool SendAll(int fd, const char* data, std::size_t size) {
-  std::size_t written = 0;
-  while (written < size) {
-    const ssize_t w =
-        ::send(fd, data + written, size - written, MSG_NOSIGNAL);
-    if (w <= 0) return false;
-    written += static_cast<std::size_t>(w);
-  }
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// Epoll event-loop transport
-// ---------------------------------------------------------------------------
-
 class EpollServer : public TcpServer {
  public:
   EpollServer(Service& service, const TcpServerOptions& options)
-      : service_(service), options_(options) {}
+      : service_(service), port_(options.port) {}
 
   ~EpollServer() override {
     {
@@ -104,11 +82,7 @@ class EpollServer : public TcpServer {
   }
 
   Status Init() {
-    port_ = options_.port;
     VALMOD_ASSIGN_OR_RETURN(listen_fd_, BindListener(&port_));
-    if (::fcntl(listen_fd_, F_SETFL, O_NONBLOCK) < 0) {
-      return Status::IoError(std::string("fcntl: ") + std::strerror(errno));
-    }
     epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
     if (epoll_fd_ < 0) {
       return Status::IoError(std::string("epoll_create1: ") +
@@ -304,7 +278,7 @@ class EpollServer : public TcpServer {
   /// reads until completions drain).
   void ProcessBufferedLines(Connection& conn) {
     std::size_t start = 0;
-    while (!conn.closing && conn.inflight < options_.max_inflight) {
+    while (!conn.closing && conn.inflight < kMaxInflightPerConnection) {
       const std::size_t from =
           conn.scan_offset > start ? conn.scan_offset : start;
       const std::size_t newline = conn.inbuf.find('\n', from);
@@ -397,7 +371,7 @@ class EpollServer : public TcpServer {
   void UpdateInterest(Connection& conn) {
     std::uint32_t desired = 0;
     if (!conn.read_eof && !conn.closing &&
-        conn.inflight < options_.max_inflight) {
+        conn.inflight < kMaxInflightPerConnection) {
       desired |= EPOLLIN;
     }
     if (!conn.outbox.empty()) desired |= EPOLLOUT;
@@ -432,11 +406,10 @@ class EpollServer : public TcpServer {
   }
 
   Service& service_;
-  const TcpServerOptions options_;
+  int port_ = 0;
   int listen_fd_ = -1;
   int epoll_fd_ = -1;
   int event_fd_ = -1;
-  int port_ = 0;
   bool accepting_ = true;
   std::uint64_t next_gen_ = 1;
   std::shared_ptr<CompletionQueue> completions_ =
@@ -444,153 +417,11 @@ class EpollServer : public TcpServer {
   std::unordered_map<int, Connection> connections_;
 };
 
-// ---------------------------------------------------------------------------
-// Thread-per-connection transport (legacy, kept for A/B benchmarks)
-// ---------------------------------------------------------------------------
-
-class ThreadedServer : public TcpServer {
- public:
-  ThreadedServer(Service& service, const TcpServerOptions& options)
-      : service_(service), port_(options.port) {}
-
-  ~ThreadedServer() override {
-    if (listen_fd_ >= 0) ::close(listen_fd_);
-  }
-
-  Status Init() {
-    VALMOD_ASSIGN_OR_RETURN(listen_fd_, BindListener(&port_));
-    return Status::Ok();
-  }
-
-  int port() const override { return port_; }
-
-  int Serve() override {
-    for (;;) {
-      const int client = ::accept(listen_fd_, nullptr, nullptr);
-      if (client < 0) break;  // listener shut down by the shutdown verb
-      Reap();
-      Add(client);
-    }
-    Wake();
-    JoinAll();
-    return 0;
-  }
-
- private:
-  struct Connection {
-    int fd = -1;
-    std::thread thread;
-    std::atomic<bool> done{false};
-  };
-
-  void Add(int client_fd) {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto conn = std::make_unique<Connection>();
-    conn->fd = client_fd;
-    Connection* raw = conn.get();
-    conn->thread = std::thread([this, raw] {
-      ServeConnection(raw->fd);
-      raw->done.store(true, std::memory_order_release);
-    });
-    connections_.push_back(std::move(conn));
-  }
-
-  /// Joins threads whose connections have finished. Called between
-  /// accepts; O(live connections).
-  void Reap() {
-    std::vector<std::unique_ptr<Connection>> finished;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      auto it = connections_.begin();
-      while (it != connections_.end()) {
-        if ((*it)->done.load(std::memory_order_acquire)) {
-          finished.push_back(std::move(*it));
-          it = connections_.erase(it);
-        } else {
-          ++it;
-        }
-      }
-    }
-    for (auto& conn : finished) conn->thread.join();  // finished: no block
-  }
-
-  /// Forces every blocked accept()/read() to return so the process can
-  /// exit: close() alone does not reliably wake a thread blocked on the
-  /// same fd, shutdown(2) does. Idempotent.
-  void Wake() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    ::shutdown(listen_fd_, SHUT_RDWR);
-    for (const auto& conn : connections_) {
-      ::shutdown(conn->fd, SHUT_RDWR);
-    }
-  }
-
-  void JoinAll() {
-    std::vector<std::unique_ptr<Connection>> remaining;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      remaining.swap(connections_);
-    }
-    for (auto& conn : remaining) conn->thread.join();
-  }
-
-  /// One connection: a serial newline-delimited request stream.
-  void ServeConnection(int fd) {
-    std::string buffer;
-    char chunk[4096];
-    for (;;) {
-      const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-      if (n <= 0) break;
-      if (!VALMOD_FAULT_POINT("server.read").ok()) break;
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      if (buffer.size() > kMaxRequestLineBytes &&
-          buffer.find('\n') == std::string::npos) {
-        (void)SendAll(fd, kLineTooLongError, std::strlen(kLineTooLongError));
-        break;
-      }
-      std::size_t newline;
-      while ((newline = buffer.find('\n')) != std::string::npos) {
-        std::string line = buffer.substr(0, newline);
-        buffer.erase(0, newline + 1);
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        if (line.empty()) continue;
-        // HandleRequest shares the paged-response encoder with the epoll
-        // transport and --stdio; the bytes are already '\n'-terminated.
-        const std::string response = service_.HandleRequest(line);
-        if (!VALMOD_FAULT_POINT("server.write").ok() ||
-            !SendAll(fd, response.data(), response.size())) {
-          ::close(fd);
-          return;
-        }
-        if (service_.shutdown_requested()) {
-          Wake();  // unblocks the accept loop and every idle client
-          ::close(fd);
-          return;
-        }
-      }
-    }
-    ::close(fd);
-  }
-
-  Service& service_;
-  int listen_fd_ = -1;
-  int port_ = 0;
-  std::mutex mutex_;
-  std::vector<std::unique_ptr<Connection>> connections_;
-};
-
 }  // namespace
 
 Result<std::unique_ptr<TcpServer>> MakeEpollServer(
     Service& service, const TcpServerOptions& options) {
   auto server = std::make_unique<EpollServer>(service, options);
-  VALMOD_RETURN_IF_ERROR(server->Init());
-  return std::unique_ptr<TcpServer>(std::move(server));
-}
-
-Result<std::unique_ptr<TcpServer>> MakeThreadedServer(
-    Service& service, const TcpServerOptions& options) {
-  auto server = std::make_unique<ThreadedServer>(service, options);
   VALMOD_RETURN_IF_ERROR(server->Init());
   return std::unique_ptr<TcpServer>(std::move(server));
 }

@@ -17,16 +17,17 @@ namespace valmod::service {
 /// buffer until the process is killed.
 inline constexpr std::size_t kMaxRequestLineBytes = 32u << 20;  // 32 MiB
 
+/// Per-connection cap on requests submitted but not yet answered. At the
+/// cap the connection's reads pause — EPOLLIN is disarmed — until
+/// responses drain: backpressure through the kernel socket buffer to the
+/// client, instead of unbounded server-side queueing for one aggressive
+/// pipeliner.
+inline constexpr int kMaxInflightPerConnection = 64;
+
 struct TcpServerOptions {
   /// 0 binds an ephemeral port; the real one is readable via port()
   /// before Serve() is called, so tests never race for a fixed port.
   int port = 0;
-  /// Per-connection cap on requests submitted but not yet answered
-  /// (epoll transport only). At the cap the connection's reads pause —
-  /// EPOLLIN is disarmed — until responses drain: backpressure through
-  /// the kernel socket buffer to the client, instead of unbounded
-  /// server-side queueing for one aggressive pipeliner.
-  int max_inflight = 64;
 };
 
 /// A TCP front end serving a Service on 127.0.0.1 (localhost only: the
@@ -45,25 +46,25 @@ class TcpServer {
   virtual int port() const = 0;
 
   /// Blocks serving connections; returns a process exit code (0 = clean
-  /// shutdown).
+  /// shutdown). Once the service's `shutdown` verb fires, the listener
+  /// stops accepting and idle connections are closed, but requests still
+  /// computing on any connection are answered before Serve() returns.
+  /// A `shutdown` issued in-process through Service::HandleRequest does
+  /// not wake the loop by itself: the next event (for example one client
+  /// connecting and closing) makes Serve() notice it and return.
   virtual int Serve() = 0;
 
  protected:
   TcpServer() = default;
 };
 
-/// The default transport: a single-threaded epoll event loop. Nonblocking
+/// The transport: a single-threaded epoll event loop. Nonblocking
 /// acceptor; per-connection read/write state machines with buffered
 /// partial lines and backpressure-aware writes; requests flow through
 /// Service::HandleRequestAsync, and completions (from scheduler worker
 /// threads) re-arm the connection for writing via an eventfd wake instead
 /// of parking a blocked thread per client.
 Result<std::unique_ptr<TcpServer>> MakeEpollServer(
-    Service& service, const TcpServerOptions& options);
-
-/// The legacy transport: one blocking thread per connection. Kept working
-/// for A/B benchmarks against the event loop (bench_service drives both).
-Result<std::unique_ptr<TcpServer>> MakeThreadedServer(
     Service& service, const TcpServerOptions& options);
 
 }  // namespace valmod::service

@@ -77,10 +77,11 @@ TEST(CliTest, Avx512IsAnUnknownSimdTarget) {
   EXPECT_EQ(env.out, plain.out);
 }
 
-// The backend choice is a pure function of the request's shape, so there
-// is no --calibrate flag: both binaries reject it like any other unknown
-// flag (usage error, exit 2, named on stderr).
-TEST(CliTest, CalibrateIsAnUnknownFlag) {
+// Removed flags are rejected like any other unknown flag (usage error,
+// exit 2, named on stderr): the backend choice is a pure function of the
+// request's shape, so there is no --calibrate, and the server has one TCP
+// transport with a fixed per-connection in-flight cap.
+TEST(CliTest, RemovedFlagsAreUnknown) {
   const CliRun cli = RunCommand(
       std::string(VALMOD_CLI_BINARY) +
       " motifs --generate=ecg --n=1024 --lmin=32 --lmax=34 --calibrate 2>&1");
@@ -88,12 +89,61 @@ TEST(CliTest, CalibrateIsAnUnknownFlag) {
   EXPECT_NE(cli.out.find("unknown flag --calibrate"), std::string::npos)
       << cli.out;
 
-  const CliRun server =
-      RunCommand(std::string(VALMOD_SERVER_BINARY) +
-                 " --stdio --calibrate 2>&1 </dev/null");
-  EXPECT_EQ(ExitCode(server), 2) << server.out;
-  EXPECT_NE(server.out.find("unknown flag --calibrate"), std::string::npos)
-      << server.out;
+  const struct {
+    const char* flag;
+    const char* name;
+  } kRemoved[] = {
+      {"--calibrate", "calibrate"},
+      {"--event-loop=threads", "event-loop"},
+      {"--event-loop=epoll", "event-loop"},
+      {"--max-inflight=16", "max-inflight"},
+  };
+  for (const auto& removed : kRemoved) {
+    const CliRun server =
+        RunCommand(std::string(VALMOD_SERVER_BINARY) + " --stdio " +
+                   removed.flag + " 2>&1 </dev/null");
+    EXPECT_EQ(ExitCode(server), 2) << removed.flag << "\n" << server.out;
+    EXPECT_NE(server.out.find(std::string("unknown flag --") + removed.name),
+              std::string::npos)
+        << server.out;
+  }
+}
+
+// Each numeric serving flag must be a whole decimal within its field's
+// range; anything else is a usage error naming the flag, never a value
+// wrapped to SIZE_MAX, truncated to int or silently replaced by an
+// ephemeral port. Every run is handed a shutdown on stdin (a --port run
+// ignores it; `timeout` bounds the run should the flag be accepted).
+TEST(CliTest, ServerRejectsBadNumericFlags) {
+  const struct {
+    const char* args;
+    const char* flag;
+  } kBad[] = {
+      {"--stdio --queue=-1", "--queue"},
+      {"--stdio --cache=-1", "--cache"},
+      {"--stdio --page-bytes=-5", "--page-bytes"},
+      {"--stdio --slowlog=-1", "--slowlog"},
+      {"--stdio --workers=0", "--workers"},
+      {"--stdio --workers=4294967297", "--workers"},
+      {"--stdio --cache=12abc", "--cache"},
+      {"--port=abc", "--port"},
+      {"--port=65536", "--port"},
+      {"--port=4294967296", "--port"},
+  };
+  for (const auto& bad : kBad) {
+    const CliRun server = RunCommand(
+        "echo '{\"verb\":\"shutdown\"}' | timeout 30 " +
+        std::string(VALMOD_SERVER_BINARY) + " " + bad.args + " 2>&1");
+    EXPECT_EQ(ExitCode(server), 2) << bad.args << "\n" << server.out;
+    EXPECT_NE(server.out.find(bad.flag), std::string::npos)
+        << bad.args << "\n" << server.out;
+  }
+  const CliRun good = RunCommand(
+      "echo '{\"verb\":\"shutdown\"}' | " +
+      std::string(VALMOD_SERVER_BINARY) +
+      " --stdio --queue=0 --cache=0 --page-bytes=0 --slowlog=0 --workers=1"
+      " 2>&1");
+  EXPECT_EQ(ExitCode(good), 0) << good.out;
 }
 
 // Length 1 would give an all-zero profile: it is the library's

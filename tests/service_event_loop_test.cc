@@ -1,16 +1,23 @@
-// Event-loop transport tests over real sockets: round trips and shutdown
-// drain through both TCP front ends (epoll and the legacy thread-per-
-// connection one), client-side reassembly of paged responses, pipelined
-// out-of-order completion, and the incremental request-line cap.
+// Epoll transport tests over real sockets: round trips, the shutdown
+// contract (in-flight computes drain; an in-process shutdown exits on the
+// next event), client-side reassembly of paged responses, pipelined
+// out-of-order completion, the per-connection in-flight cap, and the
+// incremental request-line cap.
 
 #include "service/tcp_server.h"
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
+#include <chrono>
 #include <memory>
 #include <string>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "common/fault.h"
 #include "common/json.h"
@@ -27,12 +34,8 @@ using json::Value;
 /// protocol, like a real client would) so a failed assertion never leaves
 /// a test hanging on join().
 struct ServerHarness {
-  explicit ServerHarness(const ServiceOptions& options,
-                         bool threaded = false,
-                         const TcpServerOptions& tcp = {})
-      : service(options) {
-    auto made = threaded ? MakeThreadedServer(service, tcp)
-                         : MakeEpollServer(service, tcp);
+  explicit ServerHarness(const ServiceOptions& options) : service(options) {
+    auto made = MakeEpollServer(service, {});
     if (!made.ok()) {
       ADD_FAILURE() << made.status().ToString();
       return;
@@ -69,8 +72,10 @@ constexpr char kMotifs[] =
 constexpr char kProfile[] =
     R"({"id":3,"verb":"profile","dataset":"d","params":{"l":64}})";
 
-void SmokeSession(int port) {
-  TcpTransport transport(port);
+TEST(EpollServerTest, RoundTripsAndCleanShutdown) {
+  ServerHarness harness(ServiceOptions{});
+  ASSERT_NE(harness.server, nullptr);
+  TcpTransport transport(harness.port());
   RetryClient client(transport);
 
   auto load = client.Call(kLoad);
@@ -101,27 +106,82 @@ void SmokeSession(int port) {
     EXPECT_GE(verb.GetNumber("mean_ms", -1.0), 0.0);
   }
   EXPECT_TRUE(saw_motifs) << stats->Serialize();
-}
-
-TEST(EpollServerTest, RoundTripsAndCleanShutdown) {
-  ServerHarness harness(ServiceOptions{});
-  ASSERT_NE(harness.server, nullptr);
-  SmokeSession(harness.port());
   harness.Stop();
   EXPECT_EQ(harness.exit_code, 0);
 }
 
-TEST(ThreadedServerTest, RoundTripsAndCleanShutdown) {
-  ServerHarness harness(ServiceOptions{}, /*threaded=*/true);
+// A `shutdown` stops new work but drains old: a compute already running
+// on connection A is still answered after connection B's shutdown, and
+// Serve() then returns 0.
+TEST(EpollServerTest, ShutdownDrainsInflightCompute) {
+  if (!fault::kFaultInjectionEnabled) {
+    GTEST_SKIP() << "fault injection compiled out";
+  }
+  fault::FaultInjector::Global().DisarmAll();
+  ServerHarness harness(ServiceOptions{});
   ASSERT_NE(harness.server, nullptr);
-  SmokeSession(harness.port());
+  TcpTransport a(harness.port());
+  ASSERT_TRUE(RetryClient(a).Call(kLoad)->GetBool("ok", false));
+
+  fault::FaultSpec slow;
+  slow.kind = fault::FaultKind::kDelay;
+  slow.delay_ms = 500;
+  fault::FaultInjector::Global().Arm("server.query.compute", slow);
+
+  Result<std::string> held = Status::Internal("not answered");
+  std::thread holder([&] { held = a.RoundTrip(kMotifs); });
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (harness.service.scheduler().stats().active == 0 &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GT(harness.service.scheduler().stats().active, 0u);
+
+  TcpTransport b(harness.port());
+  auto shutdown = b.RoundTrip(R"({"verb":"shutdown"})");
+  EXPECT_TRUE(shutdown.ok()) << shutdown.status().ToString();
+  holder.join();
+  ASSERT_TRUE(held.ok()) << held.status().ToString();
+  auto parsed = json::Parse(*held);
+  ASSERT_TRUE(parsed.ok()) << *held;
+  EXPECT_TRUE(parsed->GetBool("ok", false)) << *held;
+  EXPECT_EQ(parsed->GetNumber("id", -1), 2.0);
+  harness.Stop();
+  EXPECT_EQ(harness.exit_code, 0);
+  fault::FaultInjector::Global().DisarmAll();
+}
+
+// An in-process shutdown (Service::HandleRequest, as an embedder stopping
+// its server does) sets the flag without waking epoll_wait; the next
+// event — one connection opened and closed — makes Serve() return 0.
+TEST(EpollServerTest, InProcessShutdownReturnsOnNextConnection) {
+  ServerHarness harness(ServiceOptions{});
+  ASSERT_NE(harness.server, nullptr);
+  ASSERT_TRUE(json::Parse(harness.service.HandleRequest(
+                              R"({"verb":"shutdown"})"))
+                  ->GetBool("ok", false));
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(static_cast<uint16_t>(harness.port()));
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  EXPECT_EQ(
+      ::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+      0);
+  ::close(fd);
   harness.Stop();
   EXPECT_EQ(harness.exit_code, 0);
 }
 
 /// The client must reassemble a paged profile into the same bytes an
-/// unpaged response carries, on both transports.
-void PagedReassemblySession(ServerHarness& harness) {
+/// unpaged response carries.
+TEST(EpollServerTest, PagedResponseReassembledByClient) {
+  ServiceOptions options;
+  options.page_bytes = 2048;
+  ServerHarness harness(options);
+  ASSERT_NE(harness.server, nullptr);
   TcpTransport transport(harness.port());
   RetryClient client(transport);
   ASSERT_TRUE(client.Call(kLoad)->GetBool("ok", false));
@@ -150,22 +210,6 @@ void PagedReassemblySession(ServerHarness& harness) {
   EXPECT_FALSE(unpaged->GetBool("cached", true));
   EXPECT_EQ(paged->Find("result")->Serialize(),
             unpaged->Find("result")->Serialize());
-}
-
-TEST(EpollServerTest, PagedResponseReassembledByClient) {
-  ServiceOptions options;
-  options.page_bytes = 2048;
-  ServerHarness harness(options);
-  ASSERT_NE(harness.server, nullptr);
-  PagedReassemblySession(harness);
-}
-
-TEST(ThreadedServerTest, PagedResponseReassembledByClient) {
-  ServiceOptions options;
-  options.page_bytes = 2048;
-  ServerHarness harness(options, /*threaded=*/true);
-  ASSERT_NE(harness.server, nullptr);
-  PagedReassemblySession(harness);
 }
 
 // A pipelined connection on the epoll transport completes independent
@@ -204,6 +248,40 @@ TEST(EpollServerTest, PipelinedRequestsCompleteOutOfOrder) {
   EXPECT_EQ(second_parsed->GetNumber("id", -1), 2.0);
   EXPECT_TRUE(second_parsed->GetBool("ok", false)) << *second;
   fault::FaultInjector::Global().DisarmAll();
+}
+
+// More pipelined requests than kMaxInflightPerConnection in one write:
+// the connection stops dispatching at the cap, leaves the rest buffered,
+// and resumes as completions drain. Every request is answered exactly
+// once.
+TEST(EpollServerTest, PipelinedBeyondInflightCapAllAnsweredOnce) {
+  constexpr int kRequests = 300;
+  static_assert(kRequests > 4 * kMaxInflightPerConnection);
+  ServerHarness harness(ServiceOptions{});
+  ASSERT_NE(harness.server, nullptr);
+  TcpTransport transport(harness.port());
+  std::string pipelined;
+  for (int id = 0; id < kRequests; ++id) {
+    if (id > 0) pipelined += '\n';
+    pipelined += R"({"id":)" + std::to_string(id) + R"(,"verb":"stats"})";
+  }
+  std::vector<int> answers(kRequests, 0);
+  Result<std::string> line = transport.RoundTrip(pipelined);
+  for (int received = 0; received < kRequests; ++received) {
+    if (received > 0) line = transport.ReceiveLine();
+    ASSERT_TRUE(line.ok()) << "after " << received << " responses: "
+                           << line.status().ToString();
+    auto parsed = json::Parse(*line);
+    ASSERT_TRUE(parsed.ok()) << *line;
+    EXPECT_TRUE(parsed->GetBool("ok", false)) << *line;
+    const int id = static_cast<int>(parsed->GetNumber("id", -1));
+    ASSERT_GE(id, 0) << *line;
+    ASSERT_LT(id, kRequests) << *line;
+    ++answers[id];
+  }
+  for (int id = 0; id < kRequests; ++id) {
+    EXPECT_EQ(answers[id], 1) << "id " << id;
+  }
 }
 
 // The 32 MiB request-line cap is enforced incrementally: a connection

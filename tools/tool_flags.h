@@ -9,8 +9,10 @@
 // means the CLI and the server cannot drift apart on what a subcommand
 // accepts.
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <string_view>
 
 #include "common/flags.h"
@@ -45,6 +47,28 @@ inline Result<series::DataSeries> LoadSeriesFromFlags(const Flags& flags) {
   return synth::ByName(flags.GetString("generate", "ecg"),
                        static_cast<std::size_t>(flags.GetInt("n", 20000)),
                        static_cast<std::uint64_t>(flags.GetInt("seed", 1)));
+}
+
+/// Reads `--<name>` into `*value` as a whole decimal integer in [min, max],
+/// leaving `*value` (the default) alone when the flag is absent. Any other
+/// text, or a value out of range, is InvalidArgument naming the flag, so a
+/// typo cannot wrap to SIZE_MAX or bind a port the user did not ask for.
+inline Status ReadIntInRange(const Flags& flags, const std::string& name,
+                             std::int64_t min, std::int64_t max,
+                             std::int64_t* value) {
+  if (!flags.Has(name)) return Status::Ok();
+  const std::string text = flags.GetString(name, "");
+  std::int64_t parsed = 0;
+  const auto [end, error] =
+      std::from_chars(text.data(), text.data() + text.size(), parsed);
+  if (error != std::errc() || end != text.data() + text.size() ||
+      parsed < min || parsed > max) {
+    return Status::InvalidArgument(
+        "--" + name + "=" + text + ": expected a whole number in [" +
+        std::to_string(min) + ", " + std::to_string(max) + "]");
+  }
+  *value = parsed;
+  return Status::Ok();
 }
 
 /// Applies the shared `--simd=<scalar|avx2|neon>` flag: forces the
@@ -102,7 +126,7 @@ inline constexpr std::string_view kVersionFlags[] = {
 inline constexpr std::string_view kServerFlags[] = {
     "input", "column", "generate", "n", "seed", "allow-nonfinite",
     "stdio", "port", "workers", "queue", "cache", "timeout-s", "preload",
-    "event-loop", "max-inflight", "page-bytes", "simd",
+    "page-bytes", "simd",
     "log-level", "log-json", "slowlog", "no-trace",
 };
 

@@ -8,10 +8,8 @@
 //                  drive; exits on EOF or the `shutdown` verb.
 //   --port=P       a localhost TCP socket (127.0.0.1 only — the server
 //                  executes file loads and unbounded compute on behalf of
-//                  clients, so it is strictly a local tool). The default
-//                  transport is a single-threaded epoll event loop;
-//                  --event-loop=threads selects the legacy blocking
-//                  thread-per-connection transport for comparison.
+//                  clients, so it is strictly a local tool), served by a
+//                  single-threaded epoll event loop.
 //
 // Serving state (dataset registry, shared MASS engines, result cache)
 // lives for the process: every request against a loaded dataset reuses
@@ -22,7 +20,7 @@
 // Examples:
 //   valmod_server --stdio
 //   valmod_server --port=7731 --workers=8 --queue=128 --cache=256
-//   valmod_server --port=0 --event-loop=threads --max-inflight=16
+//   valmod_server --port=0 --page-bytes=65536
 //   valmod_server --stdio --preload=ecg --generate=ecg --n=20000
 //
 //   $ printf '%s\n' \
@@ -31,8 +29,10 @@
 //     | valmod_server --stdio
 
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -53,9 +53,7 @@ int Usage() {
   std::fprintf(stderr,
                "usage: valmod_server (--stdio | --port=<p, 0=ephemeral>) "
                "[--workers=4] [--queue=64] [--cache=128]\n"
-               "       [--event-loop=epoll|threads] [--max-inflight=64] "
-               "[--page-bytes=1048576]\n"
-               "       [--timeout-s=<default deadline>] "
+               "       [--page-bytes=1048576] [--timeout-s=<default deadline>] "
                "[--simd=scalar|avx2|neon]\n"
                "       [--preload=<name> (--input=<csv> [--column=0] "
                "[--allow-nonfinite] | --generate=<gen> [--n] [--seed])]\n"
@@ -97,7 +95,7 @@ int RunStdio(Service& service) {
   while (!service.shutdown_requested() && std::getline(std::cin, line)) {
     if (line.empty()) continue;
     // HandleRequest shares the paged-response encoder with the TCP
-    // transports; the returned bytes are already '\n'-terminated.
+    // transport; the returned bytes are already '\n'-terminated.
     const std::string response = service.HandleRequest(line);
     std::fputs(response.c_str(), stdout);
     std::fflush(stdout);
@@ -109,7 +107,7 @@ int RunStdio(Service& service) {
 
 int main(int argc, char** argv) {
   // A client disconnecting mid-write must error that one send(), not
-  // deliver a process-killing SIGPIPE (the transports' MSG_NOSIGNAL
+  // deliver a process-killing SIGPIPE (the TCP transport's MSG_NOSIGNAL
   // covers the sockets; this covers any stray write to a closed stdio
   // pipe).
   std::signal(SIGPIPE, SIG_IGN);
@@ -143,26 +141,31 @@ int main(int argc, char** argv) {
   valmod::trace::SetEnabled(!flags.GetBool("no-trace", false));
   const bool stdio = flags.GetBool("stdio", false);
   const bool has_port = flags.Has("port");
-  const int port = static_cast<int>(flags.GetInt("port", 0));
   if (!stdio && !has_port) return Usage();
   if (stdio && has_port) {
     valmod::log::Error("--stdio and --port are exclusive");
     return 2;
   }
-  if (!stdio && (port < 0 || port > 65535)) {
-    valmod::log::Error(
-        "--port must be in [0, 65535] (0 = pick an ephemeral port)");
-    return 2;
-  }
-  const std::string event_loop = flags.GetString("event-loop", "epoll");
-  if (event_loop != "epoll" && event_loop != "threads") {
-    valmod::log::Error("--event-loop must be 'epoll' or 'threads'");
-    return 2;
-  }
-  const int max_inflight = static_cast<int>(flags.GetInt("max-inflight", 64));
-  if (max_inflight < 1) {
-    valmod::log::Error("--max-inflight must be >= 1");
-    return 2;
+  // Each numeric serving knob must fit the field it sets; the initial
+  // values are the defaults, and --port=0 picks an ephemeral port.
+  using valmod::tools::ReadIntInRange;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  std::int64_t port = 0, workers = 4, queue = 64, cache = 128,
+               page_bytes = 1 << 20,
+               slowlog = valmod::service::SlowLog::kDefaultCapacity;
+  for (const valmod::Status& status :
+       {ReadIntInRange(flags, "port", 0, 65535, &port),
+        ReadIntInRange(flags, "workers", 1, std::numeric_limits<int>::max(),
+                       &workers),
+        ReadIntInRange(flags, "queue", 0, kMax, &queue),
+        ReadIntInRange(flags, "cache", 0, kMax, &cache),
+        ReadIntInRange(flags, "page-bytes", 0, kMax, &page_bytes),
+        ReadIntInRange(flags, "slowlog", 0, kMax, &slowlog)}) {
+    if (!status.ok()) {
+      valmod::log::Error("bad flag value")
+          .Field("status", std::string(status.message()));
+      return 2;
+    }
   }
 
   // Force the SIMD dispatch target before any request computes. The
@@ -176,29 +179,19 @@ int main(int argc, char** argv) {
   }
 
   valmod::service::ServiceOptions options;
-  options.workers = static_cast<int>(flags.GetInt("workers", 4));
-  options.queue_capacity =
-      static_cast<std::size_t>(flags.GetInt("queue", 64));
-  options.cache_capacity =
-      static_cast<std::size_t>(flags.GetInt("cache", 128));
+  options.workers = static_cast<int>(workers);
+  options.queue_capacity = static_cast<std::size_t>(queue);
+  options.cache_capacity = static_cast<std::size_t>(cache);
   options.default_timeout_seconds = flags.GetDouble("timeout-s", 0.0);
-  options.page_bytes =
-      static_cast<std::size_t>(flags.GetInt("page-bytes", 1 << 20));
-  options.slowlog_capacity = static_cast<std::size_t>(flags.GetInt(
-      "slowlog",
-      static_cast<std::int64_t>(valmod::service::SlowLog::kDefaultCapacity)));
+  options.page_bytes = static_cast<std::size_t>(page_bytes);
+  options.slowlog_capacity = static_cast<std::size_t>(slowlog);
 
   Service service(options);
   if (!Preload(service, flags)) return 1;
   if (stdio) return RunStdio(service);
 
-  valmod::service::TcpServerOptions tcp_options;
-  tcp_options.port = port;
-  tcp_options.max_inflight = max_inflight;
-  auto server =
-      event_loop == "threads"
-          ? valmod::service::MakeThreadedServer(service, tcp_options)
-          : valmod::service::MakeEpollServer(service, tcp_options);
+  auto server = valmod::service::MakeEpollServer(
+      service, {.port = static_cast<int>(port)});
   if (!server.ok()) {
     valmod::log::Error("failed to start server")
         .Field("status", server.status().ToString());
@@ -214,7 +207,6 @@ int main(int argc, char** argv) {
   std::fflush(stderr);
   valmod::log::Info("serving")
       .Field("port", (*server)->port())
-      .Field("event_loop", event_loop)
       .Field("workers", options.workers)
       .Field("tracing", valmod::trace::Enabled());
   return (*server)->Serve();
