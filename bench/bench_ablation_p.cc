@@ -1,7 +1,10 @@
 // Ablation A (research paper [4], parameter study): sensitivity of VALMOD
-// to p, the number of entries kept per partial distance profile. Larger p
-// certifies more rows without exact recomputation, at O(n p) memory and
-// per-length update cost.
+// to p, the initial number of entries kept per partial distance profile.
+// Larger p certifies more rows without exact recomputation, at O(n p)
+// memory and per-length update cost for the seeding scan's per-worker
+// sets. Recomputed rows grow past p on their own, so the run's partial
+// profiles hold up to n * max(p, 32) entries whatever p is, and small p
+// loses less than it did with a fixed capacity.
 //
 //   ./build/bench/bench_ablation_p [--n=8192] [--lmin=64] [--lmax=128]
 //                                  [--ps=1,2,5,10,20,50]

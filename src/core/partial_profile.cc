@@ -1,6 +1,7 @@
 #include "core/partial_profile.h"
 
 #include <algorithm>
+#include <cassert>
 
 #include "common/match_order.h"
 
@@ -19,11 +20,6 @@ struct BaseLbOrder {
   }
 };
 
-void OfferToSet(void* set, std::size_t row, std::int64_t match, double dot,
-                double base_lb) {
-  static_cast<PartialProfileSet*>(set)->Offer(row, match, dot, base_lb);
-}
-
 }  // namespace
 
 PartialProfileSet::PartialProfileSet(std::size_t rows, std::size_t p,
@@ -35,13 +31,55 @@ PartialProfileSet::PartialProfileSet(std::size_t rows, std::size_t p,
       admit_(rows, kInfinity),
       base_length_(rows, base_length) {}
 
-void PartialProfileSet::Offer(std::size_t row, int64_t match, double dot,
-                              double base_lb) {
-  Entry* base = &entries_[row * p_];
+bool PartialProfileSet::Grow(std::size_t row, std::size_t capacity) {
+  const std::size_t current = this->capacity(row);
+  if (!seeded(row) || capacity <= current) return false;
+  const std::size_t room =
+      rows() * std::max(p_, kBudgetPerRow) - entries_.size();
+  const std::size_t released = current > p_ ? current : 0;
+  if (grown_entries_ - released + capacity > room) return false;
+  if (slices_.empty()) {
+    slices_.assign(rows(), Slice{0, p_});
+    // The whole room up front: slices move only when CompactPool moves
+    // them, and untouched pages cost no memory.
+    pool_.reserve(room);
+  }
+  Reset(row, base_length_[row]);
+  slices_[row].capacity = p_;  // its old slice, if any, is abandoned
+  grown_entries_ -= released;
+  if (pool_.size() + capacity > room) CompactPool();
+  slices_[row] = Slice{pool_.size(), capacity};
+  pool_.resize(pool_.size() + capacity);
+  grown_entries_ += capacity;
+  return true;
+}
+
+void PartialProfileSet::CompactPool() {
+  std::vector<std::size_t> grown;
+  for (std::size_t row = 0; row < rows(); ++row) {
+    if (slices_[row].capacity > p_) grown.push_back(row);
+  }
+  std::sort(grown.begin(), grown.end(), [&](std::size_t a, std::size_t b) {
+    return slices_[a].offset < slices_[b].offset;
+  });
+  std::size_t end = 0;
+  for (std::size_t row : grown) {
+    Slice& slice = slices_[row];
+    // Slices only move down, so a forward copy never overwrites its source
+    // before reading it.
+    const Entry* from = pool_.data() + slice.offset;
+    std::copy(from, from + row_size_[row], pool_.data() + end);
+    slice.offset = end;
+    end += slice.capacity;
+  }
+  pool_.resize(end);
+}
+
+void PartialProfileSet::OfferInto(Entry* base, std::size_t capacity,
+                                  std::size_t row, const Entry& entry) {
   std::size_t& size = row_size_[row];
   const BaseLbOrder order{row};
-  const Entry entry{match, dot, base_lb, 0.0};
-  if (size < p_) {
+  if (size < capacity) {
     base[size] = entry;
     ++size;
     std::push_heap(base, base + size, order);
@@ -51,18 +89,33 @@ void PartialProfileSet::Offer(std::size_t row, int64_t match, double dot,
     base[size - 1] = entry;
     std::push_heap(base, base + size, order);
   }
-  if (size == p_) admit_[row] = base[0].base_lb;
+  if (size == capacity) admit_[row] = base[0].base_lb;
+}
+
+void PartialProfileSet::Offer(std::size_t row, int64_t match, double dot,
+                              double base_lb) {
+  OfferInto(RowBase(row), capacity(row), row, Entry{match, dot, base_lb});
+}
+
+void PartialProfileSet::OfferAtStride(void* set, std::size_t row,
+                                      int64_t match, double dot,
+                                      double base_lb) {
+  auto* self = static_cast<PartialProfileSet*>(set);
+  self->OfferInto(&self->entries_[row * self->p_], self->p_, row,
+                  Entry{match, dot, base_lb});
 }
 
 simd::OfferSink PartialProfileSet::Sink() {
-  return {admit_.data(), &OfferToSet, this};
+  assert(slices_.empty());
+  return {admit_.data(), &OfferAtStride, this};
 }
 
 void PartialProfileSet::FinishSeeding(std::size_t row) {
-  Entry* base = &entries_[row * p_];
+  Entry* base = RowBase(row);
   const std::size_t size = row_size_[row];
   std::sort(base, base + size, BaseLbOrder{row});
-  max_base_lb_[row] = size == p_ ? base[size - 1].base_lb : kInfinity;
+  max_base_lb_[row] = size == capacity(row) ? base[size - 1].base_lb
+                                            : kInfinity;
 }
 
 void PartialProfileSet::Reset(std::size_t row, std::size_t base_length) {

@@ -279,6 +279,16 @@ Status ValmodRunner::RecomputeRows(std::span<const std::size_t> rows,
   VALMOD_ASSIGN_OR_RETURN(
       std::vector<mass::RowProfile> profiles,
       engine_.ComputeRowProfiles(rows, length, options_.num_threads));
+  // A recomputed row failed certification: its stored candidates did not
+  // reach far enough. It reseeds with double its capacity (capped at the
+  // windows at this length) while the set's budget lasts; a refused row
+  // keeps its capacity and is still exact, since its recompute is. Decided
+  // serially in batch order, so which rows grow never depends on the thread
+  // count. Grow refuses closed rows.
+  const std::size_t count = series_.NumSubsequences(length);
+  for (std::size_t row : rows) {
+    partial_->Grow(row, std::min(2 * partial_->capacity(row), count));
+  }
   // Applying a profile touches only its own row's partial-profile slice and
   // state, so the application sweep partitions cleanly too.
   ParallelFor(0, rows.size(), options_.num_threads, [&](std::size_t b) {
@@ -391,12 +401,12 @@ Status ValmodRunner::ProcessLength(std::size_t length) {
       for (Entry& e : partial_->MutableRow(i)) {
         const std::size_t j = static_cast<std::size_t>(e.match);
         e.dot += ci * centered_[j + tail];
-        e.distance = series::PairDistanceFromDot(
+        const double distance = series::PairDistanceFromDot(
             e.dot, w.means[i], w.means[j], w.stds[i], w.stds[j], length,
             state.constant, w.is_const[j] != 0);
-        if (MatchPrecedes(e.distance, e.match, state.min_dist,
+        if (MatchPrecedes(distance, e.match, state.min_dist,
                           state.best_match, i)) {
-          state.min_dist = e.distance;
+          state.min_dist = distance;
           state.best_match = e.match;
         }
       }

@@ -22,9 +22,12 @@ struct ValmodOptions {
   std::size_t max_length = 0;
   /// Motif pairs reported per length.
   std::size_t k = 1;
-  /// Candidates kept per partial distance profile (paper's p). Larger p
-  /// certifies more rows without recomputation at the cost of O(n p) memory
-  /// and per-length work; the paper finds small values (5-10) sufficient.
+  /// Initial candidates kept per partial distance profile (paper's p).
+  /// A row that fails certification and is recomputed doubles its capacity
+  /// (capped at the window count) while the partial profiles hold at most
+  /// n * max(p, 32) entries in total, so p sets the memory and per-length
+  /// work of rows that certify, and hard rows buy their own capacity. The
+  /// paper finds small values (5-10) sufficient.
   std::size_t p = 10;
   /// Trivial-match exclusion as a fraction of the subsequence length.
   double exclusion_fraction = 0.5;
@@ -104,8 +107,10 @@ struct ValmodResult {
 
 /// Runs VALMOD: exact top-k motif pairs for every subsequence length in
 /// [options.min_length, options.max_length] plus VALMAP, in
-/// O(n^2 + (lmax - lmin) * n * p) expected time (worst case degrades toward
-/// one MASS recompute per uncertified row).
+/// O(n^2 + (lmax - lmin) * n * max(p, 32)) expected time: rows start with
+/// p entries and recomputed rows grow within an n * max(p, 32) budget. The
+/// worst case degrades toward one MASS recompute per uncertified row, once
+/// the budget is spent.
 Result<ValmodResult> RunValmod(const series::DataSeries& series,
                                const ValmodOptions& options);
 

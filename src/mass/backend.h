@@ -5,18 +5,22 @@
 
 namespace valmod::mass {
 
-/// Version label of the numerical results the library produces under
-/// automatic backend selection. Backends are numerically equivalent to
-/// ~1e-9 relative but not bit-identical, so *which* backend the cost model
-/// picks determines the exact ulps of every downstream motif distance.
-/// There is one selection policy (`ChooseConvolutionBackend`); whenever it
-/// changes, this label is bumped and the golden outputs under
-/// tests/goldens/ are regenerated in place. It is output-only: reported in
-/// responses, CLI headers and build info, never selectable.
+/// Version label of the numerical results the library produces. Backends
+/// are numerically equivalent to ~1e-9 relative but not bit-identical, so
+/// *which* backend the cost model picks determines the exact ulps of every
+/// downstream motif distance — and so does whether a VALMOD row minimum
+/// comes from a running dot product or from a MASS recompute. There is one
+/// selection policy (`ChooseConvolutionBackend`) and one recompute policy
+/// (core/valmod.cc); whenever either changes, this label is bumped and the
+/// golden outputs under tests/goldens/ are regenerated in place. It is
+/// output-only: reported in responses, CLI headers and build info, never
+/// selectable.
 ///
 /// v2 is the static backend-aware cost model below — every backend is
-/// priced by the work its kernel actually does.
-inline constexpr int kResultsVersion = 2;
+/// priced by the work its kernel actually does. v3 keeps it and lets a
+/// partial-profile row that fails certification grow its capacity, so rows
+/// certify from running dot products where v2 recomputed them with MASS.
+inline constexpr int kResultsVersion = 3;
 
 /// How a MASS engine turns queries into sliding dot products. The backends
 /// are numerically equivalent (every one computes the same dot products to

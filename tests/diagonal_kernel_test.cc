@@ -102,11 +102,11 @@ Reference ReferenceWalk(const DiagonalScan& scan) {
       const double base_lb = core::BaseLowerBound(rho, l);
       if (!const_i) {
         ref.candidates[i].push_back(
-            {static_cast<std::int64_t>(j), qt, base_lb, 0.0});
+            {static_cast<std::int64_t>(j), qt, base_lb});
       }
       if (!const_j) {
         ref.candidates[j].push_back(
-            {static_cast<std::int64_t>(i), qt, base_lb, 0.0});
+            {static_cast<std::int64_t>(i), qt, base_lb});
       }
     }
   }
@@ -201,7 +201,7 @@ struct OfferLog {
   static void Record(void* log, std::size_t row, std::int64_t match,
                      double dot, double base_lb) {
     static_cast<OfferLog*>(log)->rows[row].push_back(
-        {match, dot, base_lb, 0.0});
+        {match, dot, base_lb});
   }
 };
 

@@ -121,7 +121,7 @@ class GoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
 // The policy's output is pinned, so an accidental cost-model drift (new
 // weights, new formula) cannot silently change released results.
-TEST_P(GoldenTest, CurrentV2MatchesGolden) { CompareOrRegen(GetParam()); }
+TEST_P(GoldenTest, CurrentVersionMatchesGolden) { CompareOrRegen(GetParam()); }
 
 INSTANTIATE_TEST_SUITE_P(Cases, GoldenTest, ::testing::ValuesIn(kCases));
 
