@@ -13,10 +13,10 @@
 //      SeedSlidingDots plays for the seed — so the JSON tracks real
 //      PR-over-PR gains even though the library paths share the current
 //      (restructured, fused radix-2^2) butterfly kernels.
-//   2. A backend sweep at 2^15 / 2^17 / 2^19 points: cached single-query
-//      vs pair-packed vs overlap-save rows, single-threaded so the
-//      speedups isolate the algorithm, plus the backend the cost model
-//      actually picks at each size.
+//   2. A backend sweep at 2^15 / 2^17 / 2^19 points: pair-packed vs
+//      overlap-save rows, single-threaded so the speedups isolate the
+//      algorithm, plus the backend the cost model actually picks at each
+//      size.
 //
 //   2b. A boundary sweep over the short-window (series_n, length) grid
 //      where direct dots and overlap-save compete: per-row measured
@@ -60,8 +60,8 @@ using valmod::WallTimer;
 using valmod::series::DataSeries;
 
 /// The seed's sliding-dot algorithm: zero-pad both operands to the full
-/// FFT size and run three complex transforms, exactly as the pre-engine
-/// fft::Convolve did. Kept here as the uncached baseline.
+/// FFT size and run three complex transforms, exactly as the seed's
+/// convolution did. Kept here as the uncached baseline.
 std::vector<double> SeedSlidingDots(std::span<const double> series,
                                     std::span<const double> query) {
   const std::size_t n = series.size();
@@ -114,7 +114,7 @@ class Pr1Plan {
     if (n_ >= 4) half_ = std::make_unique<Pr1Plan>(n_ / 2);
   }
 
-  std::size_t half_spectrum_size() const { return n_ / 2 + 1; }
+  std::size_t half_bins() const { return n_ / 2 + 1; }
 
   void Transform(std::span<std::complex<double>> data, bool forward) const {
     if (n_ == 1) return;
@@ -143,8 +143,8 @@ class Pr1Plan {
     }
   }
 
-  void RealForward(std::span<const double> input,
-                   std::span<std::complex<double>> spectrum) const {
+  void PackedRealForward(std::span<const double> input,
+                         std::span<std::complex<double>> spectrum) const {
     const std::size_t m = n_ / 2;
     auto packed = spectrum.first(m);
     for (std::size_t k = 0; k < m; ++k) {
@@ -172,8 +172,8 @@ class Pr1Plan {
     spectrum[m / 2] = std::conj(spectrum[m / 2]);
   }
 
-  void RealInverse(std::span<std::complex<double>> spectrum,
-                   std::span<double> output) const {
+  void PackedRealInverse(std::span<std::complex<double>> spectrum,
+                         std::span<double> output) const {
     const std::size_t m = n_ / 2;
     const std::complex<double> x0 = spectrum[0];
     const std::complex<double> xm = spectrum[m];
@@ -220,8 +220,8 @@ class Pr1SingleQueryEngine {
       : series_(series),
         fft_size_(valmod::fft::NextPowerOfTwo(series.size() + length - 1)),
         plan_(fft_size_),
-        series_bins_(plan_.half_spectrum_size()) {
-    plan_.RealForward(series_.centered(), series_bins_);
+        series_bins_(plan_.half_bins()) {
+    plan_.PackedRealForward(series_.centered(), series_bins_);
   }
 
   void ComputeRow(std::size_t offset, std::size_t length,
@@ -229,13 +229,13 @@ class Pr1SingleQueryEngine {
     const auto centered = series_.centered();
     const auto query = centered.subspan(offset, length);
     reversed_query_.assign(query.rbegin(), query.rend());
-    bins_.resize(plan_.half_spectrum_size());
-    plan_.RealForward(reversed_query_, bins_);
+    bins_.resize(plan_.half_bins());
+    plan_.PackedRealForward(reversed_query_, bins_);
     for (std::size_t i = 0; i < bins_.size(); ++i) {
       bins_[i] = series_bins_[i] * bins_[i];
     }
     conv_.resize(fft_size_);
-    plan_.RealInverse(bins_, conv_);
+    plan_.PackedRealInverse(bins_, conv_);
     const std::size_t count = series_.NumSubsequences(length);
     dots_.resize(count);
     for (std::size_t i = 0; i < count; ++i) dots_[i] = conv_[length - 1 + i];
@@ -285,12 +285,10 @@ double Checksum(const std::vector<double>& values) {
 }
 
 /// One backend-sweep configuration: single-threaded row-profile timings for
-/// the cached single-query, pair-packed, and overlap-save paths at one
-/// series size.
+/// the pair-packed and overlap-save paths at one series size.
 struct SweepResult {
   std::size_t series_n = 0;
   std::size_t repetitions = 0;
-  double single_seconds = 0.0;
   double pair_seconds = 0.0;
   double overlap_save_seconds = 0.0;
   const char* auto_backend = "";
@@ -323,23 +321,14 @@ SweepResult RunBackendSweep(std::size_t n, std::size_t length,
   // overlap-save chunk spectra are one-time costs amortized over thousands
   // of rows in real runs, so every path gets the same warm treatment.
   const std::vector<std::size_t> warm_rows = {0, stride};
-  (void)engine.ComputeRowProfile(0, length, ConvolutionBackend::kFftSingle);
   (void)engine.ComputeRowProfiles(warm_rows, length, 1,
                                   ConvolutionBackend::kFftPair);
   (void)engine.ComputeRowProfiles(warm_rows, length, 1,
                                   ConvolutionBackend::kOverlapSave);
 
-  timer.Restart();
-  for (std::size_t r = 0; r < repetitions; ++r) {
-    auto row =
-        engine.ComputeRowProfile(rows[r], length, ConvolutionBackend::kFftSingle);
-    *checksum += Checksum(row->distances);
-  }
-  result.single_seconds = timer.ElapsedSeconds();
-
-  // Checksums run inside every timed region (the single-query loop
-  // checksums per iteration), so the reported ratios compare backend
-  // against backend, not backend against backend-plus-checksum.
+  // Checksums run inside every timed region, so the reported ratio
+  // compares backend against backend, not backend against
+  // backend-plus-checksum.
   timer.Restart();
   auto pair = engine.ComputeRowProfiles(rows, length, /*num_threads=*/1,
                                         ConvolutionBackend::kFftPair);
@@ -657,15 +646,13 @@ int main(int argc, char** argv) {
     AppendFormat(
         &sweep_json,
         "%s{\"series_n\":%zu,\"repetitions\":%zu,"
-        "\"cached_single_seconds\":%.6f,\"pair_batched_seconds\":%.6f,"
+        "\"pair_batched_seconds\":%.6f,"
         "\"overlap_save_batched_seconds\":%.6f,"
         "\"speedup_overlap_save_vs_pair\":%.3f,"
-        "\"speedup_overlap_save_vs_single\":%.3f,"
         "\"auto_backend\":\"%s\"}",
-        s == 0 ? "" : ",", r.series_n, r.repetitions, r.single_seconds,
-        r.pair_seconds, r.overlap_save_seconds,
-        r.pair_seconds / r.overlap_save_seconds,
-        r.single_seconds / r.overlap_save_seconds, r.auto_backend);
+        s == 0 ? "" : ",", r.series_n, r.repetitions, r.pair_seconds,
+        r.overlap_save_seconds, r.pair_seconds / r.overlap_save_seconds,
+        r.auto_backend);
   }
 
   const valmod::mass::BackendCostModel model;  // the static fit

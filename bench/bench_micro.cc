@@ -1,5 +1,5 @@
 // Micro-benchmarks (google-benchmark) for the computational kernels: FFT,
-// sliding dot products, MASS row profiles, window statistics, STOMP
+// MASS row profiles, window statistics, STOMP
 // (serial/parallel), the base-LB heap, and end-to-end VALMOD at small scale.
 
 #include <benchmark/benchmark.h>
@@ -39,20 +39,6 @@ void BM_FftTransform(benchmark::State& state) {
                           static_cast<int64_t>(n));
 }
 BENCHMARK(BM_FftTransform)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 16);
-
-void BM_SlidingDotProducts(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const DataSeries series = MakeSeries(n);
-  const auto centered = series.centered();
-  for (auto _ : state) {
-    auto result = valmod::fft::SlidingDotProducts(
-        centered, centered.subspan(0, 256));
-    benchmark::DoNotOptimize(result);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n));
-}
-BENCHMARK(BM_SlidingDotProducts)->Arg(1 << 12)->Arg(1 << 15);
 
 void BM_MassRowProfile(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

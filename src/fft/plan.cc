@@ -35,8 +35,6 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
         static_cast<double>(n_);
     twiddles_[k] = {std::cos(angle), std::sin(angle)};
   }
-
-  if (n_ >= 4) half_ = GetPlan(n_ / 2);
 }
 
 // The butterfly kernels (span-2 pass, fused radix-2^2 DIT/DIF passes — see
@@ -121,101 +119,6 @@ void FftPlan::Forward(std::span<std::complex<double>> data) const {
 
 void FftPlan::Inverse(std::span<std::complex<double>> data) const {
   TransformImpl(data, /*forward=*/false);
-}
-
-void FftPlan::RealForward(std::span<const double> input,
-                          std::span<std::complex<double>> spectrum) const {
-  assert(n_ >= 2);
-  assert(input.size() <= n_);
-  assert(spectrum.size() == half_spectrum_size());
-
-  if (n_ == 2) {
-    const double x0 = input.size() > 0 ? input[0] : 0.0;
-    const double x1 = input.size() > 1 ? input[1] : 0.0;
-    spectrum[0] = {x0 + x1, 0.0};
-    spectrum[1] = {x0 - x1, 0.0};
-    return;
-  }
-
-  const std::size_t m = n_ / 2;
-  // Pack pairs of reals into the first m complex slots (slot m stays free
-  // for the Nyquist bin) and run the half-size complex transform in place.
-  auto packed = spectrum.first(m);
-  for (std::size_t k = 0; k < m; ++k) {
-    const double re = 2 * k < input.size() ? input[2 * k] : 0.0;
-    const double im = 2 * k + 1 < input.size() ? input[2 * k + 1] : 0.0;
-    packed[k] = {re, im};
-  }
-  half_->Forward(packed);
-
-  // Split Z into the spectra of the even/odd subsequences and recombine:
-  //   E[k] = (Z[k] + conj(Z[m-k])) / 2,  O[k] = (Z[k] - conj(Z[m-k])) / 2i,
-  //   X[k] = E[k] + w[k] O[k]            with w[k] = exp(-2*pi*i*k / n).
-  const std::complex<double> z0 = spectrum[0];
-  spectrum[0] = {z0.real() + z0.imag(), 0.0};
-  spectrum[m] = {z0.real() - z0.imag(), 0.0};
-  for (std::size_t k = 1; k < m - k; ++k) {
-    const std::size_t j = m - k;
-    const std::complex<double> zk = spectrum[k];
-    const std::complex<double> zj = spectrum[j];
-    const std::complex<double> ek = 0.5 * (zk + std::conj(zj));
-    const std::complex<double> ok =
-        (zk - std::conj(zj)) * std::complex<double>(0.0, -0.5);
-    const std::complex<double> ej = 0.5 * (zj + std::conj(zk));
-    const std::complex<double> oj =
-        (zj - std::conj(zk)) * std::complex<double>(0.0, -0.5);
-    spectrum[k] = ek + twiddles_[k] * ok;
-    spectrum[j] = ej + twiddles_[j] * oj;
-  }
-  // k == m/2 pairs with itself: X reduces to conj(Z).
-  spectrum[m / 2] = std::conj(spectrum[m / 2]);
-}
-
-void FftPlan::RealInverse(std::span<std::complex<double>> spectrum,
-                          std::span<double> output) const {
-  assert(n_ >= 2);
-  assert(spectrum.size() == half_spectrum_size());
-  assert(output.size() == n_);
-
-  if (n_ == 2) {
-    output[0] = 0.5 * (spectrum[0].real() + spectrum[1].real());
-    output[1] = 0.5 * (spectrum[0].real() - spectrum[1].real());
-    return;
-  }
-
-  const std::size_t m = n_ / 2;
-  // Exact inverse of the RealForward recombination: recover the half-size
-  // spectrum Z[k] = E[k] + i O[k] from X, with
-  //   E[k] = (X[k] + conj(X[m-k])) / 2,
-  //   O[k] = conj(w[k]) (X[k] - conj(X[m-k])) / 2.
-  const std::complex<double> x0 = spectrum[0];
-  const std::complex<double> xm = spectrum[m];
-  {
-    const std::complex<double> e0 = 0.5 * (x0 + std::conj(xm));
-    const std::complex<double> o0 = 0.5 * (x0 - std::conj(xm));
-    spectrum[0] = e0 + std::complex<double>(0.0, 1.0) * o0;
-  }
-  for (std::size_t k = 1; k < m - k; ++k) {
-    const std::size_t j = m - k;
-    const std::complex<double> xk = spectrum[k];
-    const std::complex<double> xj = spectrum[j];
-    const std::complex<double> ek = 0.5 * (xk + std::conj(xj));
-    const std::complex<double> ok =
-        0.5 * (xk - std::conj(xj)) * std::conj(twiddles_[k]);
-    const std::complex<double> ej = 0.5 * (xj + std::conj(xk));
-    const std::complex<double> oj =
-        0.5 * (xj - std::conj(xk)) * std::conj(twiddles_[j]);
-    spectrum[k] = ek + std::complex<double>(0.0, 1.0) * ok;
-    spectrum[j] = ej + std::complex<double>(0.0, 1.0) * oj;
-  }
-  spectrum[m / 2] = std::conj(spectrum[m / 2]);
-
-  auto packed = spectrum.first(m);
-  half_->Inverse(packed);
-  for (std::size_t k = 0; k < m; ++k) {
-    output[2 * k] = packed[k].real();
-    output[2 * k + 1] = packed[k].imag();
-  }
 }
 
 void FftPlan::RealForwardPair(std::span<const double> a,
@@ -346,10 +249,9 @@ std::shared_ptr<const FftPlan> GetPlan(std::size_t n) {
       return it->second->second;
     }
   }
-  // Built outside the lock: construction recurses into GetPlan(n/2) for the
-  // real-input path, and table construction for large sizes is slow enough
-  // that serializing it would stall concurrent callers. A racing duplicate
-  // build is harmless; the first insert wins.
+  // Built outside the lock: table construction for large sizes is slow
+  // enough that serializing it would stall concurrent callers. A racing
+  // duplicate build is harmless; the first insert wins.
   auto plan = std::make_shared<const FftPlan>(n);
   std::lock_guard<std::mutex> lock(registry.mutex);
   auto it = registry.index.find(n);

@@ -20,12 +20,10 @@ inline bool IsPowerOfTwo(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 /// `w *= wlen` recurrence, no error accumulation across a butterfly pass
 /// (every twiddle is exact to one rounding of sin/cos).
 ///
-/// Plans also expose a real-input path (`RealForward` / `RealInverse`) built
-/// on the pack-two-reals trick: a real transform of size n runs as one
-/// complex transform of size n/2 plus an O(n) recombination, roughly halving
-/// the cost of real convolutions. The half-spectrum convention is the usual
-/// one for real data: `n/2 + 1` bins, the remaining bins implied by
-/// conjugate symmetry.
+/// Real signals go through the pair-packed path (`RealForwardPair` /
+/// `RealInversePair`): two real signals ride the real and imaginary lanes of
+/// one full-size complex transform, and a lone signal leaves the second lane
+/// empty.
 ///
 /// Instances are immutable after construction and safe to share across
 /// threads. Obtain them through `GetPlan`, which caches one plan per size.
@@ -36,30 +34,11 @@ class FftPlan {
 
   std::size_t size() const { return n_; }
 
-  /// Number of bins written by RealForward / read by RealInverse.
-  std::size_t half_spectrum_size() const { return n_ / 2 + 1; }
-
   /// In-place complex transform. `data.size()` must equal `size()`. The
   /// inverse includes the 1/n scaling, so Forward followed by Inverse
   /// reproduces the input up to rounding.
   void Forward(std::span<std::complex<double>> data) const;
   void Inverse(std::span<std::complex<double>> data) const;
-
-  /// Forward transform of a real signal, zero-padded to `size()` on the
-  /// right. Requires `size() >= 2`, `input.size() <= size()`, and
-  /// `spectrum.size() == half_spectrum_size()`. Writes bins 0..n/2 of the
-  /// length-n DFT of the padded input (bins n/2+1..n-1 are the conjugate
-  /// mirror). Costs one complex transform of size n/2.
-  void RealForward(std::span<const double> input,
-                   std::span<std::complex<double>> spectrum) const;
-
-  /// Inverse of RealForward, including the 1/n scaling: reconstructs the n
-  /// real samples whose half spectrum is `spectrum`. Requires
-  /// `size() >= 2`, `spectrum.size() == half_spectrum_size()`, and
-  /// `output.size() == size()`. `spectrum` is consumed as scratch, so the
-  /// transform allocates nothing.
-  void RealInverse(std::span<std::complex<double>> spectrum,
-                   std::span<double> output) const;
 
   /// Forward transform in decimation-in-frequency order: natural-order
   /// input, *bit-reversed* output (`data[i]` holds bin `rev(i)`). Skips the
@@ -132,11 +111,8 @@ class FftPlan {
   std::vector<std::uint32_t> bit_reverse_;
   /// twiddles_[j] = exp(-2*pi*i*j / n), j in [0, n/2). A butterfly pass of
   /// span `len` reads every (n/len)-th entry, so one table serves every
-  /// stage; the real-input recombination reads it directly.
+  /// stage.
   std::vector<std::complex<double>> twiddles_;
-  /// Complex plan of size n/2 backing the real-input path (null for n < 4;
-  /// the n == 2 real path is handled directly).
-  std::shared_ptr<const FftPlan> half_;
 };
 
 /// Process-wide plan registry: returns the cached plan for `n` (a power of
@@ -145,14 +121,12 @@ class FftPlan {
 ///
 /// The registry is a small LRU bounded at `PlanRegistryCapacity()` entries:
 /// pan-profile workloads that sweep many FFT sizes no longer grow it without
-/// bound. Eviction only drops the registry's reference — live handles (and
-/// parent plans, which hold their half-size child via shared_ptr) keep
+/// bound. Eviction only drops the registry's reference — live handles keep
 /// evicted plans fully usable.
 std::shared_ptr<const FftPlan> GetPlan(std::size_t n);
 
-/// Maximum number of plans the registry retains. Comfortably above the
-/// deepest half-plan chain a single large plan creates (one entry per
-/// power of two), so building one plan cannot evict another's chain.
+/// Maximum number of plans the registry retains: one entry per power of
+/// two from 1 to 2^31.
 std::size_t PlanRegistryCapacity();
 
 /// Current number of plans held by the registry (for tests).
@@ -160,7 +134,7 @@ std::size_t PlanRegistrySizeForTesting();
 
 /// Overrides the registry capacity (trimming immediately) and returns the
 /// previous value. Exists because exercising eviction at the production
-/// capacity would require plans of ~2^33 points; tests shrink the cap,
+/// capacity would require plans of ~2^32 points; tests shrink the cap,
 /// observe eviction, and restore.
 std::size_t SetPlanRegistryCapacityForTesting(std::size_t capacity);
 

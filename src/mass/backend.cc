@@ -23,8 +23,6 @@ const char* ConvolutionBackendName(ConvolutionBackend backend) {
       return "auto";
     case ConvolutionBackend::kDirect:
       return "direct";
-    case ConvolutionBackend::kFftSingle:
-      return "fft_single";
     case ConvolutionBackend::kFftPair:
       return "fft_pair";
     case ConvolutionBackend::kOverlapSave:
@@ -91,8 +89,7 @@ ConvolutionBackend ChooseConvolutionBackend(std::size_t series_size,
   if (ols_cost < fft_cost) {
     return ConvolutionBackend::kOverlapSave;
   }
-  return batched ? ConvolutionBackend::kFftPair
-                 : ConvolutionBackend::kFftSingle;
+  return ConvolutionBackend::kFftPair;
 }
 
 }  // namespace valmod::mass

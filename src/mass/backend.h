@@ -20,7 +20,10 @@ namespace valmod::mass {
 /// priced by the work its kernel actually does. v3 keeps it and lets a
 /// partial-profile row that fails certification grow its capacity, so rows
 /// certify from running dot products where v2 recomputed them with MASS.
-inline constexpr int kResultsVersion = 3;
+/// v4 (current) deletes the half-spectrum single-query FFT path: a single
+/// row and the odd tail row of a batch now run the pair-packed full-size
+/// transform with an empty second lane, which rounds differently.
+inline constexpr int kResultsVersion = 4;
 
 /// How a MASS engine turns queries into sliding dot products. The backends
 /// are numerically equivalent (every one computes the same dot products to
@@ -34,14 +37,11 @@ enum class ConvolutionBackend {
   kAuto,
   /// O(count * length) direct multiply-adds. Wins for short windows.
   kDirect,
-  /// One full-size real FFT per query against the cached padded-series
-  /// spectrum (the half-spectrum path). Bit-identical to the historical
-  /// always-FFT engine path.
-  kFftSingle,
   /// Full-size pair-packed FFT: two queries ride the real/imaginary lanes
   /// of one complex transform, so a pair of rows costs one forward + one
-  /// inverse. Batched calls pack rows pairwise; a forced single-row call
-  /// runs the pair machinery with an empty second lane.
+  /// inverse. Batched calls pack rows pairwise; a single row (or the odd
+  /// tail row of a batch) runs the same pipeline with an empty second
+  /// lane.
   kFftPair,
   /// Overlap-save: chunked FFTs of ~4x the query length against per-chunk
   /// series spectra cached in the engine. Cuts the per-row flop count from
@@ -65,10 +65,10 @@ struct BackendCostModel {
   /// Cost of one direct sliding-dot multiply-add. The unit of the model.
   double direct = 1.0;
   /// Cost per butterfly unit (`F * log2(F)`, F the padded full transform
-  /// size) of a single-query row: one real forward + product + real inverse.
-  /// Butterfly weights land well above 1 because the direct path is a dense
-  /// auto-vectorized FMA loop while a butterfly pass is strided and
-  /// latency-bound.
+  /// size) of an unpaired full-size row: one pair-packed forward + product
+  /// + inverse that carries a single query. Butterfly weights land well
+  /// above 1 because the direct path is a dense auto-vectorized FMA loop
+  /// while a butterfly pass is strided and latency-bound.
   double fft_single = 5.5;
   /// Per-row cost per butterfly unit of the pair-packed full-size path (two
   /// rows share one forward + product + inverse).
@@ -101,11 +101,10 @@ double OverlapSaveSlidingDotsCost(const BackendCostModel& model,
 /// picks the backend with the smallest predicted cost under `model` (the
 /// static fit; tests pass other weights to steer the choice). With `batched`
 /// set the FFT family is priced pair-packed — two rows per transform, as the
-/// batched entry point executes it — and a full-FFT winner is reported as
-/// kFftPair; otherwise the single-row flavors compete and the full-FFT
-/// winner is kFftSingle. Overlap-save is excluded when its chunk would not
-/// be smaller than the full transform (chunking degenerates to one
-/// full-size block plus overhead). Never returns kAuto.
+/// batched entry point executes it; otherwise the unpaired flavors compete.
+/// A full-FFT winner is kFftPair either way. Overlap-save is excluded when
+/// its chunk would not be smaller than the full transform (chunking
+/// degenerates to one full-size block plus overhead). Never returns kAuto.
 ConvolutionBackend ChooseConvolutionBackend(
     std::size_t series_size, std::size_t length, std::size_t count,
     bool batched = false, const BackendCostModel& model = BackendCostModel{});

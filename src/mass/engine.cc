@@ -8,7 +8,6 @@
 #include "common/parallel.h"
 #include "fft/fft.h"
 #include "series/znorm.h"
-#include "simd/dispatch.h"
 #include "stats/moving_stats.h"
 
 namespace valmod::mass {
@@ -18,13 +17,11 @@ namespace {
 struct EngineCounterStorage {
   std::atomic<std::uint64_t> series_spectra_hits{0};
   std::atomic<std::uint64_t> series_spectra_misses{0};
-  std::atomic<std::uint64_t> pair_spectra_builds{0};
   std::atomic<std::uint64_t> chunk_spectra_hits{0};
   std::atomic<std::uint64_t> chunk_spectra_misses{0};
   std::atomic<std::uint64_t> chunk_spectra_evictions{0};
   std::atomic<std::uint64_t> chunk_spectra_adopted{0};
   std::atomic<std::uint64_t> rows_direct{0};
-  std::atomic<std::uint64_t> rows_fft_single{0};
   std::atomic<std::uint64_t> rows_fft_pair{0};
   std::atomic<std::uint64_t> rows_overlap_save{0};
 };
@@ -43,8 +40,6 @@ EngineCounters EngineCountersSnapshot() {
   out.series_spectra_hits = c.series_spectra_hits.load(std::memory_order_relaxed);
   out.series_spectra_misses =
       c.series_spectra_misses.load(std::memory_order_relaxed);
-  out.pair_spectra_builds =
-      c.pair_spectra_builds.load(std::memory_order_relaxed);
   out.chunk_spectra_hits = c.chunk_spectra_hits.load(std::memory_order_relaxed);
   out.chunk_spectra_misses =
       c.chunk_spectra_misses.load(std::memory_order_relaxed);
@@ -53,7 +48,6 @@ EngineCounters EngineCountersSnapshot() {
   out.chunk_spectra_adopted =
       c.chunk_spectra_adopted.load(std::memory_order_relaxed);
   out.rows_direct = c.rows_direct.load(std::memory_order_relaxed);
-  out.rows_fft_single = c.rows_fft_single.load(std::memory_order_relaxed);
   out.rows_fft_pair = c.rows_fft_pair.load(std::memory_order_relaxed);
   out.rows_overlap_save = c.rows_overlap_save.load(std::memory_order_relaxed);
   return out;
@@ -64,9 +58,6 @@ void NoteEngineRows(ConvolutionBackend backend, std::uint64_t rows) {
   switch (backend) {
     case ConvolutionBackend::kDirect:
       Bump(g_engine_counters.rows_direct, rows);
-      return;
-    case ConvolutionBackend::kFftSingle:
-      Bump(g_engine_counters.rows_fft_single, rows);
       return;
     case ConvolutionBackend::kFftPair:
       Bump(g_engine_counters.rows_fft_pair, rows);
@@ -89,8 +80,11 @@ const MassEngine::SeriesSpectrum& MassEngine::SpectrumFor(
     Bump(g_engine_counters.series_spectra_misses);
     auto spectrum = std::make_unique<SeriesSpectrum>();
     spectrum->plan = fft::GetPlan(fft_size);
-    spectrum->bins.resize(spectrum->plan->half_spectrum_size());
-    spectrum->plan->RealForward(series_.centered(), spectrum->bins);
+    spectrum->pair_bins.resize(fft_size);
+    // RealForwardPair with an empty second lane is exactly "spectrum of one
+    // real signal" in the pair pipeline's layout.
+    spectrum->plan->RealForwardPair(series_.centered(), {},
+                                    spectrum->pair_bins);
     it = spectra_.emplace(fft_size, std::move(spectrum)).first;
   } else {
     Bump(g_engine_counters.series_spectra_hits);
@@ -98,23 +92,6 @@ const MassEngine::SeriesSpectrum& MassEngine::SpectrumFor(
   // References stay valid: spectra are heap-allocated, and map nodes are
   // never erased, so concurrent inserts cannot move this entry.
   return *it->second;
-}
-
-const MassEngine::SeriesSpectrum& MassEngine::PairSpectrumFor(
-    std::size_t fft_size) {
-  SpectrumFor(fft_size);
-  std::lock_guard<std::mutex> lock(mutex_);
-  SeriesSpectrum& spectrum = *spectra_.find(fft_size)->second;
-  if (spectrum.pair_bins.empty()) {
-    Bump(g_engine_counters.pair_spectra_builds);
-    spectrum.pair_bins.resize(fft_size);
-    // The full-size bit-reversed spectrum: RealForwardPair with an empty
-    // second lane is exactly "spectrum of one real signal" in the pair
-    // pipeline's layout.
-    spectrum.plan->RealForwardPair(series_.centered(), {},
-                                   spectrum.pair_bins);
-  }
-  return spectrum;
 }
 
 std::shared_ptr<const MassEngine::ChunkSpectra> MassEngine::ChunkSpectraFor(
@@ -243,7 +220,6 @@ std::size_t MassEngine::CacheMemoryBytes() {
   constexpr std::size_t kComplexBytes = sizeof(std::complex<double>);
   std::size_t bytes = 0;
   for (const auto& entry : spectra_) {
-    bytes += entry.second->bins.capacity() * kComplexBytes;
     bytes += entry.second->pair_bins.capacity() * kComplexBytes;
   }
   for (const auto& entry : chunk_spectra_) {
@@ -253,8 +229,6 @@ std::size_t MassEngine::CacheMemoryBytes() {
   }
   for (const auto& scratch : free_scratch_) {
     bytes += scratch->reversed_query.capacity() * sizeof(double);
-    bytes += scratch->bins.capacity() * kComplexBytes;
-    bytes += scratch->conv.capacity() * sizeof(double);
     bytes += scratch->pair_bins.capacity() * kComplexBytes;
     bytes += scratch->reversed_query_b.capacity() * sizeof(double);
     bytes += scratch->ols_filter.capacity() * kComplexBytes;
@@ -285,48 +259,6 @@ void MassEngine::ReleaseScratch(std::unique_ptr<Scratch> scratch) {
   free_scratch_.push_back(std::move(scratch));
 }
 
-void MassEngine::CachedSlidingDots(std::span<const double> query,
-                                   std::size_t length,
-                                   std::vector<double>* dots) {
-  const auto centered = series_.centered();
-  const std::size_t n = centered.size();
-  const std::size_t m = length;
-  const std::size_t out_size = n + m - 1;
-  const std::size_t fft_size = fft::NextPowerOfTwo(out_size);
-  const std::size_t count = n - m + 1;
-
-  if (fft_size < 2) {  // single-point series and query
-    dots->assign(1, query[0] * centered[0]);
-    return;
-  }
-
-  const SeriesSpectrum& spectrum = SpectrumFor(fft_size);
-  std::unique_ptr<Scratch> scratch = AcquireScratch();
-
-  // One forward transform of the reversed query, a pointwise product
-  // against the cached series spectrum, one inverse — versus the uncached
-  // path's extra forward transform of the full padded series. Operand
-  // order in the product matches fft::Convolve (series spectrum first) so
-  // the two paths stay bit-identical.
-  scratch->reversed_query.assign(query.rbegin(), query.rend());
-  const std::size_t bins = spectrum.plan->half_spectrum_size();
-  scratch->bins.resize(bins);
-  spectrum.plan->RealForward(scratch->reversed_query, scratch->bins);
-  simd::ActiveKernels().complex_multiply(
-      reinterpret_cast<const double*>(spectrum.bins.data()),
-      reinterpret_cast<const double*>(scratch->bins.data()),
-      reinterpret_cast<double*>(scratch->bins.data()), bins);
-  simd::NoteKernelCalls(simd::KernelKind::kComplexMultiply, 1);
-  scratch->conv.resize(fft_size);
-  spectrum.plan->RealInverse(scratch->bins, scratch->conv);
-
-  dots->resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    (*dots)[i] = scratch->conv[m - 1 + i];
-  }
-  ReleaseScratch(std::move(scratch));
-}
-
 void MassEngine::CachedSlidingDotsPair(std::span<const double> query_a,
                                        std::span<const double> query_b,
                                        std::size_t length,
@@ -349,7 +281,7 @@ void MassEngine::CachedSlidingDotsPair(std::span<const double> query_a,
     return;
   }
 
-  const SeriesSpectrum& spectrum = PairSpectrumFor(fft_size);
+  const SeriesSpectrum& spectrum = SpectrumFor(fft_size);
   std::unique_ptr<Scratch> scratch = AcquireScratch();
 
   // Both reversed queries ride one full-size complex transform (real and
@@ -358,8 +290,7 @@ void MassEngine::CachedSlidingDotsPair(std::span<const double> query_a,
   // shared real spectrum commutes with the packing, and order-agnostic
   // because a pointwise product doesn't care how bins are permuted — and
   // one inverse separates both convolutions. Two rows therefore cost one
-  // forward + one inverse + one product, with none of the single-query
-  // path's even/odd recombination sweeps and (running DIF -> DIT) no
+  // forward + one inverse + one product and (running DIF -> DIT) no
   // bit-reversal permutation passes at all.
   scratch->reversed_query.assign(query_a.rbegin(), query_a.rend());
   scratch->reversed_query_b.assign(query_b.rbegin(), query_b.rend());
@@ -487,13 +418,8 @@ Result<RowProfile> MassEngine::ComputeRowProfile(std::size_t query_offset,
       row.dots =
           DirectSlidingDots(series_.centered(), query_offset, length, count);
       break;
-    case ConvolutionBackend::kFftSingle:
-      CachedSlidingDots(query, length, &row.dots);
-      break;
     case ConvolutionBackend::kFftPair: {
-      // Forced single-row use of the pair machinery: the second lane stays
-      // empty, so the numerics match what this row would see inside a
-      // batched pair.
+      // A single row runs the pair machinery with the second lane empty.
       std::vector<double> unused;
       CachedSlidingDotsPair(query, {}, length, &row.dots, &unused);
       break;
@@ -519,24 +445,17 @@ Result<std::vector<RowProfile>> MassEngine::ComputeRowProfiles(
   std::vector<RowProfile> profiles(rows.size());
   if (rows.empty()) return profiles;
 
-  const bool auto_resolved = backend == ConvolutionBackend::kAuto;
-  if (auto_resolved) {
+  if (backend == ConvolutionBackend::kAuto) {
     // The cost model prices the batch as the engine will execute it:
     // adjacent rows share one pair-packed (or overlap-save) transform, so a
-    // multi-row batch competes the pair flavors against the direct dots. (A
-    // forced kFftSingle stays single-query so callers can demand
-    // bit-identity with ComputeRowProfile.)
+    // multi-row batch competes the pair flavors against the direct dots.
     backend = ChooseConvolutionBackend(series_.size(), length, count,
                                        /*batched=*/rows.size() > 1);
   }
 
-  if (backend == ConvolutionBackend::kDirect ||
-      backend == ConvolutionBackend::kFftSingle) {
-    // Row-independent single-query kernels: just fan the rows out. Results
-    // are bit-identical to per-row ComputeRowProfile calls.
-    if (backend == ConvolutionBackend::kFftSingle) {
-      SpectrumFor(fft::NextPowerOfTwo(series_.size() + length - 1));
-    }
+  if (backend == ConvolutionBackend::kDirect) {
+    // Row-independent kernel: just fan the rows out. Results are
+    // bit-identical to per-row ComputeRowProfile calls.
     VALMOD_RETURN_IF_ERROR(ParallelForWithStatus(
         0, rows.size(), num_threads, [&](std::size_t i) -> Status {
           VALMOD_ASSIGN_OR_RETURN(
@@ -547,28 +466,18 @@ Result<std::vector<RowProfile>> MassEngine::ComputeRowProfiles(
   }
 
   // Pair families: adjacent rows share one packed transform; an odd tail
-  // row falls back to the family's single-lane path. The pairing depends
+  // row runs the same family with an empty second lane. The pairing depends
   // only on the order of `rows`, so results are independent of num_threads.
   const bool overlap_save = backend == ConvolutionBackend::kOverlapSave;
   const std::size_t pairs = rows.size() / 2;
   const std::size_t tasks = pairs + rows.size() % 2;
 
   // Warm the spectra serially so pool workers never contend on their
-  // one-time construction — only the ones this batch will touch (the
-  // full-size pair spectrum costs a full-size transform and ~fft_size * 16
-  // bytes, so a single-row batch sticks to the half spectrum).
-  const bool odd_tail = rows.size() % 2 != 0;
+  // one-time construction.
   if (overlap_save) {
     ChunkSpectraFor(fft::OverlapSaveFftSize(length));
   } else {
-    const std::size_t fft_size =
-        fft::NextPowerOfTwo(series_.size() + length - 1);
-    if (pairs > 0 || (odd_tail && !auto_resolved)) {
-      PairSpectrumFor(fft_size);  // forced-kFftPair tails pair-pack too
-    }
-    if (odd_tail && auto_resolved) {
-      SpectrumFor(fft_size);
-    }
+    SpectrumFor(fft::NextPowerOfTwo(series_.size() + length - 1));
   }
   VALMOD_RETURN_IF_ERROR(ParallelForWithStatus(
       0, tasks, num_threads, [&](std::size_t t) -> Status {
@@ -580,24 +489,13 @@ Result<std::vector<RowProfile>> MassEngine::ComputeRowProfiles(
             ComputeRowPairFft(rows[2 * t], rows[2 * t + 1], length,
                               &profiles[2 * t], &profiles[2 * t + 1]);
           }
-          // The tail (and the single-query fan-outs above) count inside
+          // The tail (and the direct fan-out above) count inside
           // ComputeRowProfile; the pair paths bypass it, so count here.
           NoteEngineRows(backend, 2);
           return Status::Ok();
         }
-        // Tail backend: overlap-save stays in its family; an auto-upgraded
-        // pair batch keeps the historical single-query tail (bit-identical
-        // to per-row calls); a caller who *forced* kFftPair gets the pair
-        // machinery (empty second lane) for the tail too, matching the
-        // single-row forced semantics.
-        ConvolutionBackend tail = ConvolutionBackend::kFftPair;
-        if (overlap_save) {
-          tail = ConvolutionBackend::kOverlapSave;
-        } else if (auto_resolved) {
-          tail = ConvolutionBackend::kFftSingle;
-        }
-        VALMOD_ASSIGN_OR_RETURN(profiles.back(),
-                                ComputeRowProfile(rows.back(), length, tail));
+        VALMOD_ASSIGN_OR_RETURN(
+            profiles.back(), ComputeRowProfile(rows.back(), length, backend));
         return Status::Ok();
       }));
   return profiles;
@@ -627,9 +525,6 @@ Result<std::vector<double>> MassEngine::DistanceProfile(
     case ConvolutionBackend::kDirect:
       dots = DirectExternalSlidingDots(series_.centered(), centered.values,
                                        count);
-      break;
-    case ConvolutionBackend::kFftSingle:
-      CachedSlidingDots(centered.values, length, &dots);
       break;
     case ConvolutionBackend::kFftPair: {
       std::vector<double> unused;

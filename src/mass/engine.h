@@ -26,13 +26,12 @@ namespace valmod::mass {
 /// products, behind a `ConvolutionBackend` selection (see mass/backend.h):
 ///
 ///  - kDirect: O(count * length) multiply-adds; short windows.
-///  - kFftSingle: one query transform + pointwise product + inverse against
-///    the cached full-size series spectrum (the spectrum, the `FftPlan`
-///    tables, and the scratch buffers are all reused across calls).
-///  - kFftPair: the batched form packs rows two at a time through
-///    `fft::FftPlan`'s pair transforms (two real queries per complex FFT),
-///    so a pair of rows costs one forward and one inverse transform plus one
-///    pointwise product instead of two of each.
+///  - kFftPair: queries ride the lanes of one full-size complex transform
+///    against the cached bit-reversed series spectrum (the spectrum, the
+///    `FftPlan` tables, and the scratch buffers are all reused across
+///    calls). The batched form packs rows two at a time, so a pair of rows
+///    costs one forward and one inverse transform plus one pointwise
+///    product; a single row leaves the second lane empty.
 ///  - kOverlapSave: the series is pre-transformed in overlapping chunks of
 ///    ~4x the query length (cached per chunk size, ~32 bytes per series
 ///    point), and each row runs one small filter transform plus one cached
@@ -46,9 +45,10 @@ namespace valmod::mass {
 /// pair-packed, exactly as they execute; forcing a specific backend through
 /// the per-call `backend` argument exists for tests and benches. Backends
 /// agree to ~1e-9 relative, not bit-for-bit (the evaluation order differs);
-/// within one backend, batched results depend only on the row order, never on `num_threads`. The auto single-query
-/// path remains bit-identical to the `mass::ComputeRowProfile` free
-/// function, which is a thin wrapper over an engine.
+/// within one backend, batched results depend only on the row order, never
+/// on `num_threads`. The auto single-query path is bit-identical to the
+/// `mass::ComputeRowProfile` free function, which is a thin wrapper over an
+/// engine.
 ///
 /// Thread-safety: all public methods are safe to call concurrently (the
 /// VALMOD certification loop recomputes batches of rows in parallel). The
@@ -63,8 +63,8 @@ class MassEngine {
   const series::DataSeries& series() const { return series_; }
 
   /// Same contract (and, under kAuto, numerics) as mass::ComputeRowProfile.
-  /// A forced backend must still satisfy the window validation; kFftPair
-  /// runs the pair machinery with an empty second lane.
+  /// A forced backend must still satisfy the window validation; the FFT
+  /// families run their pair machinery with an empty second lane.
   Result<RowProfile> ComputeRowProfile(
       std::size_t query_offset, std::size_t length,
       ConvolutionBackend backend = ConvolutionBackend::kAuto);
@@ -72,10 +72,9 @@ class MassEngine {
   /// Batched form: row profiles for every offset in `rows` at one length,
   /// in input order. Under kAuto this resolves the backend once for the
   /// whole batch with the FFT family priced pair-packed; adjacent rows
-  /// share one transform, and an odd tail row runs the historical
-  /// single-query path under kAuto but stays on the forced backend (empty
-  /// second lane) when one was given, matching the single-row forced
-  /// semantics. The row pairing — and therefore the
+  /// share one transform, and an odd tail row stays in the batch's family
+  /// with an empty second lane, so it is bit-identical to ComputeRowProfile
+  /// of that row on the same backend. The row pairing — and therefore the
   /// numeric result — depends only on the order of `rows`, never on
   /// `num_threads`, which only controls how pairs fan out over the pool.
   Result<std::vector<RowProfile>> ComputeRowProfiles(
@@ -116,13 +115,10 @@ class MassEngine {
   std::size_t CacheMemoryBytes();
 
  private:
-  /// The forward spectra of the series zero-padded to one FFT size: the
-  /// half spectrum driving the single-query path, plus (built lazily, only
-  /// when the batched pair path runs) the full-size bit-reversed spectrum
-  /// driving the pair-packed path.
+  /// The forward spectrum of the series zero-padded to one FFT size, in
+  /// the pair pipeline's full-size bit-reversed layout.
   struct SeriesSpectrum {
     std::shared_ptr<const fft::FftPlan> plan;
-    std::vector<std::complex<double>> bins;  // plan->half_spectrum_size()
     std::vector<std::complex<double>> pair_bins;  // plan->size(), bit-rev
   };
 
@@ -144,9 +140,7 @@ class MassEngine {
   /// Reusable per-call transform buffers, recycled through a free list.
   struct Scratch {
     std::vector<double> reversed_query;
-    std::vector<std::complex<double>> bins;
-    std::vector<double> conv;
-    // Pair path: the packed full-size spectrum (also holds both
+    // Full-size path: the packed spectrum (also holds both
     // convolutions after the in-place inverse — the dots are read straight
     // from its real/imaginary lanes) and the second reversed query.
     std::vector<std::complex<double>> pair_bins;
@@ -160,11 +154,6 @@ class MassEngine {
   /// Spectrum for `fft_size`, built on first use. The returned reference is
   /// stable: spectra are heap-allocated and never evicted.
   const SeriesSpectrum& SpectrumFor(std::size_t fft_size);
-
-  /// Like SpectrumFor, but additionally guarantees `pair_bins` is built.
-  /// Kept separate so single-query workloads never pay for the full-size
-  /// spectrum.
-  const SeriesSpectrum& PairSpectrumFor(std::size_t fft_size);
 
   /// Overlap-save chunk spectra for `chunk_fft_size`, built on first use
   /// (one small transform per chunk — amortized across every row computed
@@ -181,16 +170,11 @@ class MassEngine {
   std::unique_ptr<Scratch> AcquireScratch();
   void ReleaseScratch(std::unique_ptr<Scratch> scratch);
 
-  /// Sliding dot products of the centered window `[query_offset,
-  /// query_offset + length)` against the whole centered series, via the
-  /// cached spectrum. `query` overrides the window for external queries.
-  void CachedSlidingDots(std::span<const double> query, std::size_t length,
-                         std::vector<double>* dots);
-
-  /// Pair-packed variant: sliding dot products of two centered queries of
-  /// the same length in one forward + one inverse transform (the two
-  /// queries ride the real and imaginary lanes of a single complex FFT).
-  /// `query_b` may be empty (single-lane use); `dots_b` is then cleared.
+  /// Sliding dot products of two centered queries of the same length
+  /// against the whole centered series in one forward + one inverse
+  /// transform (the two queries ride the real and imaginary lanes of a
+  /// single complex FFT against the cached spectrum). `query_b` may be
+  /// empty (single-lane use); `dots_b` is then cleared.
   void CachedSlidingDotsPair(std::span<const double> query_a,
                              std::span<const double> query_b,
                              std::size_t length, std::vector<double>* dots_a,
@@ -246,8 +230,6 @@ struct EngineCounters {
   // Full-size series-spectra cache (SpectrumFor).
   std::uint64_t series_spectra_hits = 0;
   std::uint64_t series_spectra_misses = 0;
-  // Lazily-built pair spectra (PairSpectrumFor upgrade builds).
-  std::uint64_t pair_spectra_builds = 0;
   // Overlap-save chunk-spectra cache (ChunkSpectraFor).
   std::uint64_t chunk_spectra_hits = 0;
   std::uint64_t chunk_spectra_misses = 0;
@@ -257,6 +239,9 @@ struct EngineCounters {
   // Rows of sliding-dot work per executed backend (kAuto resolves
   // before counting, so every row lands on a concrete backend).
   std::uint64_t rows_direct = 0;
+  // Always 0: the half-spectrum single-query backend is gone. Kept only
+  // because the repository benchmark reads it; the next change to that
+  // benchmark removes it.
   std::uint64_t rows_fft_single = 0;
   std::uint64_t rows_fft_pair = 0;
   std::uint64_t rows_overlap_save = 0;

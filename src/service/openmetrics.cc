@@ -184,9 +184,6 @@ std::string RenderOpenMetrics(const VerbMetrics& metrics,
   Type("valmod_engine_series_spectra_misses", "counter", &out);
   CounterLine("valmod_engine_series_spectra_misses", "",
               engine.series_spectra_misses, &out);
-  Type("valmod_engine_pair_spectra_builds", "counter", &out);
-  CounterLine("valmod_engine_pair_spectra_builds", "",
-              engine.pair_spectra_builds, &out);
   Type("valmod_engine_chunk_spectra_hits", "counter", &out);
   CounterLine("valmod_engine_chunk_spectra_hits", "",
               engine.chunk_spectra_hits, &out);
@@ -202,8 +199,6 @@ std::string RenderOpenMetrics(const VerbMetrics& metrics,
   Type("valmod_engine_rows", "counter", &out);
   CounterLine("valmod_engine_rows", "{backend=\"direct\"}", engine.rows_direct,
               &out);
-  CounterLine("valmod_engine_rows", "{backend=\"fft_single\"}",
-              engine.rows_fft_single, &out);
   CounterLine("valmod_engine_rows", "{backend=\"fft_pair\"}",
               engine.rows_fft_pair, &out);
   CounterLine("valmod_engine_rows", "{backend=\"overlap_save\"}",

@@ -18,9 +18,11 @@ namespace valmod::service {
 /// Bounded LRU cache of serialized response payloads, keyed by the full
 /// identity of a computation:
 ///
-///   dataset name + dataset generation + verb + resolved request params
+///   dataset uid + dataset generation + verb + resolved request params
 ///
-/// (the server builds the key; see service/server.cc). The dataset
+/// (the server builds the key; see CacheKey in service/server.cc). The uid,
+/// not the name, identifies the data: a name can be unloaded and reused
+/// for a different series. The dataset
 /// *generation* changes on every streaming append, so a cached answer is
 /// never served against newer data. Nothing else can change the bytes:
 /// the backend kAuto picks is a pure function of the request's shape

@@ -580,11 +580,11 @@ Result<QueryPlan> PlanProfile(const std::shared_ptr<Dataset>& dataset,
   VALMOD_ASSIGN_OR_RETURN(std::shared_ptr<const DatasetSnapshot> snapshot,
                           dataset->Snapshot());
   QueryPlan plan;
-  // STOMP computes no convolutions, so its bytes are backend-independent
-  // and the key skips the cm component. STAMP runs MASS rows through
-  // the snapshot's shared engine, so its key carries them — and the algo
-  // tag, so the two algorithms' (numerically ~1e-9-apart) results never
-  // alias one cache entry.
+  // STOMP computes no convolutions, so its bytes are backend-independent.
+  // STAMP runs MASS rows through the snapshot's shared engine; the backend
+  // kAuto picks there is a pure function of the shape, so the key needs
+  // nothing for it, only the algo tag, so the two algorithms' (numerically
+  // ~1e-9-apart) results never alias one cache entry.
   plan.cache_key = CacheKey(*dataset, snapshot->generation(), "profile",
                             "l=" + std::to_string(length) +
                                 (use_stamp ? ",algo=stamp" : ""));
@@ -1071,6 +1071,24 @@ std::string AwaitResponse(SyncWaiter& waiter) {
   return std::move(waiter.response);
 }
 
+/// The label a failed request is recorded under in the metrics and the
+/// slow-query log. The verb is client-supplied, so only the verbs the
+/// service answers become labels: anything else is "unknown". Otherwise
+/// every distinct bogus verb would add a permanent label set, and its raw
+/// text would land unescaped in the OpenMetrics exposition.
+std::string FailureLabel(const std::string& verb) {
+  static constexpr std::string_view kVerbs[] = {
+      "load",   "unload",  "append",  "stats",    "faults",
+      "health", "metrics", "slowlog", "shutdown", "motifs",
+      "valmap", "profile", "query",   "discords"};
+  if (verb.empty()) return "invalid";
+  if (std::find(std::begin(kVerbs), std::end(kVerbs), verb) ==
+      std::end(kVerbs)) {
+    return "unknown";
+  }
+  return verb;
+}
+
 }  // namespace
 
 /// One query request in flight through the async path: everything needed
@@ -1137,7 +1155,7 @@ void Service::Handle(const std::string& line, ResponseCallback done) {
   // `done` into its context instead; control flow guarantees these
   // lambdas are never touched after that.)
   const auto fail = [&](const Status& status) {
-    const std::string label = verb.empty() ? "invalid" : verb;
+    const std::string label = FailureLabel(verb);
     const double latency_ms = ElapsedMs(started);
     metrics_.Record(label, latency_ms, /*ok=*/false);
     if (tctx != nullptr) tctx->EndSpan(root_span);

@@ -47,7 +47,7 @@ TEST(BackendCostTest, ChoiceMatchesMeasuredWinnerOnBenchGrid) {
       // Query a sizable fraction of the series: the chunk degenerates to
       // the full transform, so the full-size FFT family keeps it.
       {2048, 1024, true, ConvolutionBackend::kFftPair},
-      {2048, 1024, false, ConvolutionBackend::kFftSingle},
+      {2048, 1024, false, ConvolutionBackend::kFftPair},
       // Long-series configurations from the PR 3 sweep stay overlap-save.
       {std::size_t{1} << 15, 1024, false, ConvolutionBackend::kOverlapSave},
       {std::size_t{1} << 17, 1024, true, ConvolutionBackend::kOverlapSave},
@@ -62,10 +62,8 @@ TEST(BackendCostTest, ChoiceMatchesMeasuredWinnerOnBenchGrid) {
   }
 }
 
-// The resolver must always land on a concrete backend, and only on family
-// members that match the batching mode (pair flavors exist only in
-// batches; overlap-save only when its chunk is genuinely smaller than the
-// full transform).
+// The resolver must always land on a concrete backend, and on overlap-save
+// only when its chunk is genuinely smaller than the full transform.
 TEST(BackendCostTest, ResolvesToConcreteBackendEverywhere) {
   for (std::size_t n : {2u, 64u, 600u, 4096u, 100000u}) {
     for (std::size_t length : {1u, 2u, 16u, 100u, 512u}) {
@@ -75,8 +73,6 @@ TEST(BackendCostTest, ResolvesToConcreteBackendEverywhere) {
         const ConvolutionBackend b =
             ChooseConvolutionBackend(n, length, count, batched);
         EXPECT_NE(b, ConvolutionBackend::kAuto);
-        if (!batched) EXPECT_NE(b, ConvolutionBackend::kFftPair);
-        if (batched) EXPECT_NE(b, ConvolutionBackend::kFftSingle);
         if (b == ConvolutionBackend::kOverlapSave) {
           EXPECT_LT(fft::OverlapSaveFftSize(length),
                     fft::NextPowerOfTwo(n + length - 1))

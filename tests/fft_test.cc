@@ -1,5 +1,5 @@
-// Tests for the FFT engine: transform correctness, convolution, and the
-// sliding-dot-product kernel used by MASS.
+// Tests for the FFT engine's complex transform: correctness against a naive
+// DFT, round trips, and Parseval's identity.
 
 #include <gtest/gtest.h>
 
@@ -106,103 +106,6 @@ TEST_P(FftRoundTripTest, ParsevalHolds) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FftRoundTripTest,
                          ::testing::Values(1, 2, 4, 8, 32, 128, 1024, 4096));
-
-TEST(ConvolveTest, RejectsEmptyInputs) {
-  std::vector<double> a = {1.0};
-  std::vector<double> empty;
-  EXPECT_FALSE(Convolve(empty, a).ok());
-  EXPECT_FALSE(Convolve(a, empty).ok());
-}
-
-TEST(ConvolveTest, KnownSmallConvolution) {
-  // [1, 2] * [3, 4, 5] = [3, 10, 13, 10].
-  std::vector<double> a = {1.0, 2.0};
-  std::vector<double> b = {3.0, 4.0, 5.0};
-  auto result = Convolve(a, b);
-  ASSERT_TRUE(result.ok());
-  const std::vector<double> expected = {3.0, 10.0, 13.0, 10.0};
-  ASSERT_EQ(result->size(), expected.size());
-  for (std::size_t i = 0; i < expected.size(); ++i) {
-    EXPECT_NEAR((*result)[i], expected[i], 1e-10);
-  }
-}
-
-struct ConvolveCase {
-  std::size_t len_a;
-  std::size_t len_b;
-};
-
-class ConvolveRandomTest : public ::testing::TestWithParam<ConvolveCase> {};
-
-TEST_P(ConvolveRandomTest, MatchesNaiveConvolution) {
-  const auto [len_a, len_b] = GetParam();
-  Rng rng(len_a * 131 + len_b);
-  std::vector<double> a(len_a), b(len_b);
-  for (auto& x : a) x = rng.Gaussian();
-  for (auto& x : b) x = rng.Gaussian();
-
-  auto result = Convolve(a, b);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->size(), len_a + len_b - 1);
-  for (std::size_t k = 0; k < result->size(); ++k) {
-    double expected = 0.0;
-    for (std::size_t i = 0; i < len_a; ++i) {
-      if (k >= i && k - i < len_b) expected += a[i] * b[k - i];
-    }
-    EXPECT_NEAR((*result)[k], expected, 1e-8)
-        << "k=" << k << " len_a=" << len_a << " len_b=" << len_b;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, ConvolveRandomTest,
-    ::testing::Values(ConvolveCase{1, 1}, ConvolveCase{5, 3},
-                      ConvolveCase{16, 16}, ConvolveCase{100, 7},
-                      ConvolveCase{63, 65}, ConvolveCase{256, 1}));
-
-struct SlidingCase {
-  std::size_t series_len;
-  std::size_t query_len;
-};
-
-class SlidingDotTest : public ::testing::TestWithParam<SlidingCase> {};
-
-TEST_P(SlidingDotTest, MatchesNaiveDotProducts) {
-  const auto [series_len, query_len] = GetParam();
-  Rng rng(series_len * 17 + query_len);
-  std::vector<double> series(series_len), query(query_len);
-  for (auto& x : series) x = rng.Gaussian();
-  for (auto& x : query) x = rng.Gaussian();
-
-  auto result = SlidingDotProducts(series, query);
-  ASSERT_TRUE(result.ok());
-  ASSERT_EQ(result->size(), series_len - query_len + 1);
-  for (std::size_t i = 0; i + query_len <= series_len; ++i) {
-    double expected = 0.0;
-    for (std::size_t t = 0; t < query_len; ++t) {
-      expected += query[t] * series[i + t];
-    }
-    EXPECT_NEAR((*result)[i], expected, 1e-8 * (1.0 + std::abs(expected)));
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Shapes, SlidingDotTest,
-    ::testing::Values(SlidingCase{1, 1}, SlidingCase{10, 1},
-                      SlidingCase{10, 10}, SlidingCase{100, 3},
-                      SlidingCase{1000, 100}, SlidingCase{777, 33}));
-
-TEST(SlidingDotTest, RejectsQueryLongerThanSeries) {
-  std::vector<double> series(5, 1.0), query(6, 1.0);
-  EXPECT_EQ(SlidingDotProducts(series, query).status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(SlidingDotTest, RejectsEmpty) {
-  std::vector<double> series(5, 1.0), empty;
-  EXPECT_FALSE(SlidingDotProducts(series, empty).ok());
-  EXPECT_FALSE(SlidingDotProducts(empty, empty).ok());
-}
 
 }  // namespace
 }  // namespace valmod::fft

@@ -7,10 +7,14 @@
 
 #include <cmath>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
 #include "fft/fft.h"
+#include "mass/backend.h"
 #include "mass/engine.h"
 #include "mass/mass.h"
 #include "series/data_series.h"
@@ -111,15 +115,14 @@ TEST(MassEngineTest, ConstantWindowRowsMatchUncached) {
   }
 }
 
-// Batched rows go through the pair-packed transform (two queries per
-// complex FFT, DIF bin order), while single auto calls may resolve to a
-// different member of the family (at this size the batch prices out as
-// pair-packed, the lone row as the half-spectrum single path). The
-// mathematics agree but the floating-point evaluation order differs, so
-// parity here is the cross-backend kind — dots to relative 1e-9, distances
-// on the squared scale (a self-match at true distance 0 amplifies a
-// rounding-level dot difference through the sqrt) — not bit-identity; that
-// is inherent to packing, not a looseness in the implementation.
+// Batched rows go through the pair-packed transform two queries per
+// complex FFT, while a single call carries one query with the second lane
+// empty. The mathematics agree but the floating-point evaluation order
+// differs (the lanes mix inside the transform), so parity here is the
+// cross-backend kind — dots to relative 1e-9, distances on the squared
+// scale (a self-match at true distance 0 amplifies a rounding-level dot
+// difference through the sqrt) — not bit-identity; that is inherent to
+// packing, not a looseness in the implementation.
 TEST(MassEngineTest, BatchedMatchesSingleCalls) {
   const std::size_t n = 1024;
   const std::size_t length = 512;  // FFT path at this size
@@ -127,7 +130,7 @@ TEST(MassEngineTest, BatchedMatchesSingleCalls) {
   ASSERT_TRUE(series.ok());
 
   MassEngine engine(*series);
-  // Odd row count: the tail row exercises the single-query fallback.
+  // Odd row count: the tail row runs with an empty second lane.
   const std::vector<std::size_t> rows = {0, 17, 100, 311, 500};
   auto batched = engine.ComputeRowProfiles(rows, length, /*num_threads=*/3);
   ASSERT_TRUE(batched.ok());
@@ -167,7 +170,7 @@ TEST(MassEngineTest, BatchedPairingIndependentOfThreadCount) {
 }
 
 // Every backend computes the same dot products in a different evaluation
-// order, so forcing each of the four against the direct-product reference
+// order, so forcing each of the three against the direct-product reference
 // must agree to relative 1e-9 — on plain rows, on constant-window rows,
 // and for batched and single-row entry points alike.
 TEST(MassEngineTest, ForcedBackendsAgreeOnBatches) {
@@ -184,8 +187,8 @@ TEST(MassEngineTest, ForcedBackendsAgreeOnBatches) {
                                 ConvolutionBackend::kDirect);
   ASSERT_TRUE(reference.ok());
   for (ConvolutionBackend backend :
-       {ConvolutionBackend::kDirect, ConvolutionBackend::kFftSingle,
-        ConvolutionBackend::kFftPair, ConvolutionBackend::kOverlapSave}) {
+       {ConvolutionBackend::kDirect, ConvolutionBackend::kFftPair,
+        ConvolutionBackend::kOverlapSave}) {
     auto forced = engine.ComputeRowProfiles(rows, length, /*num_threads=*/3,
                                             backend);
     ASSERT_TRUE(forced.ok()) << ConvolutionBackendName(backend);
@@ -214,12 +217,164 @@ TEST(MassEngineTest, ForcedBackendsAgreeOnSingleRows) {
         engine.ComputeRowProfile(40, length, ConvolutionBackend::kDirect);
     ASSERT_TRUE(reference.ok());
     for (ConvolutionBackend backend :
-         {ConvolutionBackend::kFftSingle, ConvolutionBackend::kFftPair,
-          ConvolutionBackend::kOverlapSave}) {
+         {ConvolutionBackend::kFftPair, ConvolutionBackend::kOverlapSave}) {
       auto forced = engine.ComputeRowProfile(40, length, backend);
       ASSERT_TRUE(forced.ok()) << ConvolutionBackendName(backend);
       SCOPED_TRACE(ConvolutionBackendName(backend));
       ExpectCrossBackendParity(*forced, *reference, 40, length);
+    }
+  }
+}
+
+// Squared-scale parity against the brute-force z-normalized definition
+// (same reasoning as ExpectCrossBackendParity: compare d^2, not d).
+void ExpectMatchesBrute(const std::vector<double>& got,
+                        const std::vector<double>& brute, std::size_t length,
+                        const std::string& context) {
+  ASSERT_EQ(got.size(), brute.size()) << context;
+  for (std::size_t j = 0; j < got.size(); ++j) {
+    EXPECT_NEAR(got[j] * got[j], brute[j] * brute[j],
+                1e-8 * (1.0 + static_cast<double>(length)))
+        << context << " j=" << j;
+  }
+}
+
+std::uint64_t RowsOn(const EngineCounters& counters,
+                     ConvolutionBackend backend) {
+  switch (backend) {
+    case ConvolutionBackend::kDirect:
+      return counters.rows_direct;
+    case ConvolutionBackend::kFftPair:
+      return counters.rows_fft_pair;
+    case ConvolutionBackend::kOverlapSave:
+      return counters.rows_overlap_save;
+    case ConvolutionBackend::kAuto:
+      break;
+  }
+  return 0;
+}
+
+struct MatrixShape {
+  std::size_t n;
+  std::size_t length;
+  ConvolutionBackend auto_choice;  // where kAuto lands for this shape
+};
+
+// One shape per chooser region; for each, every backend through every
+// entry point — ComputeRowProfile, DistanceProfile, and batches of one,
+// two (pairs only) and three rows (pairs plus an odd tail) — must match
+// the brute-force distance profile of the same window.
+TEST(MassEngineTest, BackendMatrixMatchesBruteForce) {
+  const MatrixShape shapes[] = {
+      {600, 16, ConvolutionBackend::kDirect},
+      {2048, 1024, ConvolutionBackend::kFftPair},
+      {std::size_t{1} << 15, 1024, ConvolutionBackend::kOverlapSave},
+  };
+  for (const MatrixShape& shape : shapes) {
+    const std::size_t count = shape.n - shape.length + 1;
+    ASSERT_EQ(ChooseConvolutionBackend(shape.n, shape.length, count),
+              shape.auto_choice);
+    ASSERT_EQ(ChooseConvolutionBackend(shape.n, shape.length, count,
+                                       /*batched=*/true),
+              shape.auto_choice);
+    auto series = synth::ByName("random_walk", shape.n, 53);
+    ASSERT_TRUE(series.ok());
+
+    const std::vector<std::size_t> rows = {0, count / 2, count - 1};
+    std::vector<std::vector<double>> brute(rows.size());
+    for (std::size_t r = 0; r < rows.size(); ++r) {
+      auto window = series->Subsequence(rows[r], shape.length);
+      ASSERT_TRUE(window.ok());
+      auto profile = BruteDistanceProfile(*series, *window);
+      ASSERT_TRUE(profile.ok());
+      brute[r] = std::move(*profile);
+    }
+
+    for (ConvolutionBackend backend :
+         {ConvolutionBackend::kDirect, ConvolutionBackend::kFftPair,
+          ConvolutionBackend::kOverlapSave}) {
+      const std::string context =
+          std::string(ConvolutionBackendName(backend)) +
+          " n=" + std::to_string(shape.n) +
+          " length=" + std::to_string(shape.length);
+      MassEngine engine(*series);
+      const EngineCounters before = EngineCountersSnapshot();
+
+      auto row = engine.ComputeRowProfile(rows[0], shape.length, backend);
+      ASSERT_TRUE(row.ok()) << context;
+      ExpectMatchesBrute(row->distances, brute[0], shape.length,
+                         context + " row");
+
+      auto window = series->Subsequence(rows[0], shape.length);
+      ASSERT_TRUE(window.ok());
+      auto distance = engine.DistanceProfile(*window, backend);
+      ASSERT_TRUE(distance.ok()) << context;
+      ExpectMatchesBrute(*distance, brute[0], shape.length,
+                         context + " distance");
+
+      // Batches of one row (the middle one), two and three rows.
+      const std::vector<std::vector<std::size_t>> batches = {
+          {1}, {0, 2}, {0, 1, 2}};
+      std::uint64_t batched_rows = 0;
+      for (const std::vector<std::size_t>& picks : batches) {
+        std::vector<std::size_t> offsets;
+        for (std::size_t p : picks) offsets.push_back(rows[p]);
+        auto profiles = engine.ComputeRowProfiles(offsets, shape.length,
+                                                  /*num_threads=*/2, backend);
+        ASSERT_TRUE(profiles.ok()) << context;
+        ASSERT_EQ(profiles->size(), picks.size());
+        for (std::size_t i = 0; i < picks.size(); ++i) {
+          ExpectMatchesBrute((*profiles)[i].distances, brute[picks[i]],
+                             shape.length,
+                             context + " batch of " +
+                                 std::to_string(picks.size()));
+        }
+        batched_rows += picks.size();
+      }
+
+      // Every row ran on the forced backend; rows_fft_single, which no
+      // backend counts any more, never moves.
+      const EngineCounters after = EngineCountersSnapshot();
+      EXPECT_EQ(RowsOn(after, backend) - RowsOn(before, backend),
+                2 + batched_rows)
+          << context;
+      EXPECT_EQ(after.rows_fft_single, 0u) << context;
+    }
+  }
+}
+
+// A batch's odd tail row runs its family's pipeline with an empty second
+// lane, the same kernel a lone ComputeRowProfile call uses, so under kAuto
+// the tail is bit-identical to the single-row call whenever both resolve
+// to the same backend.
+TEST(MassEngineTest, AutoBatchOddTailBitIdenticalToSingleRow) {
+  const MatrixShape shapes[] = {
+      {2048, 1024, ConvolutionBackend::kFftPair},
+      {std::size_t{1} << 15, 1024, ConvolutionBackend::kOverlapSave},
+  };
+  for (const MatrixShape& shape : shapes) {
+    const std::size_t count = shape.n - shape.length + 1;
+    ASSERT_EQ(ChooseConvolutionBackend(shape.n, shape.length, count),
+              shape.auto_choice);
+    ASSERT_EQ(ChooseConvolutionBackend(shape.n, shape.length, count,
+                                       /*batched=*/true),
+              shape.auto_choice);
+    auto series = synth::ByName("ecg", shape.n, 59);
+    ASSERT_TRUE(series.ok());
+    MassEngine engine(*series);
+    const std::vector<std::size_t> rows = {3, count / 3, count / 2, 7, 1000};
+    auto batched = engine.ComputeRowProfiles(rows, shape.length,
+                                             /*num_threads=*/3);
+    ASSERT_TRUE(batched.ok());
+    auto single = engine.ComputeRowProfile(rows.back(), shape.length);
+    ASSERT_TRUE(single.ok());
+    const RowProfile& tail = batched->back();
+    ASSERT_EQ(tail.dots.size(), single->dots.size());
+    for (std::size_t j = 0; j < tail.dots.size(); ++j) {
+      ASSERT_EQ(tail.dots[j], single->dots[j]) << "n=" << shape.n
+                                               << " j=" << j;
+      ASSERT_EQ(tail.distances[j], single->distances[j])
+          << "n=" << shape.n << " j=" << j;
     }
   }
 }
@@ -311,7 +466,7 @@ TEST(BackendCostModelTest, CrossoverShape) {
   EXPECT_EQ(ChooseConvolutionBackend(600, 16, 585),
             ConvolutionBackend::kDirect);
   EXPECT_EQ(ChooseConvolutionBackend(2048, 1024, 1025),
-            ConvolutionBackend::kFftSingle);
+            ConvolutionBackend::kFftPair);
   EXPECT_EQ(ChooseConvolutionBackend(std::size_t{1} << 15, 1024,
                                      (std::size_t{1} << 15) - 1023),
             ConvolutionBackend::kOverlapSave);
@@ -370,7 +525,7 @@ TEST(MassEngineTest, DistanceProfileFftPathMatchesBruteForce) {
   const std::size_t n = 2048;
   const std::size_t length = 1024;
   ASSERT_EQ(ChooseConvolutionBackend(n, length, n - length + 1),
-            ConvolutionBackend::kFftSingle);
+            ConvolutionBackend::kFftPair);
   auto series = synth::ByName("random_walk", n, 37);
   ASSERT_TRUE(series.ok());
   Rng rng(41);
@@ -507,7 +662,7 @@ TEST(MassEngineTest, CacheMemoryBytesGrowsWithUse) {
   ASSERT_TRUE(
       engine.ComputeRowProfile(0, 64, ConvolutionBackend::kOverlapSave).ok());
   ASSERT_TRUE(
-      engine.ComputeRowProfile(0, 64, ConvolutionBackend::kFftSingle).ok());
+      engine.ComputeRowProfile(0, 64, ConvolutionBackend::kFftPair).ok());
   EXPECT_GT(engine.CacheMemoryBytes(), before);
 }
 

@@ -223,7 +223,7 @@ TEST(OpenMetricsTest, ExpositionIsValidAndCarriesEngineAndVerbSeries) {
   // backend, and the engine cache counters are exposed (process-wide).
   double rows = 0.0;
   for (const char* backend :
-       {"direct", "fft_single", "fft_pair", "overlap_save"}) {
+       {"direct", "fft_pair", "overlap_save"}) {
     const double v = MetricValue(
         body, std::string("valmod_engine_rows_total{backend=\"") + backend +
                   "\"}");
@@ -272,6 +272,66 @@ TEST(OpenMetricsTest, CountersAreMonotonicAcrossScrapes) {
   EXPECT_GT(compared, 50u);  // the exposition is substantial
   EXPECT_GT(after.at("valmod_requests_total{verb=\"profile\"}"),
             before.at("valmod_requests_total{verb=\"profile\"}"));
+}
+
+std::size_t CountLinesWithPrefix(const std::string& body,
+                                const std::string& prefix) {
+  std::size_t lines = 0;
+  for (std::size_t pos = 0; pos < body.size();) {
+    if (body.compare(pos, prefix.size(), prefix) == 0) ++lines;
+    const std::size_t newline = body.find('\n', pos);
+    if (newline == std::string::npos) break;
+    pos = newline + 1;
+  }
+  return lines;
+}
+
+// The verb is client-supplied text. An unrecognized one must not reach
+// the exposition, where it would be written unescaped into a label; it is
+// counted under the fixed label "unknown" instead, while the JSON error
+// still echoes it (escaped).
+TEST(OpenMetricsTest, UnknownVerbCannotInjectExpositionLines) {
+  Service service;
+  const std::string verb = "bogus\"} 7\nvalmod_injected_total 99\n# x";
+  const Value response = Roundtrip(
+      service, R"({"verb":"bogus\"} 7\nvalmod_injected_total 99\n# x"})");
+  EXPECT_FALSE(Ok(response));
+  EXPECT_EQ(response.GetString("verb", ""), verb);
+  const Value* error = response.Find("error");
+  ASSERT_NE(error, nullptr);
+  EXPECT_NE(error->GetString("message", "").find(verb), std::string::npos);
+  // A request that fails its envelope checks before the verb is dispatched
+  // is labelled the same way.
+  EXPECT_FALSE(Ok(Roundtrip(
+      service,
+      R"({"verb":"bogus\"} 7\nvalmod_injected_total 99\n# x","params":5})")));
+
+  const std::string body = ScrapeMetrics(service);
+  const std::vector<std::string> errors = ValidateOpenMetrics(body);
+  EXPECT_TRUE(errors.empty()) << errors.front() << " (of " << errors.size()
+                              << " errors)";
+  EXPECT_EQ(body.find("valmod_injected"), std::string::npos);
+  EXPECT_EQ(MetricValue(body, "valmod_requests_total{verb=\"unknown\"}"), 2.0);
+  EXPECT_EQ(MetricValue(body, "valmod_request_errors_total{verb=\"unknown\"}"),
+            2.0);
+}
+
+// Distinct unknown verbs share one label set, so a client cannot grow the
+// exposition without bound by inventing verbs.
+TEST(OpenMetricsTest, DistinctUnknownVerbsAddOneLabel) {
+  Service service;
+  (void)ScrapeMetrics(service);  // registers the "metrics" verb itself
+  const std::string before = ScrapeMetrics(service);
+  for (int i = 0; i < 100; ++i) {
+    EXPECT_FALSE(Ok(Roundtrip(
+        service, "{\"verb\":\"bogus" + std::to_string(i) + "\"}")));
+  }
+  const std::string after = ScrapeMetrics(service);
+  EXPECT_EQ(CountLinesWithPrefix(after, "valmod_requests_total{"),
+            CountLinesWithPrefix(before, "valmod_requests_total{") + 1);
+  EXPECT_EQ(MetricValue(after, "valmod_requests_total{verb=\"unknown\"}"),
+            100.0);
+  EXPECT_EQ(after.find("bogus"), std::string::npos);
 }
 
 TEST(TracingTest, TracedRequestSpansAccountForWallTime) {

@@ -290,7 +290,6 @@ TEST_F(SimdDispatchTest, EngineBackendsBitIdenticalAcrossTargets) {
 
   for (const mass::ConvolutionBackend backend :
        {mass::ConvolutionBackend::kDirect,
-        mass::ConvolutionBackend::kFftSingle,
         mass::ConvolutionBackend::kFftPair,
         mass::ConvolutionBackend::kOverlapSave}) {
     SCOPED_TRACE(mass::ConvolutionBackendName(backend));
