@@ -43,19 +43,15 @@ int Run(int argc, char** argv) {
   std::printf("# Figure 1 (left): ECG matrix profile, l=%zu, n=%zu\n", l, n);
   std::printf("matrix profile computed in %.3fs\n", timer.ElapsedSeconds());
 
-  auto motifs = valmod::mp::ExtractTopKMotifs(*profile, 4);
-  if (!motifs.ok()) {
-    std::fprintf(stderr, "%s\n", motifs.status().ToString().c_str());
-    return 1;
-  }
+  const auto motifs = valmod::mp::TopKMotifs(*profile, 4);
   std::printf("top fixed-length motifs (partial heartbeats at this scale):\n");
   std::printf("%6s %10s %10s %12s\n", "rank", "offset_a", "offset_b",
               "distance");
-  for (std::size_t i = 0; i < motifs->size(); ++i) {
+  for (std::size_t i = 0; i < motifs.size(); ++i) {
     std::printf("%6zu %10lld %10lld %12.4f\n", i + 1,
-                static_cast<long long>((*motifs)[i].offset_a),
-                static_cast<long long>((*motifs)[i].offset_b),
-                (*motifs)[i].distance);
+                static_cast<long long>(motifs[i].offset_a),
+                static_cast<long long>(motifs[i].offset_b),
+                motifs[i].distance);
   }
 
   std::vector<double> raw(series->values().begin(), series->values().end());

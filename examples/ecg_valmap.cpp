@@ -48,12 +48,9 @@ int Run(int argc, char** argv) {
 
   // --- Figure 1 left: fixed-length view at lmin -----------------------------
   const auto& profile = result->min_length_profile;
-  auto fixed_motifs = valmod::mp::ExtractTopKMotifs(profile, 2);
   std::printf("fixed-length matrix profile (l = %zu):\n", lmin);
-  if (fixed_motifs.ok()) {
-    for (const auto& m : *fixed_motifs) {
-      std::printf("  motif %s\n", valmod::mp::ToString(m).c_str());
-    }
+  for (const auto& m : valmod::mp::TopKMotifs(profile, 2)) {
+    std::printf("  motif %s\n", valmod::mp::ToString(m).c_str());
   }
 
   // --- Figure 1 right: VALMAP over [lmin, lmax] -----------------------------

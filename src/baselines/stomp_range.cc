@@ -32,10 +32,8 @@ Result<std::vector<core::LengthMotifs>> RunStompRange(
     profile_options.deadline = options.deadline;
     VALMOD_ASSIGN_OR_RETURN(mp::MatrixProfile profile,
                             mp::ComputeStomp(series, length, profile_options));
-    VALMOD_ASSIGN_OR_RETURN(
-        std::vector<mp::MotifPair> motifs,
-        mp::ExtractTopKMotifs(profile, options.k, options.selection));
-    per_length.push_back(core::LengthMotifs{length, std::move(motifs)});
+    per_length.push_back(
+        core::LengthMotifs{length, mp::TopKMotifs(profile, options.k)});
   }
   return per_length;
 }

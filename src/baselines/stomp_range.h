@@ -19,7 +19,6 @@ struct StompRangeOptions {
   std::size_t k = 1;
   double exclusion_fraction = 0.5;
   int num_threads = 1;
-  mp::MotifSelection selection = mp::MotifSelection::kNonOverlapping;
   Deadline deadline;
 };
 

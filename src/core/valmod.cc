@@ -63,8 +63,8 @@ class ValmodRunner {
                        std::size_t exclusion);
   void ApplyRecomputedRow(std::size_t row, std::size_t length,
                           std::size_t exclusion, mass::RowProfile* profile);
-  Result<std::vector<mp::MotifPair>> SelectTopK(std::size_t length,
-                                                std::size_t exclusion) const;
+  std::vector<mp::MotifPair> SelectCertified(std::size_t length,
+                                             std::size_t exclusion) const;
   Status RefreshWindowProfile(std::size_t length);
   void ConstantRowMinimum(std::size_t row, std::size_t length,
                           std::size_t exclusion, RowState* state) const;
@@ -258,10 +258,7 @@ Status ValmodRunner::InitialScan() {
     }
   }
 
-  VALMOD_ASSIGN_OR_RETURN(
-      std::vector<mp::MotifPair> motifs,
-      mp::SelectTopKFromRowMinima(profile.distances, profile.indices, length,
-                                  exclusion, options_.k, options_.selection));
+  std::vector<mp::MotifPair> motifs = mp::TopKMotifs(profile, options_.k);
   if (options_.build_valmap) {
     VALMOD_ASSIGN_OR_RETURN(result_.valmap, Valmap::FromProfile(profile));
     result_.valmap.Checkpoint(length);
@@ -331,12 +328,10 @@ void ValmodRunner::ApplyRecomputedRow(std::size_t row, std::size_t length,
   state.max_lb = kInfinity;  // exact now; nothing unexplored this length
 }
 
-Result<std::vector<mp::MotifPair>> ValmodRunner::SelectTopK(
+std::vector<mp::MotifPair> ValmodRunner::SelectCertified(
     std::size_t length, std::size_t exclusion) const {
-  // Candidate pruning: only the O(k) smallest certified minima can appear in
-  // the answer, so pre-filter with nth_element before the full selection
-  // scan. Falls back to all candidates when the pruned set under-delivers
-  // (heavy overlap can consume many candidates).
+  // The rows certified so far, through the shared selection every motif
+  // answer uses (its sorted-prefix shortcut keeps a pass O(n + k log k)).
   std::vector<mp::RowCandidate> candidates;
   candidates.reserve(states_.size());
   for (std::size_t row = 0; row < states_.size(); ++row) {
@@ -346,26 +341,8 @@ Result<std::vector<mp::MotifPair>> ValmodRunner::SelectTopK(
         mp::RowCandidate{s.min_dist, static_cast<int64_t>(row),
                          s.best_match});
   }
-  const auto by_distance = [](const mp::RowCandidate& a,
-                              const mp::RowCandidate& b) {
-    if (a.distance != b.distance) return a.distance < b.distance;
-    return a.row < b.row;
-  };
-
-  const std::size_t pruned_size = 4 * options_.k + 32;
-  if (candidates.size() > pruned_size) {
-    std::vector<mp::RowCandidate> pruned(candidates);
-    std::nth_element(pruned.begin(), pruned.begin() + pruned_size,
-                     pruned.end(), by_distance);
-    pruned.resize(pruned_size);
-    std::sort(pruned.begin(), pruned.end(), by_distance);
-    std::vector<mp::MotifPair> motifs = mp::SelectFromSortedCandidates(
-        pruned, length, exclusion, options_.k, options_.selection);
-    if (motifs.size() >= options_.k) return motifs;
-  }
-  std::sort(candidates.begin(), candidates.end(), by_distance);
-  return mp::SelectFromSortedCandidates(candidates, length, exclusion,
-                                        options_.k, options_.selection);
+  return mp::SelectTopKMotifs(std::move(candidates), length, exclusion,
+                              options_.k);
 }
 
 Status ValmodRunner::ProcessLength(std::size_t length) {
@@ -455,7 +432,7 @@ Status ValmodRunner::ProcessLength(std::size_t length) {
   std::vector<mp::MotifPair> motifs;
   while (true) {
     ++stats.passes;
-    VALMOD_ASSIGN_OR_RETURN(motifs, SelectTopK(length, exclusion));
+    motifs = SelectCertified(length, exclusion);
     double threshold =
         motifs.size() >= options_.k ? motifs.back().distance : kInfinity;
     std::vector<std::size_t> to_recompute;

@@ -20,7 +20,8 @@ struct ValmodOptions {
   /// 2 <= min_length <= max_length < series size.
   std::size_t min_length = 0;
   std::size_t max_length = 0;
-  /// Motif pairs reported per length.
+  /// Motif pairs reported per length, chosen by mp::SelectTopKMotifs: the
+  /// k closest non-overlapping pairs, as every other motif answer.
   std::size_t k = 1;
   /// Initial candidates kept per partial distance profile (paper's p).
   /// A row that fails certification and is recomputed doubles its capacity
@@ -43,8 +44,6 @@ struct ValmodOptions {
   /// Whether to maintain the VALMAP meta-data (paper §2). Disabling skips
   /// the structure for callers that only want per-length motifs.
   bool build_valmap = true;
-  /// How top-k pairs are selected from row minima.
-  mp::MotifSelection selection = mp::MotifSelection::kNonOverlapping;
   /// Cooperative timeout; checked per length iteration.
   Deadline deadline;
   /// Graceful degradation: when the deadline fires (or the run is

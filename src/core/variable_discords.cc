@@ -36,8 +36,7 @@ Result<VariableDiscordResult> FindVariableLengthDiscords(
     profile_options.deadline = options.deadline;
     VALMOD_ASSIGN_OR_RETURN(mp::MatrixProfile profile,
                             mp::ComputeStomp(series, length, profile_options));
-    VALMOD_ASSIGN_OR_RETURN(std::vector<mp::Discord> discords,
-                            mp::ExtractTopKDiscords(profile, options.k));
+    std::vector<mp::Discord> discords = mp::TopKDiscords(profile, options.k);
     for (const mp::Discord& d : discords) {
       result.ranked.push_back(RankedDiscord{
           d, series::LengthNormalizedDistance(d.distance, length)});

@@ -2,18 +2,18 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <numeric>
-
-#include "common/status.h"
 
 namespace valmod::mp {
 
-Result<std::vector<Discord>> ExtractTopKDiscords(const MatrixProfile& profile,
-                                                 std::size_t k) {
-  if (k == 0) return Status::InvalidArgument("k must be >= 1");
-
-  std::vector<std::size_t> order(profile.size());
-  std::iota(order.begin(), order.end(), 0);
+std::vector<Discord> TopKDiscords(const MatrixProfile& profile,
+                                  std::size_t k) {
+  std::vector<std::size_t> order;
+  order.reserve(profile.size());
+  for (std::size_t row = 0; row < profile.size(); ++row) {
+    if (profile.indices[row] >= 0 && profile.distances[row] != kInfinity) {
+      order.push_back(row);
+    }
+  }
   std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
     if (profile.distances[a] != profile.distances[b]) {
       return profile.distances[a] > profile.distances[b];  // descending
@@ -22,28 +22,18 @@ Result<std::vector<Discord>> ExtractTopKDiscords(const MatrixProfile& profile,
   });
 
   std::vector<Discord> discords;
-  std::vector<int64_t> chosen;
   for (std::size_t row : order) {
     if (discords.size() >= k) break;
-    if (profile.indices[row] < 0 ||
-        profile.distances[row] == kInfinity) {
-      continue;  // no valid neighbor: undefined discord score
-    }
     const int64_t offset = static_cast<int64_t>(row);
-    bool overlapping = false;
-    for (int64_t member : chosen) {
-      if (std::llabs(member - offset) <
-          static_cast<int64_t>(profile.exclusion_zone)) {
-        overlapping = true;
-        break;
-      }
-    }
+    const bool overlapping =
+        std::any_of(discords.begin(), discords.end(), [&](const Discord& d) {
+          return std::llabs(d.offset - offset) <
+                 static_cast<int64_t>(profile.exclusion_zone);
+        });
     if (overlapping) continue;
-
     discords.push_back(Discord{offset, profile.indices[row],
                                profile.subsequence_length,
                                profile.distances[row]});
-    chosen.push_back(offset);
   }
   return discords;
 }

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "common/result.h"
 #include "mp/matrix_profile.h"
 
 namespace valmod::mp {
@@ -22,11 +21,15 @@ struct Discord {
   double distance = 0.0;
 };
 
-/// Top-k discords from a matrix profile, mutually separated by the profile's
-/// exclusion zone. Rows with no valid neighbor (+inf) are skipped. Returns
-/// fewer than k when the profile runs out of separated rows.
-Result<std::vector<Discord>> ExtractTopKDiscords(const MatrixProfile& profile,
-                                                 std::size_t k);
+/// The one top-k discord selection, behind every discord answer (batch,
+/// variable-length, streaming and the service's maintained answers): rows
+/// ranked by descending nearest-neighbor distance (ties by offset), greedily
+/// taken so no two chosen offsets fall within the profile's exclusion zone
+/// of each other. Rows with no valid neighbor (+inf) are skipped: they carry
+/// no evidence, not an infinitely strong anomaly. Returns fewer than k when
+/// the profile runs out of separated rows; k = 0 selects nothing.
+std::vector<Discord> TopKDiscords(const MatrixProfile& profile,
+                                  std::size_t k);
 
 }  // namespace valmod::mp
 

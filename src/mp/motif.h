@@ -3,11 +3,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
 #include <string>
 #include <vector>
 
-#include "common/result.h"
 #include "mp/matrix_profile.h"
 
 namespace valmod::mp {
@@ -28,31 +26,6 @@ struct MotifPair {
 /// Renders "(a=.., b=.., l=.., d=.., dn=..)" for logs and examples.
 std::string ToString(const MotifPair& pair);
 
-/// How top-k motif pairs are selected from row minima.
-enum class MotifSelection {
-  /// After choosing a pair, subsequences overlapping either member (within
-  /// the exclusion zone) are not eligible for later pairs. This is the
-  /// standard matrix-profile motif enumeration and the default.
-  kNonOverlapping,
-  /// The k smallest distinct row minima, deduplicated only as unordered
-  /// pairs; overlapping pairs allowed.
-  kAllRowMinima,
-};
-
-/// Extracts the top-k motif pairs from a matrix profile. Returns fewer than
-/// k pairs when the profile runs out of eligible rows. k must be >= 1.
-Result<std::vector<MotifPair>> ExtractTopKMotifs(
-    const MatrixProfile& profile, std::size_t k,
-    MotifSelection selection = MotifSelection::kNonOverlapping);
-
-/// Selects top-k motif pairs directly from row-minimum arrays (the entry
-/// point shared by the matrix-profile overload above and VALMOD's
-/// certified-rows path, which has no MatrixProfile object).
-Result<std::vector<MotifPair>> SelectTopKFromRowMinima(
-    std::span<const double> distances, std::span<const int64_t> indices,
-    std::size_t length, std::size_t exclusion_zone, std::size_t k,
-    MotifSelection selection);
-
 /// One eligible row minimum: `row`'s best match is `match` at `distance`.
 struct RowCandidate {
   double distance = kInfinity;
@@ -60,13 +33,24 @@ struct RowCandidate {
   int64_t match = -1;
 };
 
-/// Core selection shared by SelectTopKFromRowMinima and VALMOD's certified
-/// sweep: `candidates` must be sorted by ascending distance (ties by row)
-/// and contain only finite, matched rows. Deduplicates unordered pairs and,
-/// for kNonOverlapping, masks the exclusion zone around chosen members.
-std::vector<MotifPair> SelectFromSortedCandidates(
-    std::span<const RowCandidate> candidates, std::size_t length,
-    std::size_t exclusion_zone, std::size_t k, MotifSelection selection);
+/// The one top-k motif selection, behind every motif answer: the profile
+/// form below (STOMP, STAMP, streaming and the service's maintained
+/// answers) and VALMOD's initial scan and certification passes. Candidates
+/// are ranked by (distance, row); each unordered pair is taken once, and
+/// once a pair is chosen, candidates with a member inside the exclusion
+/// zone of a chosen member are skipped (the standard non-overlapping
+/// matrix-profile motif enumeration). `candidates` may come in any order
+/// and must hold only finite, matched rows. Returns fewer than k pairs when
+/// the candidates run out; k = 0 selects nothing.
+std::vector<MotifPair> SelectTopKMotifs(std::vector<RowCandidate> candidates,
+                                        std::size_t length,
+                                        std::size_t exclusion_zone,
+                                        std::size_t k);
+
+/// Top-k motif pairs of a matrix profile: SelectTopKMotifs over every row
+/// with a finite match, at the profile's length and exclusion zone.
+std::vector<MotifPair> TopKMotifs(const MatrixProfile& profile,
+                                  std::size_t k);
 
 }  // namespace valmod::mp
 

@@ -15,20 +15,8 @@ namespace valmod::mp {
 Result<MatrixProfile> ComputeStamp(const series::DataSeries& series,
                                    std::size_t length,
                                    const ProfileOptions& options) {
-  // One engine for the whole sweep: the series spectrum and FFT plan are
-  // computed once and shared by all row profiles. Callers that already
-  // hold a warm engine (the serving layer's dataset snapshots) use the
-  // engine overload instead and skip even that one-time cost.
-  mass::MassEngine engine(series);
-  return ComputeStamp(engine, length, options);
-}
-
-Result<MatrixProfile> ComputeStamp(mass::MassEngine& engine,
-                                   std::size_t length,
-                                   const ProfileOptions& options) {
   const trace::TraceSpan trace_span("stamp_compute");
   VALMOD_RETURN_IF_ERROR(CheckSubsequenceLength(length));
-  const series::DataSeries& series = engine.series();
   const std::size_t count = series.NumSubsequences(length);
   if (count == 0) {
     return Status::InvalidArgument(
@@ -36,6 +24,9 @@ Result<MatrixProfile> ComputeStamp(mass::MassEngine& engine,
         std::to_string(series.size()) + "-point series");
   }
 
+  // One engine for the whole sweep: the series spectrum and FFT plan are
+  // computed once and shared by all row profiles.
+  mass::MassEngine engine(series);
   MatrixProfile profile;
   profile.subsequence_length = length;
   profile.exclusion_zone = ExclusionZoneFor(length, options.exclusion_fraction);

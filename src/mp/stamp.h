@@ -7,10 +7,6 @@
 #include "mp/matrix_profile.h"
 #include "series/data_series.h"
 
-namespace valmod::mass {
-class MassEngine;
-}  // namespace valmod::mass
-
 namespace valmod::mp {
 
 /// STAMP (Matrix Profile I): exact matrix profile at one length in
@@ -20,15 +16,6 @@ namespace valmod::mp {
 /// batched MassEngine in chunks spread across `options.num_threads` pool
 /// workers; the result is independent of the thread count.
 Result<MatrixProfile> ComputeStamp(const series::DataSeries& series,
-                                   std::size_t length,
-                                   const ProfileOptions& options = {});
-
-/// Engine-reusing form: identical contract and numerics, but the rows run
-/// through the caller's `engine` instead of a throwaway one — the series
-/// spectra and FFT plans cached there (e.g. in a serving-layer dataset
-/// snapshot) are shared across calls instead of being rebuilt per request.
-/// The engine's series is the input series.
-Result<MatrixProfile> ComputeStamp(mass::MassEngine& engine,
                                    std::size_t length,
                                    const ProfileOptions& options = {});
 

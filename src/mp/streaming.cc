@@ -25,83 +25,6 @@ constexpr double kReanchorMeanVarianceRatio = 1e6;
 
 }  // namespace
 
-std::vector<MotifEntry> TopKMotifs(const MatrixProfile& profile,
-                                   std::size_t k) {
-  std::vector<MotifEntry> pairs;
-  pairs.reserve(profile.distances.size());
-  for (std::size_t i = 0; i < profile.distances.size(); ++i) {
-    const double d = profile.distances[i];
-    const std::int64_t neighbor = profile.indices[i];
-    if (!std::isfinite(d) || neighbor < 0) continue;
-    const std::size_t j = static_cast<std::size_t>(neighbor);
-    MotifEntry entry;
-    entry.offset_a = std::min(i, j);
-    entry.offset_b = std::max(i, j);
-    entry.distance = d;
-    pairs.push_back(entry);
-  }
-  // Mutual nearest neighbors produce the same unordered pair twice (after
-  // a windowed repair possibly ulps apart: the repair rescan recomputes
-  // the dot directly instead of via the recurrence). Deduplicate
-  // deterministically: sort by (pair, distance), keep the smaller distance.
-  std::sort(pairs.begin(), pairs.end(),
-            [](const MotifEntry& a, const MotifEntry& b) {
-              if (a.offset_a != b.offset_a) return a.offset_a < b.offset_a;
-              if (a.offset_b != b.offset_b) return a.offset_b < b.offset_b;
-              return a.distance < b.distance;
-            });
-  pairs.erase(std::unique(pairs.begin(), pairs.end(),
-                          [](const MotifEntry& a, const MotifEntry& b) {
-                            return a.offset_a == b.offset_a &&
-                                   a.offset_b == b.offset_b;
-                          }),
-              pairs.end());
-  std::sort(pairs.begin(), pairs.end(),
-            [](const MotifEntry& a, const MotifEntry& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              if (a.offset_a != b.offset_a) return a.offset_a < b.offset_a;
-              return a.offset_b < b.offset_b;
-            });
-  if (pairs.size() > k) pairs.resize(k);
-  return pairs;
-}
-
-std::vector<DiscordEntry> TopKDiscords(const MatrixProfile& profile,
-                                       std::size_t k) {
-  std::vector<DiscordEntry> candidates;
-  candidates.reserve(profile.distances.size());
-  for (std::size_t i = 0; i < profile.distances.size(); ++i) {
-    const double d = profile.distances[i];
-    if (!std::isfinite(d) || profile.indices[i] < 0) continue;
-    DiscordEntry entry;
-    entry.offset = i;
-    entry.neighbor = profile.indices[i];
-    entry.distance = d;
-    candidates.push_back(entry);
-  }
-  std::sort(candidates.begin(), candidates.end(),
-            [](const DiscordEntry& a, const DiscordEntry& b) {
-              if (a.distance != b.distance) return a.distance > b.distance;
-              return a.offset < b.offset;
-            });
-  std::vector<DiscordEntry> out;
-  for (const DiscordEntry& candidate : candidates) {
-    if (out.size() >= k) break;
-    bool overlaps = false;
-    for (const DiscordEntry& taken : out) {
-      const std::size_t gap = taken.offset > candidate.offset
-                                  ? taken.offset - candidate.offset
-                                  : candidate.offset - taken.offset;
-      if (gap < profile.exclusion_zone) {
-        overlaps = true;
-        break;
-      }
-    }
-    if (!overlaps) out.push_back(candidate);
-  }
-  return out;
-}
-
 Result<StreamingProfile> StreamingProfile::Create(
     std::size_t length, const StreamingOptions& options) {
   VALMOD_RETURN_IF_ERROR(CheckSubsequenceLength(length));
@@ -356,12 +279,8 @@ MatrixProfile StreamingProfile::ProfileSnapshot() const {
   return profile;
 }
 
-std::vector<MotifEntry> StreamingProfile::TopMotifs(std::size_t k) const {
+std::vector<MotifPair> StreamingProfile::TopMotifs(std::size_t k) const {
   return TopKMotifs(ProfileSnapshot(), k);
-}
-
-std::vector<DiscordEntry> StreamingProfile::TopDiscords(std::size_t k) const {
-  return TopKDiscords(ProfileSnapshot(), k);
 }
 
 std::size_t StreamingProfile::MemoryBytes() const {

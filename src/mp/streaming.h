@@ -9,42 +9,14 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "mp/matrix_profile.h"
+#include "mp/motif.h"
 #include "series/windowed_series.h"
 
 namespace valmod::mp {
 
-/// One motif pair derived from a maintained profile: the two window offsets
-/// (window-relative; add the profile owner's window start for global stream
-/// positions) and their z-normalized distance.
-struct MotifEntry {
-  std::size_t offset_a = 0;
-  std::size_t offset_b = 0;
-  double distance = 0.0;
-};
-
-/// One discord derived from a maintained profile: the window whose nearest
-/// non-trivial neighbor is far away.
-struct DiscordEntry {
-  std::size_t offset = 0;
-  std::int64_t neighbor = -1;
-  double distance = 0.0;
-};
-
-/// Top-k motif pairs of a (single-length) matrix profile: every row's
-/// (row, nearest neighbor) pair, deduplicated as unordered pairs, ranked by
-/// ascending distance with deterministic (offset_a, offset_b) tie-breaks.
-/// Used both by StreamingProfile::TopMotifs and as the batch oracle in the
-/// windowed parity tests, so the two can never rank differently.
-std::vector<MotifEntry> TopKMotifs(const MatrixProfile& profile,
-                                   std::size_t k);
-
-/// Top-k discords of a matrix profile: rows ranked by descending
-/// nearest-neighbor distance, greedily selected so no two picked offsets
-/// fall within the profile's exclusion zone of each other (the classic
-/// discord de-duplication). Rows with no eligible neighbor (+inf) are
-/// skipped — they carry no evidence, not an infinitely strong anomaly.
-std::vector<DiscordEntry> TopKDiscords(const MatrixProfile& profile,
-                                       std::size_t k);
+/// Former name of a maintained profile's motif pair; the perfbench stream
+/// probes still spell it. Drop it with the next benchmark-only change.
+using MotifEntry = MotifPair;
 
 /// Configuration for StreamingProfile.
 struct StreamingOptions {
@@ -143,12 +115,10 @@ class StreamingProfile {
   /// eligible non-trivial match hold +infinity / -1.
   MatrixProfile ProfileSnapshot() const;
 
-  /// Top-k motifs / discords of the maintained profile, window-relative
-  /// offsets. O(W + sorting of candidate rows) per call — independent of
-  /// total appended history; the serving layer's result cache makes
-  /// repeated reads at one generation O(1).
-  std::vector<MotifEntry> TopMotifs(std::size_t k) const;
-  std::vector<DiscordEntry> TopDiscords(std::size_t k) const;
+  /// Top-k motifs of the maintained profile, window-relative offsets:
+  /// TopKMotifs over ProfileSnapshot(). The service reads the snapshot
+  /// instead, so the selection runs outside its dataset lock.
+  std::vector<MotifPair> TopMotifs(std::size_t k) const;
 
   /// The retained (anchor-shifted) values, contiguous, oldest first.
   std::span<const double> values() const { return values_.values(); }

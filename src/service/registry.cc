@@ -142,23 +142,6 @@ Result<Dataset::StreamingState> Dataset::StreamingProfileSnapshot() {
   return state;
 }
 
-Result<Dataset::StreamingTopK> Dataset::StreamingTopKSnapshot(
-    std::size_t k_motifs, std::size_t k_discords) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  if (!streaming_) {
-    return Status::FailedPrecondition(
-        "dataset '" + name_ + "' is not streaming; it has no maintained "
-        "top-k (use the motifs/discords verbs with a length range instead)");
-  }
-  StreamingTopK top;
-  top.motifs = streaming_->TopMotifs(k_motifs);
-  top.discords = streaming_->TopDiscords(k_discords);
-  top.generation = generation_;
-  top.points = streaming_->size();
-  top.window_start = streaming_->window_start();
-  return top;
-}
-
 Dataset::MemoryInfo Dataset::Memory() const {
   std::lock_guard<std::mutex> lock(mutex_);
   MemoryInfo info;

@@ -123,7 +123,9 @@ class Dataset {
   /// tagged with the generation it was taken at. Copied under the dataset
   /// lock so concurrent appends can neither tear the profile nor desync it
   /// from the generation — the server keys cached responses by that
-  /// generation, so the pair must be atomic.
+  /// generation, so the pair must be atomic. The profile verb serializes
+  /// the copy and the maintained motifs/discords answers run the shared
+  /// top-k selection on it, both outside the lock.
   struct StreamingState {
     mp::MatrixProfile profile;
     std::uint64_t generation = 0;
@@ -132,19 +134,6 @@ class Dataset {
     std::size_t window_start = 0;
   };
   Result<StreamingState> StreamingProfileSnapshot();
-
-  /// Incrementally maintained top-k motifs/discords (streaming only), read
-  /// from the maintained profile under the dataset lock — O(W), no batch
-  /// recomputation, consistent with the generation it reports.
-  struct StreamingTopK {
-    std::vector<mp::MotifEntry> motifs;
-    std::vector<mp::DiscordEntry> discords;
-    std::uint64_t generation = 0;
-    std::size_t points = 0;
-    std::size_t window_start = 0;
-  };
-  Result<StreamingTopK> StreamingTopKSnapshot(std::size_t k_motifs,
-                                              std::size_t k_discords);
 
   /// Occupancy and footprint of the dataset, for the `stats` verb.
   struct MemoryInfo {

@@ -24,7 +24,6 @@
 #include "core/variable_discords.h"
 #include "mass/backend.h"
 #include "mass/query_search.h"
-#include "mp/stamp.h"
 #include "mp/stomp.h"
 #include "series/generators.h"
 #include "series/io.h"
@@ -242,15 +241,40 @@ Result<std::vector<double>> DoublesParam(const Value& params,
 // Payload builders
 // ---------------------------------------------------------------------------
 
-Value MotifPairValue(const mp::MotifPair& m, std::size_t rank) {
-  Value::Object o;
-  o.emplace("rank", Value(rank + 1));
-  o.emplace("length", Value(m.length));
-  o.emplace("offset_a", Value(static_cast<long long>(m.offset_a)));
-  o.emplace("offset_b", Value(static_cast<long long>(m.offset_b)));
-  o.emplace("distance", Value(m.distance));
-  o.emplace("normalized", Value(m.normalized_distance));
-  return Value(std::move(o));
+/// The one rendering of a motif list, ranked from 1 in list order.
+Value MotifListValue(std::span<const mp::MotifPair> motifs) {
+  Value::Array out;
+  out.reserve(motifs.size());
+  for (std::size_t r = 0; r < motifs.size(); ++r) {
+    const mp::MotifPair& m = motifs[r];
+    Value::Object o;
+    o.emplace("rank", Value(r + 1));
+    o.emplace("length", Value(m.length));
+    o.emplace("offset_a", Value(static_cast<long long>(m.offset_a)));
+    o.emplace("offset_b", Value(static_cast<long long>(m.offset_b)));
+    o.emplace("distance", Value(m.distance));
+    o.emplace("normalized", Value(m.normalized_distance));
+    out.push_back(Value(std::move(o)));
+  }
+  return Value(std::move(out));
+}
+
+/// The one rendering of a discord list, ranked from 1 in list order.
+Value DiscordListValue(std::span<const mp::Discord> discords) {
+  Value::Array out;
+  out.reserve(discords.size());
+  for (std::size_t r = 0; r < discords.size(); ++r) {
+    const mp::Discord& d = discords[r];
+    Value::Object o;
+    o.emplace("rank", Value(r + 1));
+    o.emplace("offset", Value(static_cast<long long>(d.offset)));
+    o.emplace("neighbor", Value(static_cast<long long>(d.nearest_neighbor)));
+    o.emplace("distance", Value(d.distance));
+    o.emplace("normalized",
+              Value(series::LengthNormalizedDistance(d.distance, d.length)));
+    out.push_back(Value(std::move(o)));
+  }
+  return Value(std::move(out));
 }
 
 Value DoublesValue(std::span<const double> values) {
@@ -319,104 +343,53 @@ std::string CacheKey(const Dataset& dataset, std::uint64_t generation,
   return key;
 }
 
-/// The maintained-top-k fast path for streaming datasets: when the request
-/// targets exactly the maintained subsequence length, motifs/discords are
-/// read from the incrementally maintained profile (O(W) under the dataset
-/// lock, cached per generation) instead of recomputing a batch profile.
-/// A nullopt return means "not eligible, use the batch path".
-std::optional<QueryPlan> PlanMaintainedMotifs(
-    const std::shared_ptr<Dataset>& dataset, std::size_t lmin,
-    std::size_t lmax, std::size_t k) {
+/// The maintained fast path for streaming datasets: when a motifs or
+/// discords request targets exactly the maintained subsequence length, the
+/// answer is selected from the incrementally maintained profile instead of
+/// a batch recompute. The profile is copied under the dataset lock (O(W))
+/// and the selection, the same one the batch verbs run, runs outside it;
+/// both only on a cache miss, since the plan is keyed by generation (see
+/// PlanProfile for the benign key-races-append note). A nullopt return
+/// means "not eligible, use the batch path".
+std::optional<QueryPlan> PlanMaintained(
+    const std::shared_ptr<Dataset>& dataset, const std::string& verb,
+    std::size_t lmin, std::size_t lmax, std::size_t k) {
   const std::size_t native = dataset->streaming_length();
   if (!dataset->streaming()) return std::nullopt;
   if ((lmin != 0 && lmin != native) || (lmax != 0 && lmax != native)) {
     return std::nullopt;
   }
   QueryPlan plan;
-  // Generation-keyed like the streaming profile verb: the O(W) maintained
-  // read happens only on a cache miss (see PlanProfile for the benign
-  // key-races-append note).
-  plan.cache_key = CacheKey(*dataset, dataset->generation(), "motifs",
+  plan.cache_key = CacheKey(*dataset, dataset->generation(), verb,
                             "maintained,l=" + std::to_string(native) +
                                 ",k=" + std::to_string(k));
-  plan.job = [dataset, k, native](const Deadline& deadline)
-      -> Result<std::string> {
+  plan.job = [dataset, verb, k,
+              native](const Deadline& deadline) -> Result<std::string> {
     if (deadline.Expired()) {
-      return Status::DeadlineExceeded("motifs deadline expired");
+      return Status::DeadlineExceeded(verb + " deadline expired");
     }
-    VALMOD_ASSIGN_OR_RETURN(Dataset::StreamingTopK top,
-                            dataset->StreamingTopKSnapshot(k, 0));
+    // The batch paths reject k = 0 the same way.
+    if (k == 0) return Status::InvalidArgument("k must be >= 1");
+    VALMOD_ASSIGN_OR_RETURN(Dataset::StreamingState state,
+                            dataset->StreamingProfileSnapshot());
     Value::Object payload;
-    payload.emplace("generation", Value(top.generation));
+    payload.emplace("generation", Value(state.generation));
     payload.emplace("streaming", Value(true));
     payload.emplace("maintained", Value(true));
-    payload.emplace("points", Value(top.points));
-    payload.emplace("window_start", Value(top.window_start));
-    Value::Array ranked;
-    ranked.reserve(top.motifs.size());
-    for (std::size_t r = 0; r < top.motifs.size(); ++r) {
-      mp::MotifPair pair;
-      pair.offset_a = static_cast<std::int64_t>(top.motifs[r].offset_a);
-      pair.offset_b = static_cast<std::int64_t>(top.motifs[r].offset_b);
-      pair.length = native;
-      pair.distance = top.motifs[r].distance;
-      pair.normalized_distance =
-          series::LengthNormalizedDistance(top.motifs[r].distance, native);
-      ranked.push_back(MotifPairValue(pair, r));
-    }
+    payload.emplace("points", Value(state.points));
+    payload.emplace("window_start", Value(state.window_start));
     Value::Object entry;
     entry.emplace("length", Value(native));
-    entry.emplace("motifs", Value(ranked));
-    Value::Array per_length;
-    per_length.push_back(Value(std::move(entry)));
-    payload.emplace("per_length", Value(std::move(per_length)));
-    payload.emplace("ranked", Value(std::move(ranked)));
-    return Value(std::move(payload)).Serialize();
-  };
-  return plan;
-}
-
-std::optional<QueryPlan> PlanMaintainedDiscords(
-    const std::shared_ptr<Dataset>& dataset, std::size_t lmin,
-    std::size_t lmax, std::size_t k) {
-  const std::size_t native = dataset->streaming_length();
-  if (!dataset->streaming()) return std::nullopt;
-  if ((lmin != 0 && lmin != native) || (lmax != 0 && lmax != native)) {
-    return std::nullopt;
-  }
-  QueryPlan plan;
-  plan.cache_key = CacheKey(*dataset, dataset->generation(), "discords",
-                            "maintained,l=" + std::to_string(native) +
-                                ",k=" + std::to_string(k));
-  plan.job = [dataset, k, native](const Deadline& deadline)
-      -> Result<std::string> {
-    if (deadline.Expired()) {
-      return Status::DeadlineExceeded("discords deadline expired");
+    if (verb == "motifs") {
+      const std::vector<mp::MotifPair> motifs =
+          mp::TopKMotifs(state.profile, k);
+      entry.emplace("motifs", MotifListValue(motifs));
+      payload.emplace("ranked",
+                      MotifListValue(core::RankByNormalizedDistance(motifs)));
+    } else {
+      entry.emplace("discords",
+                    DiscordListValue(mp::TopKDiscords(state.profile, k)));
     }
-    VALMOD_ASSIGN_OR_RETURN(Dataset::StreamingTopK top,
-                            dataset->StreamingTopKSnapshot(0, k));
-    Value::Object payload;
-    payload.emplace("generation", Value(top.generation));
-    payload.emplace("streaming", Value(true));
-    payload.emplace("maintained", Value(true));
-    payload.emplace("points", Value(top.points));
-    payload.emplace("window_start", Value(top.window_start));
-    Value::Array discords;
-    discords.reserve(top.discords.size());
-    for (std::size_t r = 0; r < top.discords.size(); ++r) {
-      const mp::DiscordEntry& d = top.discords[r];
-      Value::Object out;
-      out.emplace("rank", Value(r + 1));
-      out.emplace("offset", Value(static_cast<long long>(d.offset)));
-      out.emplace("neighbor", Value(static_cast<long long>(d.neighbor)));
-      out.emplace("distance", Value(d.distance));
-      out.emplace("normalized",
-                  Value(series::LengthNormalizedDistance(d.distance, native)));
-      discords.push_back(Value(std::move(out)));
-    }
-    Value::Object entry;
-    entry.emplace("length", Value(native));
-    entry.emplace("discords", Value(std::move(discords)));
     Value::Array per_length;
     per_length.push_back(Value(std::move(entry)));
     payload.emplace("per_length", Value(std::move(per_length)));
@@ -437,8 +410,9 @@ Result<QueryPlan> PlanValmod(const std::shared_ptr<Dataset>& dataset,
   if (!build_valmap) {
     // Streaming datasets answer same-length motif requests from the
     // maintained profile — no batch recomputation, no snapshot build.
-    if (std::optional<QueryPlan> maintained = PlanMaintainedMotifs(
-            dataset, options.min_length, options.max_length, options.k)) {
+    if (std::optional<QueryPlan> maintained = PlanMaintained(
+            dataset, "motifs", options.min_length, options.max_length,
+            options.k)) {
       return *std::move(maintained);
     }
   }
@@ -499,21 +473,11 @@ Result<QueryPlan> PlanValmod(const std::shared_ptr<Dataset>& dataset,
       for (const core::LengthMotifs& lm : result.per_length) {
         Value::Object entry;
         entry.emplace("length", Value(lm.length));
-        Value::Array motifs;
-        motifs.reserve(lm.motifs.size());
-        for (std::size_t r = 0; r < lm.motifs.size(); ++r) {
-          motifs.push_back(MotifPairValue(lm.motifs[r], r));
-        }
-        entry.emplace("motifs", Value(std::move(motifs)));
+        entry.emplace("motifs", MotifListValue(lm.motifs));
         per_length.push_back(Value(std::move(entry)));
       }
       payload.emplace("per_length", Value(std::move(per_length)));
-      Value::Array ranked;
-      ranked.reserve(result.ranked.size());
-      for (std::size_t r = 0; r < result.ranked.size(); ++r) {
-        ranked.push_back(MotifPairValue(result.ranked[r], r));
-      }
-      payload.emplace("ranked", Value(std::move(ranked)));
+      payload.emplace("ranked", MotifListValue(result.ranked));
     }
     return Value(std::move(payload)).Serialize();
   };
@@ -522,14 +486,8 @@ Result<QueryPlan> PlanValmod(const std::shared_ptr<Dataset>& dataset,
 
 Result<QueryPlan> PlanProfile(const std::shared_ptr<Dataset>& dataset,
                               const Value& params) {
-  VALMOD_RETURN_IF_ERROR(
-      RejectUnknownParams(params, {"l", "threads", "algo"}));
+  VALMOD_RETURN_IF_ERROR(RejectUnknownParams(params, {"l", "threads"}));
   if (dataset->streaming()) {
-    if (params.Find("algo") != nullptr) {
-      return Status::InvalidArgument(
-          "param 'algo' does not apply to streaming datasets (the profile "
-          "is maintained incrementally, not recomputed)");
-    }
     // The incrementally maintained profile is the dataset's native one;
     // a mismatched length request is an error rather than a silent batch
     // recompute at a different length.
@@ -571,36 +529,24 @@ Result<QueryPlan> PlanProfile(const std::shared_ptr<Dataset>& dataset,
 
   VALMOD_ASSIGN_OR_RETURN(std::size_t length, SizeParam(params, "l", 0));
   VALMOD_ASSIGN_OR_RETURN(int threads, ThreadsParam(params));
-  const std::string algo = params.GetString("algo", "stomp");
-  if (algo != "stomp" && algo != "stamp") {
-    return Status::InvalidArgument(
-        "param 'algo' must be \"stomp\" (default) or \"stamp\"");
-  }
-  const bool use_stamp = algo == "stamp";
   VALMOD_ASSIGN_OR_RETURN(std::shared_ptr<const DatasetSnapshot> snapshot,
                           dataset->Snapshot());
   QueryPlan plan;
-  // STOMP computes no convolutions, so its bytes are backend-independent.
-  // STAMP runs MASS rows through the snapshot's shared engine; the backend
-  // kAuto picks there is a pure function of the shape, so the key needs
-  // nothing for it, only the algo tag, so the two algorithms' (numerically
-  // ~1e-9-apart) results never alias one cache entry.
+  // STOMP computes no convolutions, so its bytes are backend-independent
+  // and the key needs nothing beyond the length.
   plan.cache_key = CacheKey(*dataset, snapshot->generation(), "profile",
-                            "l=" + std::to_string(length) +
-                                (use_stamp ? ",algo=stamp" : ""));
-  plan.job = [snapshot, length, threads,
-              use_stamp](const Deadline& deadline) -> Result<std::string> {
+                            "l=" + std::to_string(length));
+  plan.job = [snapshot, length,
+              threads](const Deadline& deadline) -> Result<std::string> {
     mp::ProfileOptions options;
     options.num_threads = threads;
     options.deadline = deadline;
     VALMOD_ASSIGN_OR_RETURN(
         mp::MatrixProfile profile,
-        use_stamp ? mp::ComputeStamp(snapshot->engine(), length, options)
-                  : mp::ComputeStomp(snapshot->series(), length, options));
+        mp::ComputeStomp(snapshot->series(), length, options));
     Value payload = ProfileValue(profile);
     payload.AsObject().emplace("generation", Value(snapshot->generation()));
     payload.AsObject().emplace("streaming", Value(false));
-    if (use_stamp) payload.AsObject().emplace("algo", Value("stamp"));
     return payload.Serialize();
   };
   return plan;
@@ -662,9 +608,10 @@ Result<QueryPlan> PlanDiscords(const std::shared_ptr<Dataset>& dataset,
   VALMOD_ASSIGN_OR_RETURN(options.k, SizeParam(params, "k", 1));
   VALMOD_ASSIGN_OR_RETURN(options.num_threads, ThreadsParam(params));
   // Same-length requests against a streaming dataset read the maintained
-  // profile instead of recomputing (see PlanMaintainedMotifs).
-  if (std::optional<QueryPlan> maintained = PlanMaintainedDiscords(
-          dataset, options.min_length, options.max_length, options.k)) {
+  // profile instead of recomputing (see PlanMaintained).
+  if (std::optional<QueryPlan> maintained = PlanMaintained(
+          dataset, "discords", options.min_length, options.max_length,
+          options.k)) {
     return *std::move(maintained);
   }
   VALMOD_ASSIGN_OR_RETURN(std::shared_ptr<const DatasetSnapshot> snapshot,
@@ -689,22 +636,7 @@ Result<QueryPlan> PlanDiscords(const std::shared_ptr<Dataset>& dataset,
     for (const core::LengthDiscords& ld : result.per_length) {
       Value::Object entry;
       entry.emplace("length", Value(ld.length));
-      Value::Array discords;
-      discords.reserve(ld.discords.size());
-      for (std::size_t r = 0; r < ld.discords.size(); ++r) {
-        const mp::Discord& d = ld.discords[r];
-        Value::Object out;
-        out.emplace("rank", Value(r + 1));
-        out.emplace("offset", Value(static_cast<long long>(d.offset)));
-        out.emplace("neighbor",
-                    Value(static_cast<long long>(d.nearest_neighbor)));
-        out.emplace("distance", Value(d.distance));
-        out.emplace("normalized",
-                    Value(series::LengthNormalizedDistance(d.distance,
-                                                           d.length)));
-        discords.push_back(Value(std::move(out)));
-      }
-      entry.emplace("discords", Value(std::move(discords)));
+      entry.emplace("discords", DiscordListValue(ld.discords));
       per_length.push_back(Value(std::move(entry)));
     }
     payload.emplace("per_length", Value(std::move(per_length)));
@@ -739,11 +671,12 @@ Value DatasetInfoValue(const DatasetRegistry::Info& info) {
   return Value(std::move(o));
 }
 
-Result<std::string> DoLoad(DatasetRegistry& registry, const std::string& name,
+Result<std::string> DoLoad(Service& service, const std::string& name,
                            const Value& params) {
   if (name.empty()) {
     return Status::InvalidArgument("load requires a 'dataset' name");
   }
+  DatasetRegistry& registry = service.registry();
   VALMOD_RETURN_IF_ERROR(RejectUnknownParams(
       params, {"streaming_length", "exclusion_fraction", "max_points",
                "window", "path", "column", "generator", "n", "seed",
@@ -808,14 +741,26 @@ Result<std::string> DoLoad(DatasetRegistry& registry, const std::string& name,
   return Value(std::move(payload)).Serialize();
 }
 
-Result<std::string> DoAppend(DatasetRegistry& registry,
-                             const std::string& name, const Value& params) {
+Result<std::string> DoUnload(Service& service, const std::string& name,
+                             const Value&) {
+  if (name.empty()) {
+    return Status::InvalidArgument("unload requires a 'dataset' name");
+  }
+  VALMOD_RETURN_IF_ERROR(service.registry().Unload(name));
+  std::string payload = "{\"unloaded\":";
+  json::AppendQuoted(name, &payload);
+  payload += "}";
+  return payload;
+}
+
+Result<std::string> DoAppend(Service& service, const std::string& name,
+                             const Value& params) {
   if (name.empty()) {
     return Status::InvalidArgument("append requires a 'dataset' name");
   }
   VALMOD_RETURN_IF_ERROR(RejectUnknownParams(params, {"values"}));
   VALMOD_ASSIGN_OR_RETURN(std::shared_ptr<Dataset> dataset,
-                          registry.Get(name));
+                          service.registry().Get(name));
   VALMOD_ASSIGN_OR_RETURN(std::vector<double> values,
                           DoublesParam(params, "values"));
   VALMOD_ASSIGN_OR_RETURN(Dataset::AppendResult appended,
@@ -830,7 +775,8 @@ Result<std::string> DoAppend(DatasetRegistry& registry,
   return Value(std::move(payload)).Serialize();
 }
 
-Result<std::string> DoStats(Service& service) {
+Result<std::string> DoStats(Service& service, const std::string&,
+                            const Value&) {
   Value::Object payload;
   Value::Array datasets;
   for (const DatasetRegistry::Info& info : service.registry().List()) {
@@ -933,7 +879,8 @@ Value FaultListValue() {
 /// `faults` verb: arm/disarm fault points at runtime, for chaos testing a
 /// live server without restarting it. Unavailable (structured, not fatal)
 /// when the build compiled fault injection out.
-Result<std::string> DoFaults(const Value& params) {
+Result<std::string> DoFaults(Service&, const std::string&,
+                             const Value& params) {
   VALMOD_RETURN_IF_ERROR(
       RejectUnknownParams(params, {"arm", "disarm", "disarm_all"}));
   if constexpr (!fault::kFaultInjectionEnabled) {
@@ -966,7 +913,8 @@ Result<std::string> DoFaults(const Value& params) {
 /// whether the process is degraded — stalled workers, a saturated
 /// admission queue, or armed fault points — without queueing behind the
 /// very overload it is reporting.
-Result<std::string> DoHealth(Service& service) {
+Result<std::string> DoHealth(Service& service, const std::string&,
+                             const Value&) {
   const SchedulerStats sched = service.scheduler().stats();
   Value::Array reasons;
   if (sched.stalled > 0) {
@@ -1000,7 +948,8 @@ Result<std::string> DoHealth(Service& service) {
 /// exposition rides the NDJSON protocol as a JSON string field, so an
 /// operator (or scrape bridge) issues {"verb":"metrics"} and writes the
 /// `body` bytes through verbatim.
-Result<std::string> DoMetrics(Service& service) {
+Result<std::string> DoMetrics(Service& service, const std::string&,
+                              const Value&) {
   const std::string body =
       RenderOpenMetrics(service.metrics(), service.result_cache().stats(),
                         service.scheduler().stats());
@@ -1012,7 +961,8 @@ Result<std::string> DoMetrics(Service& service) {
 
 /// `slowlog` verb: the worst-latency requests the server has completed,
 /// slowest first, each with its span tree when tracing was on.
-Result<std::string> DoSlowlog(Service& service) {
+Result<std::string> DoSlowlog(Service& service, const std::string&,
+                              const Value&) {
   std::string payload = "{\"entries\":[";
   bool first = true;
   for (const SlowLog::Entry& entry : service.slowlog().Snapshot()) {
@@ -1035,6 +985,51 @@ Result<std::string> DoSlowlog(Service& service) {
   }
   payload += "]}";
   return payload;
+}
+
+Result<std::string> DoShutdown(Service& service, const std::string&,
+                               const Value&) {
+  service.RequestShutdown();
+  return std::string("{\"shutting_down\":true}");
+}
+
+Result<QueryPlan> PlanMotifs(const std::shared_ptr<Dataset>& dataset,
+                             const Value& params) {
+  return PlanValmod(dataset, params, /*build_valmap=*/false);
+}
+
+Result<QueryPlan> PlanValmap(const std::shared_ptr<Dataset>& dataset,
+                             const Value& params) {
+  return PlanValmod(dataset, params, /*build_valmap=*/true);
+}
+
+/// One entry per verb the service answers; exactly one of `admin` and
+/// `plan` is set. Admin verbs run inline on the calling thread. Query verbs
+/// are planned against their dataset, then coalesced, cached and
+/// scheduled. Dispatch and FailureLabel both read this table, so a verb
+/// cannot be answered and yet be labelled "unknown".
+struct Verb {
+  std::string_view name;
+  Result<std::string> (*admin)(Service&, const std::string& dataset,
+                               const Value& params);
+  Result<QueryPlan> (*plan)(const std::shared_ptr<Dataset>&, const Value&);
+};
+
+constexpr Verb kVerbs[] = {
+    {"load", DoLoad, nullptr},         {"unload", DoUnload, nullptr},
+    {"append", DoAppend, nullptr},     {"stats", DoStats, nullptr},
+    {"faults", DoFaults, nullptr},     {"health", DoHealth, nullptr},
+    {"metrics", DoMetrics, nullptr},   {"slowlog", DoSlowlog, nullptr},
+    {"shutdown", DoShutdown, nullptr}, {"motifs", nullptr, PlanMotifs},
+    {"valmap", nullptr, PlanValmap},   {"profile", nullptr, PlanProfile},
+    {"query", nullptr, PlanQuery},     {"discords", nullptr, PlanDiscords},
+};
+
+const Verb* FindVerb(std::string_view name) {
+  for (const Verb& verb : kVerbs) {
+    if (verb.name == name) return &verb;
+  }
+  return nullptr;
 }
 
 double ElapsedMs(std::chrono::steady_clock::time_point since) {
@@ -1077,16 +1072,8 @@ std::string AwaitResponse(SyncWaiter& waiter) {
 /// every distinct bogus verb would add a permanent label set, and its raw
 /// text would land unescaped in the OpenMetrics exposition.
 std::string FailureLabel(const std::string& verb) {
-  static constexpr std::string_view kVerbs[] = {
-      "load",   "unload",  "append",  "stats",    "faults",
-      "health", "metrics", "slowlog", "shutdown", "motifs",
-      "valmap", "profile", "query",   "discords"};
   if (verb.empty()) return "invalid";
-  if (std::find(std::begin(kVerbs), std::end(kVerbs), verb) ==
-      std::end(kVerbs)) {
-    return "unknown";
-  }
-  return verb;
+  return FindVerb(verb) == nullptr ? "unknown" : verb;
 }
 
 }  // namespace
@@ -1203,66 +1190,17 @@ void Service::Handle(const std::string& line, ResponseCallback done) {
   }
   const std::string dataset_name = request.GetString("dataset", "");
 
-  // ---- admin verbs: inline ----
-  if (verb == "load") {
-    Result<std::string> payload = DoLoad(registry_, dataset_name, params);
+  const Verb* entry = FindVerb(verb);
+  if (entry == nullptr) {
+    return fail(Status::InvalidArgument("unknown verb '" + verb + "'"));
+  }
+  if (entry->admin != nullptr) {
+    Result<std::string> payload = entry->admin(*this, dataset_name, params);
     if (!payload.ok()) return fail(payload.status());
     return ok(*payload, /*cached=*/false);
-  }
-  if (verb == "unload") {
-    if (dataset_name.empty()) {
-      return fail(
-          Status::InvalidArgument("unload requires a 'dataset' name"));
-    }
-    const Status status = registry_.Unload(dataset_name);
-    if (!status.ok()) return fail(status);
-    std::string payload = "{\"unloaded\":";
-    json::AppendQuoted(dataset_name, &payload);
-    payload += "}";
-    return ok(payload, /*cached=*/false);
-  }
-  if (verb == "append") {
-    Result<std::string> payload = DoAppend(registry_, dataset_name, params);
-    if (!payload.ok()) return fail(payload.status());
-    return ok(*payload, /*cached=*/false);
-  }
-  if (verb == "stats") {
-    Result<std::string> payload = DoStats(*this);
-    if (!payload.ok()) return fail(payload.status());
-    return ok(*payload, /*cached=*/false);
-  }
-  if (verb == "faults") {
-    Result<std::string> payload = DoFaults(params);
-    if (!payload.ok()) return fail(payload.status());
-    return ok(*payload, /*cached=*/false);
-  }
-  if (verb == "health") {
-    Result<std::string> payload = DoHealth(*this);
-    if (!payload.ok()) return fail(payload.status());
-    return ok(*payload, /*cached=*/false);
-  }
-  if (verb == "metrics") {
-    Result<std::string> payload = DoMetrics(*this);
-    if (!payload.ok()) return fail(payload.status());
-    return ok(*payload, /*cached=*/false);
-  }
-  if (verb == "slowlog") {
-    Result<std::string> payload = DoSlowlog(*this);
-    if (!payload.ok()) return fail(payload.status());
-    return ok(*payload, /*cached=*/false);
-  }
-  if (verb == "shutdown") {
-    shutdown_.store(true, std::memory_order_release);
-    return ok("{\"shutting_down\":true}", /*cached=*/false);
   }
 
   // ---- query verbs: coalesce -> scheduler ----
-  const bool is_query_verb = verb == "motifs" || verb == "valmap" ||
-                             verb == "profile" || verb == "query" ||
-                             verb == "discords";
-  if (!is_query_verb) {
-    return fail(Status::InvalidArgument("unknown verb '" + verb + "'"));
-  }
   if (dataset_name.empty()) {
     return fail(
         Status::InvalidArgument(verb + " requires a 'dataset' name"));
@@ -1272,11 +1210,7 @@ void Service::Handle(const std::string& line, ResponseCallback done) {
 
   Result<QueryPlan> plan = [&]() -> Result<QueryPlan> {
     const trace::TraceSpan span("plan");
-    if (verb == "motifs") return PlanValmod(*dataset, params, false);
-    if (verb == "valmap") return PlanValmod(*dataset, params, true);
-    if (verb == "profile") return PlanProfile(*dataset, params);
-    if (verb == "query") return PlanQuery(*dataset, params);
-    return PlanDiscords(*dataset, params);
+    return entry->plan(*dataset, params);
   }();
   if (!plan.ok()) return fail(plan.status());
 

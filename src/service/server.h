@@ -122,6 +122,8 @@ class Service {
   bool shutdown_requested() const {
     return shutdown_.load(std::memory_order_acquire);
   }
+  /// Sets shutdown_requested(); what the `shutdown` verb does.
+  void RequestShutdown() { shutdown_.store(true, std::memory_order_release); }
 
   DatasetRegistry& registry() { return registry_; }
   ResultCache& result_cache() { return cache_; }

@@ -26,37 +26,33 @@ MatrixProfile MakeProfile(std::vector<double> distances,
 TEST(DiscordTest, PicksLargestRowMinimum) {
   MatrixProfile profile =
       MakeProfile({1.0, 7.0, 2.0, 3.0}, {2, 3, 0, 2}, 5, 1);
-  auto discords = ExtractTopKDiscords(profile, 1);
-  ASSERT_TRUE(discords.ok());
-  ASSERT_EQ(discords->size(), 1u);
-  EXPECT_EQ((*discords)[0].offset, 1);
-  EXPECT_DOUBLE_EQ((*discords)[0].distance, 7.0);
+  auto discords = TopKDiscords(profile, 1);
+  ASSERT_EQ(discords.size(), 1u);
+  EXPECT_EQ(discords[0].offset, 1);
+  EXPECT_DOUBLE_EQ(discords[0].distance, 7.0);
 }
 
 TEST(DiscordTest, SeparatesChosenDiscords) {
   // Offsets 4 and 5 both score high but overlap under exclusion 3.
   MatrixProfile profile = MakeProfile({1.0, 1.0, 1.0, 1.0, 9.0, 8.5, 1.0, 7.0},
                                       {1, 0, 3, 2, 0, 0, 0, 0}, 4, 3);
-  auto discords = ExtractTopKDiscords(profile, 2);
-  ASSERT_TRUE(discords.ok());
-  ASSERT_EQ(discords->size(), 2u);
-  EXPECT_EQ((*discords)[0].offset, 4);
-  EXPECT_EQ((*discords)[1].offset, 7);  // 5 skipped: within 3 of 4
+  auto discords = TopKDiscords(profile, 2);
+  ASSERT_EQ(discords.size(), 2u);
+  EXPECT_EQ(discords[0].offset, 4);
+  EXPECT_EQ(discords[1].offset, 7);  // 5 skipped: within 3 of 4
 }
 
 TEST(DiscordTest, SkipsRowsWithoutNeighbors) {
   MatrixProfile profile =
       MakeProfile({kInfinity, 3.0}, {-1, 0}, 4, 1);
-  auto discords = ExtractTopKDiscords(profile, 2);
-  ASSERT_TRUE(discords.ok());
-  ASSERT_EQ(discords->size(), 1u);
-  EXPECT_EQ((*discords)[0].offset, 1);
+  auto discords = TopKDiscords(profile, 2);
+  ASSERT_EQ(discords.size(), 1u);
+  EXPECT_EQ(discords[0].offset, 1);
 }
 
-TEST(DiscordTest, RejectsZeroK) {
-  MatrixProfile profile = MakeProfile({1.0}, {0}, 2, 1);
-  EXPECT_EQ(ExtractTopKDiscords(profile, 0).status().code(),
-            StatusCode::kInvalidArgument);
+TEST(DiscordTest, ZeroKSelectsNothing) {
+  MatrixProfile profile = MakeProfile({1.0, 2.0}, {1, 0}, 2, 1);
+  EXPECT_TRUE(TopKDiscords(profile, 0).empty());
 }
 
 TEST(DiscordTest, FindsInjectedAnomaly) {
@@ -77,10 +73,9 @@ TEST(DiscordTest, FindsInjectedAnomaly) {
 
   auto profile = ComputeStomp(*corrupted, 60, {});
   ASSERT_TRUE(profile.ok());
-  auto discords = ExtractTopKDiscords(*profile, 1);
-  ASSERT_TRUE(discords.ok());
-  ASSERT_EQ(discords->size(), 1u);
-  EXPECT_NEAR(static_cast<double>((*discords)[0].offset), 615.0, 75.0);
+  auto discords = TopKDiscords(*profile, 1);
+  ASSERT_EQ(discords.size(), 1u);
+  EXPECT_NEAR(static_cast<double>(discords[0].offset), 615.0, 75.0);
 }
 
 }  // namespace

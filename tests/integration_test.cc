@@ -151,17 +151,14 @@ TEST(IntegrationTest, FixedLengthShortcutsMatchFullStack) {
 
   auto profile = mp::ComputeStomp(*series, 45, {});
   ASSERT_TRUE(profile.ok());
-  auto motifs = mp::ExtractTopKMotifs(*profile, 3);
-  ASSERT_TRUE(motifs.ok());
-  ASSERT_EQ(result->per_length[0].motifs.size(), motifs->size());
-  for (std::size_t m = 0; m < motifs->size(); ++m) {
+  const auto motifs = mp::TopKMotifs(*profile, 3);
+  ASSERT_EQ(result->per_length[0].motifs.size(), motifs.size());
+  for (std::size_t m = 0; m < motifs.size(); ++m) {
     EXPECT_NEAR(result->per_length[0].motifs[m].distance,
-                (*motifs)[m].distance, 1e-9);
+                motifs[m].distance, 1e-9);
   }
 
-  auto discords = mp::ExtractTopKDiscords(*profile, 2);
-  ASSERT_TRUE(discords.ok());
-  EXPECT_FALSE(discords->empty());
+  EXPECT_FALSE(mp::TopKDiscords(*profile, 2).empty());
 }
 
 TEST(IntegrationTest, PrefixScalingWorkflow) {

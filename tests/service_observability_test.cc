@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
@@ -190,12 +191,16 @@ TEST(OpenMetricsTest, ExpositionIsValidAndCarriesEngineAndVerbSeries) {
   ASSERT_TRUE(Ok(Roundtrip(service, motifs)));  // miss: computes
   ASSERT_TRUE(Ok(Roundtrip(service, motifs)));  // hit
   // VALMOD's initial scan is a fused STOMP sweep that bypasses the MASS
-  // kernels (and the default profile algorithm is STOMP too); STAMP runs
-  // every row through the engine, so this is the request that guarantees
-  // non-zero engine row counters below.
-  ASSERT_TRUE(Ok(Roundtrip(
-      service,
-      R"({"verb":"profile","dataset":"bench","params":{"l":64,"algo":"stamp"}})")));
+  // kernels (and the profile verb runs STOMP too); a query's distance
+  // profile goes through the engine, so this is the request that
+  // guarantees non-zero engine row counters below.
+  std::string query =
+      R"({"verb":"query","dataset":"bench","params":{"values":[)";
+  for (int i = 0; i < 64; ++i) {
+    query += (i == 0 ? "" : ",") + std::to_string(std::sin(0.2 * i));
+  }
+  query += "]}}";
+  ASSERT_TRUE(Ok(Roundtrip(service, query)));
 
   const std::string body = ScrapeMetrics(service);
   ASSERT_FALSE(body.empty());
@@ -314,6 +319,32 @@ TEST(OpenMetricsTest, UnknownVerbCannotInjectExpositionLines) {
   EXPECT_EQ(MetricValue(body, "valmod_requests_total{verb=\"unknown\"}"), 2.0);
   EXPECT_EQ(MetricValue(body, "valmod_request_errors_total{verb=\"unknown\"}"),
             2.0);
+}
+
+// Every verb the protocol documents is recorded under its own label when it
+// fails, even before dispatch (here: a malformed `params`). Dispatch and the
+// label both read the service's one verb table.
+TEST(OpenMetricsTest, EveryDocumentedVerbFailsUnderItsOwnLabel) {
+  Service service;
+  const char* const verbs[] = {
+      "load",   "unload",  "append",  "stats",    "faults",
+      "health", "metrics", "slowlog", "shutdown", "motifs",
+      "valmap", "profile", "query",   "discords"};
+  for (const char* verb : verbs) {
+    EXPECT_FALSE(Ok(Roundtrip(service, std::string(R"({"verb":")") + verb +
+                                           R"(","params":5})")))
+        << verb;
+  }
+  const std::string body = ScrapeMetrics(service);
+  for (const char* verb : verbs) {
+    EXPECT_EQ(MetricValue(body, std::string("valmod_request_errors_total{"
+                                            "verb=\"") +
+                                    verb + "\"}"),
+              1.0)
+        << verb;
+  }
+  EXPECT_EQ(MetricValue(body, "valmod_request_errors_total{verb=\"unknown\"}"),
+            -1.0);
 }
 
 // Distinct unknown verbs share one label set, so a client cannot grow the

@@ -8,6 +8,8 @@
 #include <memory>
 #include <vector>
 
+#include "mp/discord.h"
+#include "mp/motif.h"
 #include "mp/stomp.h"
 #include "series/generators.h"
 
@@ -207,20 +209,20 @@ TEST(DatasetRegistryTest, WindowedStreamingEvictsAndStaysConsistent) {
         << "row " << i;
   }
 
-  // Maintained top-k agrees with the batch oracle ranked by the shared
-  // free functions.
-  auto top = (*dataset)->StreamingTopKSnapshot(3, 3);
-  ASSERT_TRUE(top.ok());
+  // Top-k of the maintained profile agrees with the batch oracle under
+  // the shared selections.
+  const auto motifs = mp::TopKMotifs(state->profile, 3);
   const auto batch_motifs = mp::TopKMotifs(*batch, 3);
-  ASSERT_EQ(top->motifs.size(), batch_motifs.size());
+  ASSERT_EQ(motifs.size(), batch_motifs.size());
   for (std::size_t r = 0; r < batch_motifs.size(); ++r) {
-    EXPECT_EQ(top->motifs[r].offset_a, batch_motifs[r].offset_a);
-    EXPECT_EQ(top->motifs[r].offset_b, batch_motifs[r].offset_b);
+    EXPECT_EQ(motifs[r].offset_a, batch_motifs[r].offset_a);
+    EXPECT_EQ(motifs[r].offset_b, batch_motifs[r].offset_b);
   }
+  const auto discords = mp::TopKDiscords(state->profile, 3);
   const auto batch_discords = mp::TopKDiscords(*batch, 3);
-  ASSERT_EQ(top->discords.size(), batch_discords.size());
+  ASSERT_EQ(discords.size(), batch_discords.size());
   for (std::size_t r = 0; r < batch_discords.size(); ++r) {
-    EXPECT_EQ(top->discords[r].offset, batch_discords[r].offset);
+    EXPECT_EQ(discords[r].offset, batch_discords[r].offset);
   }
 
   // Occupancy/footprint reporting.

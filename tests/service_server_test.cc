@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "series/generators.h"
 
 namespace valmod::service {
 namespace {
@@ -229,15 +230,11 @@ TEST(ServiceProtocolTest, FixedLengthVerbsRejectLengthOne) {
   ASSERT_TRUE(Ok(Roundtrip(service,
       R"({"verb":"load","dataset":"d",)"
       R"("params":{"generator":"ecg","n":512}})")));
-  for (const char* stamp : {"", R"(,"algo":"stamp")"}) {
-    Value profile = Roundtrip(service,
-        std::string(R"({"verb":"profile","dataset":"d","params":{"l":1)") +
-            stamp + "}}");
-    EXPECT_EQ(ErrorCode(profile), "InvalidArgument") << profile.Serialize();
-    EXPECT_TRUE(Ok(Roundtrip(service,
-        std::string(R"({"verb":"profile","dataset":"d","params":{"l":2)") +
-            stamp + "}}")));
-  }
+  Value profile = Roundtrip(service,
+      R"({"verb":"profile","dataset":"d","params":{"l":1}})");
+  EXPECT_EQ(ErrorCode(profile), "InvalidArgument") << profile.Serialize();
+  EXPECT_TRUE(Ok(Roundtrip(service,
+      R"({"verb":"profile","dataset":"d","params":{"l":2}})")));
   Value query = Roundtrip(service,
       R"({"verb":"query","dataset":"d","params":{"values":[1]}})");
   EXPECT_EQ(ErrorCode(query), "InvalidArgument") << query.Serialize();
@@ -481,66 +478,97 @@ TEST(ServiceProtocolTest, HandleRequestPagesLargeResults) {
   EXPECT_EQ(error->Find("chunk"), nullptr);
 }
 
-// The profile verb's algo param: "stamp" computes through the snapshot's
-// shared MassEngine, agrees with the default STOMP result numerically,
-// and caches under its own key (the two algorithms never alias).
-TEST(ServiceProtocolTest, ProfileAlgoStampMatchesStomp) {
+// The profile verb has one algorithm; `algo` is an unknown param on static
+// and streaming datasets alike.
+TEST(ServiceProtocolTest, ProfileRejectsAlgoParam) {
   Service service;
   ASSERT_TRUE(Ok(Roundtrip(service,
       R"({"verb":"load","dataset":"d",)"
       R"("params":{"generator":"ecg","n":1024,"seed":11}})")));
-
-  Value stomp = Roundtrip(service,
-      R"({"verb":"profile","dataset":"d","params":{"l":64}})");
-  ASSERT_TRUE(Ok(stomp)) << stomp.Serialize();
-  Value stamp = Roundtrip(service,
-      R"({"verb":"profile","dataset":"d",)"
-      R"("params":{"l":64,"algo":"stamp"}})");
-  ASSERT_TRUE(Ok(stamp)) << stamp.Serialize();
-  // Distinct cache keys: the stamp request is a miss, not a hit on the
-  // stomp entry.
-  EXPECT_FALSE(stamp.GetBool("cached", true));
-  EXPECT_EQ(stamp.Find("result")->GetString("algo", ""), "stamp");
-
-  const auto& stomp_distances =
-      stomp.Find("result")->Find("distances")->AsArray();
-  const auto& stamp_distances =
-      stamp.Find("result")->Find("distances")->AsArray();
-  ASSERT_EQ(stomp_distances.size(), stamp_distances.size());
-  for (std::size_t i = 0; i < stomp_distances.size(); ++i) {
-    EXPECT_NEAR(stamp_distances[i].AsDouble(), stomp_distances[i].AsDouble(),
-                2e-6)
-        << i;
-  }
-
-  // Repeating the stamp request hits its own cache entry.
-  Value again = Roundtrip(service,
-      R"({"verb":"profile","dataset":"d",)"
-      R"("params":{"l":64,"algo":"stamp"}})");
-  ASSERT_TRUE(Ok(again));
-  EXPECT_TRUE(again.GetBool("cached", false));
-
-  // An explicit default is accepted and shares the stomp entry.
-  Value explicit_stomp = Roundtrip(service,
-      R"({"verb":"profile","dataset":"d",)"
-      R"("params":{"l":64,"algo":"stomp"}})");
-  ASSERT_TRUE(Ok(explicit_stomp));
-  EXPECT_TRUE(explicit_stomp.GetBool("cached", false));
-
-  // Unknown algos are structured errors.
-  EXPECT_EQ(ErrorCode(Roundtrip(service,
-                R"({"verb":"profile","dataset":"d",)"
-                R"("params":{"l":64,"algo":"brute"}})")),
-            "InvalidArgument");
-
-  // algo does not apply to streaming datasets (their profile is
-  // maintained incrementally, not recomputed).
   ASSERT_TRUE(Ok(Roundtrip(service,
       R"({"verb":"load","dataset":"s","params":{"streaming_length":8}})")));
-  EXPECT_EQ(ErrorCode(Roundtrip(service,
-                R"({"verb":"profile","dataset":"s",)"
-                R"("params":{"algo":"stamp"}})")),
-            "InvalidArgument");
+  for (const char* request :
+       {R"({"verb":"profile","dataset":"d","params":{"l":64,"algo":"stamp"}})",
+        R"({"verb":"profile","dataset":"d","params":{"l":64,"algo":"stomp"}})",
+        R"({"verb":"profile","dataset":"s","params":{"algo":"stamp"}})"}) {
+    Value response = Roundtrip(service, request);
+    EXPECT_EQ(ErrorCode(response), "InvalidArgument") << request;
+    EXPECT_NE(response.Find("error")->GetString("message", "").find(
+                  "unknown param 'algo'"),
+              std::string::npos)
+        << response.Serialize();
+  }
+}
+
+// A streaming dataset answers motifs and discords at its maintained length
+// from the maintained profile. Those answers must equal what a static
+// dataset holding the same points returns from the batch paths (VALMOD and
+// the variable-length discord search): one selection, so non-overlapping
+// motifs on both. A noisy sine has no constant windows and no exact
+// repeats, so neither list depends on tie-breaking.
+TEST(ServiceProtocolTest, MaintainedTopKEqualsStaticAnswers) {
+  Service service;
+  ASSERT_TRUE(Ok(Roundtrip(service,
+      R"({"verb":"load","dataset":"static",)"
+      R"("params":{"generator":"sine","n":600,"seed":5}})")));
+  ASSERT_TRUE(Ok(Roundtrip(service,
+      R"({"verb":"load","dataset":"stream","params":{"streaming_length":32}})")));
+  auto series = synth::ByName("sine", 600, 5);
+  ASSERT_TRUE(series.ok());
+  Value::Array values;
+  for (const double v : series->values()) values.push_back(Value(v));
+  ASSERT_TRUE(Ok(Roundtrip(service,
+      R"({"verb":"append","dataset":"stream","params":{"values":)" +
+          Value(std::move(values)).Serialize() + "}}")));
+
+  for (const std::string verb : {"motifs", "discords"}) {
+    SCOPED_TRACE(verb);
+    const std::string tail =
+        R"(","params":{"lmin":32,"lmax":32,"k":4}})";
+    Value maintained = Roundtrip(service,
+        R"({"verb":")" + verb + R"(","dataset":"stream)" + tail);
+    Value batch = Roundtrip(service,
+        R"({"verb":")" + verb + R"(","dataset":"static)" + tail);
+    ASSERT_TRUE(Ok(maintained)) << maintained.Serialize();
+    ASSERT_TRUE(Ok(batch)) << batch.Serialize();
+    EXPECT_TRUE(maintained.Find("result")->GetBool("maintained", false));
+    EXPECT_FALSE(batch.Find("result")->GetBool("maintained", false));
+
+    const auto expect_same = [](const Value& got, const Value& want) {
+      ASSERT_GE(want.AsArray().size(), 3u);
+      ASSERT_EQ(got.AsArray().size(), want.AsArray().size());
+      for (std::size_t r = 0; r < want.AsArray().size(); ++r) {
+        const Value& g = got.AsArray()[r];
+        const Value& w = want.AsArray()[r];
+        for (const char* field : {"offset_a", "offset_b", "offset"}) {
+          EXPECT_EQ(g.GetNumber(field, -1), w.GetNumber(field, -1))
+              << field << " rank " << r;
+        }
+        EXPECT_NEAR(g.GetNumber("distance", -1), w.GetNumber("distance", -1),
+                    1e-8)
+            << "rank " << r;
+      }
+    };
+    const auto per_length = [&](const Value& response) -> const Value& {
+      return *response.Find("result")->Find("per_length")->AsArray()[0].Find(
+          verb);
+    };
+    expect_same(per_length(maintained), per_length(batch));
+    if (verb == "motifs") {
+      expect_same(*maintained.Find("result")->Find("ranked"),
+                  *batch.Find("result")->Find("ranked"));
+    }
+
+    // k = 0 is an error on both, not an empty maintained list.
+    const std::string zero = R"(","params":{"lmin":32,"lmax":32,"k":0}})";
+    for (const char* dataset : {"stream", "static"}) {
+      Value response = Roundtrip(service, R"({"verb":")" + verb +
+                                              R"(","dataset":")" + dataset +
+                                              zero);
+      EXPECT_EQ(ErrorCode(response), "InvalidArgument")
+          << dataset << ": " << response.Serialize();
+    }
+  }
 }
 
 TEST(ServiceProtocolTest, AdmissionQueueFullIsAStructuredError) {

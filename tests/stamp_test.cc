@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/timer.h"
-#include "mass/engine.h"
 #include "mp/brute_force.h"
 #include "mp/stamp.h"
 #include "mp/stomp.h"
@@ -105,41 +104,10 @@ TEST(StampThreadingTest, ThreadCountDoesNotChangeOutputFftPath) {
   }
 }
 
-// The engine-reusing overload is the serving layer's path (a dataset
-// snapshot's long-lived engine): it must be bit-identical to the
-// series-taking form, and one warm engine must serve several lengths and
-// repeated calls without drift.
-TEST(StampEngineOverloadTest, SharedEngineIsBitIdenticalToFreshEngine) {
-  auto series = synth::ByName("ecg", 600, 53);
-  ASSERT_TRUE(series.ok());
-  mass::MassEngine engine(*series);
-  for (std::size_t length : {32u, 48u, 64u}) {
-    auto fresh = ComputeStamp(*series, length, {});
-    auto shared = ComputeStamp(engine, length, {});
-    ASSERT_TRUE(fresh.ok());
-    ASSERT_TRUE(shared.ok());
-    ASSERT_EQ(fresh->size(), shared->size());
-    for (std::size_t i = 0; i < fresh->size(); ++i) {
-      EXPECT_EQ(fresh->distances[i], shared->distances[i])
-          << "l=" << length << " i=" << i;
-      EXPECT_EQ(fresh->indices[i], shared->indices[i])
-          << "l=" << length << " i=" << i;
-    }
-  }
-  // A second pass through the (now fully warm) engine changes nothing.
-  auto again = ComputeStamp(engine, 48, {});
-  auto reference = ComputeStamp(*series, 48, {});
-  ASSERT_TRUE(again.ok() && reference.ok());
-  for (std::size_t i = 0; i < again->size(); ++i) {
-    EXPECT_EQ(again->distances[i], reference->distances[i]) << i;
-  }
-}
-
-TEST(StampEngineOverloadTest, EngineOverloadValidatesLength) {
+TEST(StampTest, RejectsLengthBeyondSeries) {
   auto series = synth::ByName("sine", 128, 3);
   ASSERT_TRUE(series.ok());
-  mass::MassEngine engine(*series);
-  EXPECT_EQ(ComputeStamp(engine, 500, {}).status().code(),
+  EXPECT_EQ(ComputeStamp(*series, 500, {}).status().code(),
             StatusCode::kInvalidArgument);
 }
 

@@ -7,7 +7,6 @@
 #include <string>
 
 #include "common/timer.h"
-#include "mass/engine.h"
 #include "mp/brute_force.h"
 #include "mp/stamp.h"
 #include "mp/stomp.h"
@@ -129,17 +128,14 @@ TEST(StompTest, RejectsOversizedLength) {
 }
 
 // A one-point window has zero deviation, so length 1 would yield an
-// all-zero profile. STOMP and STAMP (both overloads) reject it with the one
-// shared message; length 2 is the smallest accepted length.
+// all-zero profile. STOMP and STAMP reject it with the one shared message;
+// length 2 is the smallest accepted length.
 TEST(StompTest, RejectsLengthOne) {
   auto series = synth::ByName("ecg", 512, 3);
   ASSERT_TRUE(series.ok());
   const std::string expected = CheckSubsequenceLength(1).message();
-  mass::MassEngine engine(*series);
-  for (const Status& status :
-       {ComputeStomp(*series, 1, {}).status(),
-        ComputeStamp(*series, 1, {}).status(),
-        ComputeStamp(engine, 1, {}).status()}) {
+  for (const Status& status : {ComputeStomp(*series, 1, {}).status(),
+                               ComputeStamp(*series, 1, {}).status()}) {
     EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
     EXPECT_EQ(status.message(), expected);
   }

@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "mp/discord.h"
+#include "mp/motif.h"
 #include "mp/stomp.h"
 #include "mp/streaming.h"
 #include "series/data_series.h"
@@ -125,7 +127,7 @@ TEST_P(StreamingWindowedTest, TopKMatchesBatchOracle) {
     EXPECT_NEAR(motifs[r].distance, batch_motifs[r].distance, 2e-5)
         << "rank " << r;
   }
-  const auto discords = stream->TopDiscords(k);
+  const auto discords = TopKDiscords(stream->ProfileSnapshot(), k);
   const auto batch_discords = TopKDiscords(batch, k);
   ASSERT_EQ(discords.size(), batch_discords.size());
   for (std::size_t r = 0; r < discords.size(); ++r) {
@@ -294,10 +296,7 @@ TEST(StreamingWindowedConcurrencyTest, AppendsRaceReaders) {
         auto state = (*dataset)->StreamingProfileSnapshot();
         if (state.ok()) {
           EXPECT_LE(state->profile.size(), 256u);
-        }
-        auto top = (*dataset)->StreamingTopKSnapshot(3, 3);
-        if (top.ok()) {
-          EXPECT_LE(top->motifs.size(), 3u);
+          EXPECT_LE(TopKMotifs(state->profile, 3).size(), 3u);
         }
         (void)(*dataset)->Snapshot();  // batch materialization racing appends
         (void)(*dataset)->Memory();

@@ -36,8 +36,6 @@ TEST_P(ValmodFuzzTest, RandomConfigurationStaysExact) {
   const std::size_t k = static_cast<std::size_t>(rng.UniformInt(1, 3));
   const std::size_t p = static_cast<std::size_t>(rng.UniformInt(1, 12));
   const double exclusion = rng.Flip(0.5) ? 0.5 : 0.25;
-  const auto selection = rng.Flip(0.5) ? mp::MotifSelection::kNonOverlapping
-                                       : mp::MotifSelection::kAllRowMinima;
   SCOPED_TRACE("generator=" + generator + " n=" + std::to_string(n) +
                " lmin=" + std::to_string(lmin) +
                " lmax=" + std::to_string(lmax) + " k=" + std::to_string(k) +
@@ -53,7 +51,6 @@ TEST_P(ValmodFuzzTest, RandomConfigurationStaysExact) {
   options.k = k;
   options.p = p;
   options.exclusion_fraction = exclusion;
-  options.selection = selection;
   auto result = RunValmod(*series, options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
 
@@ -62,7 +59,6 @@ TEST_P(ValmodFuzzTest, RandomConfigurationStaysExact) {
   baseline_options.max_length = lmax;
   baseline_options.k = k;
   baseline_options.exclusion_fraction = exclusion;
-  baseline_options.selection = selection;
   auto baseline = baselines::RunStompRange(*series, baseline_options);
   ASSERT_TRUE(baseline.ok());
 

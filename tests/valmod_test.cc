@@ -629,27 +629,6 @@ TEST(ValmodTest, DisablingValmapLeavesItEmpty) {
   EXPECT_FALSE(result->per_length.empty());
 }
 
-TEST(ValmodTest, AllRowMinimaSelectionMatchesBaseline) {
-  auto series = synth::ByName("ecg", 500, 61);
-  ASSERT_TRUE(series.ok());
-  ValmodOptions options;
-  options.min_length = 25;
-  options.max_length = 50;
-  options.k = 3;
-  options.selection = mp::MotifSelection::kAllRowMinima;
-  auto result = RunValmod(*series, options);
-  ASSERT_TRUE(result.ok());
-
-  baselines::StompRangeOptions baseline_options;
-  baseline_options.min_length = 25;
-  baseline_options.max_length = 50;
-  baseline_options.k = 3;
-  baseline_options.selection = mp::MotifSelection::kAllRowMinima;
-  auto baseline = baselines::RunStompRange(*series, baseline_options);
-  ASSERT_TRUE(baseline.ok());
-  ExpectSamePerLengthDistances(result->per_length, *baseline, 2e-5);
-}
-
 TEST(RankingTest, OrdersByNormalizedDistance) {
   mp::MotifPair a;
   a.offset_a = 0;

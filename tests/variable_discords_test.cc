@@ -32,15 +32,14 @@ TEST(VariableDiscordsTest, MatchesPerLengthStompDiscords) {
     const std::size_t length = 25 + i;
     auto profile = mp::ComputeStomp(*series, length, {});
     ASSERT_TRUE(profile.ok());
-    auto expected = mp::ExtractTopKDiscords(*profile, 2);
-    ASSERT_TRUE(expected.ok());
-    ASSERT_EQ(result->per_length[i].discords.size(), expected->size());
-    for (std::size_t d = 0; d < expected->size(); ++d) {
+    const auto expected = mp::TopKDiscords(*profile, 2);
+    ASSERT_EQ(result->per_length[i].discords.size(), expected.size());
+    for (std::size_t d = 0; d < expected.size(); ++d) {
       EXPECT_EQ(result->per_length[i].discords[d].offset,
-                (*expected)[d].offset)
+                expected[d].offset)
           << "length " << length << " rank " << d;
       EXPECT_NEAR(result->per_length[i].discords[d].distance,
-                  (*expected)[d].distance, 1e-9);
+                  expected[d].distance, 1e-9);
     }
   }
 }

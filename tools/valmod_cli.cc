@@ -182,13 +182,11 @@ int RunProfile(const Flags& flags) {
   auto status = valmod::mp::WriteProfileCsv(*profile, output);
   if (!status.ok()) return Fail(status);
 
-  auto motifs = valmod::mp::ExtractTopKMotifs(
+  const auto motifs = valmod::mp::TopKMotifs(
       *profile, static_cast<std::size_t>(flags.GetInt("k", 3)));
-  if (motifs.ok()) {
-    for (std::size_t r = 0; r < motifs->size(); ++r) {
-      std::printf("motif %zu: %s\n", r + 1,
-                  valmod::mp::ToString((*motifs)[r]).c_str());
-    }
+  for (std::size_t r = 0; r < motifs.size(); ++r) {
+    std::printf("motif %zu: %s\n", r + 1,
+                valmod::mp::ToString(motifs[r]).c_str());
   }
   std::printf("wrote %s\n", output.c_str());
   return 0;
