@@ -110,6 +110,15 @@ simd::OfferSink PartialProfileSet::Sink() {
   return {admit_.data(), &OfferAtStride, this};
 }
 
+void PartialProfileSet::OfferAny(void* set, std::size_t row, int64_t match,
+                                 double dot, double base_lb) {
+  static_cast<PartialProfileSet*>(set)->Offer(row, match, dot, base_lb);
+}
+
+simd::OfferSink PartialProfileSet::ReseedSink() {
+  return {admit_.data(), &OfferAny, this};
+}
+
 void PartialProfileSet::FinishSeeding(std::size_t row) {
   Entry* base = RowBase(row);
   const std::size_t size = row_size_[row];

@@ -83,6 +83,10 @@ class PartialProfileSet {
   /// are then offered at stride p. For sets where no row has grown.
   simd::OfferSink Sink();
 
+  /// The re-seeding view of Offer, for any row, grown or not: the same
+  /// gate, then Offer.
+  simd::OfferSink ReseedSink();
+
   /// Freezes `max_base_lb` after seeding finished for `row` (call once per
   /// row per seeding pass) and orders its entries by ascending base LB.
   void FinishSeeding(std::size_t row);
@@ -152,6 +156,8 @@ class PartialProfileSet {
   void CompactPool();
   static void OfferAtStride(void* set, std::size_t row, int64_t match,
                             double dot, double base_lb);
+  static void OfferAny(void* set, std::size_t row, int64_t match, double dot,
+                       double base_lb);
   void OfferInto(Entry* base, std::size_t capacity, std::size_t row,
                  const Entry& entry);
 

@@ -1,6 +1,7 @@
 #include "core/valmod.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -13,12 +14,14 @@
 #include "common/parallel.h"
 #include "common/status.h"
 #include "common/trace.h"
+#include "core/dot_row_cache.h"
 #include "core/lower_bound.h"
 #include "core/partial_profile.h"
 #include "mass/engine.h"
 #include "mass/mass.h"
 #include "mp/diagonal.h"
 #include "series/znorm.h"
+#include "simd/dispatch.h"
 #include "stats/moving_stats.h"
 
 namespace valmod::core {
@@ -36,14 +39,6 @@ struct RowState {
   bool constant = false;
 };
 
-/// Correlation recovered from a distance at a length (inverse of
-/// DistanceFromCorrelation); used to derive base LBs from distances that a
-/// profile row already provides.
-double CorrelationFromDistance(double distance, std::size_t length) {
-  const double l = static_cast<double>(length);
-  return 1.0 - (distance * distance) / (2.0 * l);
-}
-
 class ValmodRunner {
  public:
   ValmodRunner(mass::MassEngine& engine, const ValmodOptions& options)
@@ -51,7 +46,8 @@ class ValmodRunner {
         options_(options),
         stats_(series_.stats()),
         centered_(series_.centered()),
-        engine_(engine) {}
+        engine_(engine),
+        dot_rows_(series_.size()) {}
 
   Result<ValmodResult> Run();
 
@@ -61,8 +57,9 @@ class ValmodRunner {
   Status ProcessLength(std::size_t length);
   Status RecomputeRows(std::span<const std::size_t> rows, std::size_t length,
                        std::size_t exclusion);
-  void ApplyRecomputedRow(std::size_t row, std::size_t length,
-                          std::size_t exclusion, mass::RowProfile* profile);
+  void ReseedRow(std::size_t row, std::size_t length, std::size_t exclusion,
+                 std::span<const double> dots,
+                 simd::RowReseedScratch* scratch);
   std::vector<mp::MotifPair> SelectCertified(std::size_t length,
                                              std::size_t exclusion) const;
   Status RefreshWindowProfile(std::size_t length);
@@ -74,13 +71,18 @@ class ValmodRunner {
   const ValmodOptions& options_;
   const stats::MovingStats& stats_;
   std::span<const double> centered_;
-  /// Shared MASS engine: the certification loop recomputes thousands of
-  /// rows per run through the batched entry point, and the engine amortizes
-  /// the series/chunk spectra and FFT plans across all of them while
-  /// pairing batch rows to share transforms. Borrowed, not owned: the
+  /// Shared MASS engine: it anchors the recomputed rows that no cached dot
+  /// row reaches (`dot_rows_`), through the batched entry point, and
+  /// amortizes the series/chunk spectra and FFT plans across all of them
+  /// while pairing batch rows to share transforms. Borrowed, not owned: the
   /// serving layer passes a registry-held engine so the spectra also
   /// amortize across *runs* (the one-shot overload constructs a local one).
   mass::MassEngine& engine_;
+  /// Dot rows of recent recomputed rows: the bases the STOMP recurrences
+  /// derive nearby recomputed rows from, in place of a MASS row.
+  DotRowCache dot_rows_;
+  /// One re-seed scratch per worker of RecomputeRows.
+  std::vector<simd::RowReseedScratch> reseed_scratch_;
 
   // Phase-1 product; rows closed at their base length have no usable
   // partial profile.
@@ -270,58 +272,93 @@ Status ValmodRunner::InitialScan() {
 Status ValmodRunner::RecomputeRows(std::span<const std::size_t> rows,
                                    std::size_t length,
                                    std::size_t exclusion) {
-  // One batched engine call: adjacent rows share a pair-packed (or
-  // overlap-save) transform, the pairing depending only on the row order —
-  // never on the thread count, which only controls how pairs fan out.
-  VALMOD_ASSIGN_OR_RETURN(
-      std::vector<mass::RowProfile> profiles,
-      engine_.ComputeRowProfiles(rows, length, options_.num_threads));
+  // Each row's exact dots come from the nearest cached dot row by the STOMP
+  // recurrences, or from MASS when none is in reach. Bases are picked
+  // serially in batch order from the cache as it stood when the batch
+  // started, so which rows pay for MASS never depends on the thread count.
+  // A chain of derivations stops at as many steps from its MASS anchor as
+  // one STOMP diagonal walks: the window count.
+  const std::size_t count = series_.NumSubsequences(length);
+  std::vector<const DotRow*> bases(rows.size());
+  std::vector<std::size_t> anchored;
+  for (std::size_t b = 0; b < rows.size(); ++b) {
+    bases[b] = dot_rows_.FindBase(rows[b], length, count);
+    if (bases[b] == nullptr) anchored.push_back(rows[b]);
+  }
+  // One batched engine call for the rest: adjacent rows share a pair-packed
+  // (or overlap-save) transform, the pairing depending only on the row
+  // order — never on the thread count, which only controls how pairs fan
+  // out.
+  std::vector<mass::RowProfile> profiles;
+  if (!anchored.empty()) {
+    VALMOD_ASSIGN_OR_RETURN(
+        profiles,
+        engine_.ComputeRowProfiles(anchored, length, options_.num_threads));
+  }
+  std::vector<DotRow> fresh(rows.size());
+  for (std::size_t b = 0, m = 0; b < rows.size(); ++b) {
+    fresh[b].offset = rows[b];
+    fresh[b].length = length;
+    if (bases[b] == nullptr) {
+      fresh[b].dots = std::move(profiles[m++].dots);
+    } else {
+      fresh[b].chain =
+          bases[b]->chain + DerivationSteps(*bases[b], rows[b], length);
+    }
+  }
+  profiles.clear();  // the re-seed derives every distance from the dots
   // A recomputed row failed certification: its stored candidates did not
   // reach far enough. It reseeds with double its capacity (capped at the
   // windows at this length) while the set's budget lasts; a refused row
   // keeps its capacity and is still exact, since its recompute is. Decided
   // serially in batch order, so which rows grow never depends on the thread
   // count. Grow refuses closed rows.
-  const std::size_t count = series_.NumSubsequences(length);
   for (std::size_t row : rows) {
     partial_->Grow(row, std::min(2 * partial_->capacity(row), count));
   }
-  // Applying a profile touches only its own row's partial-profile slice and
-  // state, so the application sweep partitions cleanly too.
-  ParallelFor(0, rows.size(), options_.num_threads, [&](std::size_t b) {
-    ApplyRecomputedRow(rows[b], length, exclusion, &profiles[b]);
+  // Deriving a row reads only its base; re-seeding touches only the row's
+  // own partial-profile slice and state, so both partition cleanly. Each
+  // worker claims rows in turn and reuses its own re-seed scratch.
+  const std::size_t workers = std::min<std::size_t>(
+      static_cast<std::size_t>(std::max(options_.num_threads, 1)),
+      rows.size());
+  if (reseed_scratch_.size() < workers) reseed_scratch_.resize(workers);
+  std::atomic<std::size_t> next{0};
+  ParallelFor(0, workers, static_cast<int>(workers), [&](std::size_t w) {
+    for (std::size_t b = next++; b < rows.size(); b = next++) {
+      if (bases[b] != nullptr) {
+        DeriveDotRow(centered_, *bases[b], rows[b], length, &fresh[b].dots);
+      }
+      ReseedRow(rows[b], length, exclusion, fresh[b].dots,
+                &reseed_scratch_[w]);
+    }
   });
+  for (DotRow& row : fresh) dot_rows_.Insert(std::move(row));
   return Status::Ok();
 }
 
-void ValmodRunner::ApplyRecomputedRow(std::size_t row, std::size_t length,
-                                      std::size_t exclusion,
-                                      mass::RowProfile* profile) {
-  mass::ApplyExclusionZone(&profile->distances, row, exclusion);
-
+void ValmodRunner::ReseedRow(std::size_t row, std::size_t length,
+                             std::size_t exclusion,
+                             std::span<const double> dots,
+                             simd::RowReseedScratch* scratch) {
   partial_->Reset(row, length);
-  const std::size_t count = series_.NumSubsequences(length);
   RowState& state = states_[row];
   state.min_dist = kInfinity;
   state.best_match = -1;
-  for (std::size_t j = 0; j < count; ++j) {
-    const double d = profile->distances[j];
-    if (d == kInfinity) continue;  // excluded
-    if (MatchPrecedes(d, static_cast<int64_t>(j), state.min_dist,
-                      state.best_match, row)) {
-      state.min_dist = d;
-      state.best_match = static_cast<int64_t>(j);
-    }
-    double rho = 0.0;
-    if (!windows_.is_const[row] && !windows_.is_const[j]) {
-      rho = CorrelationFromDistance(d, length);
-    }
-    const double base_lb = BaseLowerBound(rho, length);
-    if (partial_->Admits(row, base_lb)) {
-      partial_->Offer(row, static_cast<int64_t>(j), profile->dots[j],
-                      base_lb);
-    }
-  }
+  // The diagonal tile's cell math, straight from the dots: the distance and
+  // the row minimum, the base LB from the correlation, the gate and the
+  // offer.
+  const simd::OfferSink sink = partial_->ReseedSink();
+  const simd::RowReseed reseed{windows_.Arrays(series_),
+                               length,
+                               row,
+                               exclusion,
+                               dots.data(),
+                               &state.min_dist,
+                               &state.best_match,
+                               scratch,
+                               &sink};
+  simd::ActiveKernels().reseed_row(reseed);
   partial_->FinishSeeding(row);
   if (windows_.is_const[row]) partial_->Close(row);
   state.valid = true;

@@ -65,7 +65,10 @@ struct LengthStats {
   std::size_t valid_rows = 0;
   /// Rows whose stored entries could not certify (maxLB < minDist).
   std::size_t invalid_rows = 0;
-  /// Rows recomputed exactly with MASS (and re-seeded) at this length.
+  /// Rows recomputed exactly (and re-seeded) at this length: derived from
+  /// a cached dot row of a nearby recomputed row by the STOMP recurrences,
+  /// or computed with MASS when no cached row is in reach. Which rows take
+  /// which path is decided in batch order, never by the thread count.
   std::size_t recomputed_rows = 0;
   /// Rows handled by the constant-window fast path.
   std::size_t constant_rows = 0;
@@ -108,8 +111,9 @@ struct ValmodResult {
 /// [options.min_length, options.max_length] plus VALMAP, in
 /// O(n^2 + (lmax - lmin) * n * max(p, 32)) expected time: rows start with
 /// p entries and recomputed rows grow within an n * max(p, 32) budget. The
-/// worst case degrades toward one MASS recompute per uncertified row, once
-/// the budget is spent.
+/// worst case degrades toward one exact recompute per uncertified row, once
+/// the budget is spent: a few O(n) recurrence passes from a cached nearby
+/// row, or one MASS row when none is in reach.
 Result<ValmodResult> RunValmod(const series::DataSeries& series,
                                const ValmodOptions& options);
 

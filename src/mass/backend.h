@@ -20,10 +20,13 @@ namespace valmod::mass {
 /// priced by the work its kernel actually does. v3 keeps it and lets a
 /// partial-profile row that fails certification grow its capacity, so rows
 /// certify from running dot products where v2 recomputed them with MASS.
-/// v4 (current) deletes the half-spectrum single-query FFT path: a single
-/// row and the odd tail row of a batch now run the pair-packed full-size
-/// transform with an empty second lane, which rounds differently.
-inline constexpr int kResultsVersion = 4;
+/// v4 deletes the half-spectrum single-query FFT path: a single row and the
+/// odd tail row of a batch now run the pair-packed full-size transform with
+/// an empty second lane, which rounds differently. v5 (current) derives most
+/// recomputed rows from a cached nearby row by the STOMP recurrences instead
+/// of MASS, and takes a re-seeded row's base LBs straight from the
+/// correlation rather than back from the distance; both move the last ulps.
+inline constexpr int kResultsVersion = 5;
 
 /// How a MASS engine turns queries into sliding dot products. The backends
 /// are numerically equivalent (every one computes the same dot products to

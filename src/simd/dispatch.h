@@ -4,14 +4,14 @@
 // Runtime SIMD dispatch for the hot kernels.
 //
 // The dense numeric sweeps — FFT butterflies, spectrum products, direct
-// sliding dots, the moving mean/std sweep, and the diagonal tile of the
-// O(n^2) profile scans — are implemented once per instruction set in
-// per-ISA translation units (kernels_scalar.cc, kernels_avx2.cc,
-// kernels_neon.cc), each compiled with per-file arch flags so the rest of
-// the binary stays generic-arch. The best target the CPU supports is
-// detected once at startup (cpuid on x86, baseline ASIMD on aarch64) and
-// resolved to a table of function pointers; every hot loop reads the table
-// through one atomic pointer load.
+// sliding dots, the moving mean/std sweep, the diagonal tile of the O(n^2)
+// profile scans and the re-seed of VALMOD's recomputed rows — are
+// implemented once per instruction set in per-ISA translation units
+// (kernels_scalar.cc, kernels_avx2.cc, kernels_neon.cc), each compiled with
+// per-file arch flags so the rest of the binary stays generic-arch. The
+// best target the CPU supports is detected once at startup (cpuid on x86,
+// baseline ASIMD on aarch64) and resolved to a table of function pointers;
+// every hot loop reads the table through one atomic pointer load.
 //
 // Every vector kernel is written to be BIT-IDENTICAL to the scalar oracle:
 // no FMA contraction, the same per-element operation order, and the exact
@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -102,6 +103,40 @@ struct DiagonalTile {
   const OfferSink* sink;
 };
 
+/// What a row re-seed reuses from one row to the next: the row's base LBs
+/// and the offer order of its blocks. The kernel sizes it; each thread that
+/// re-seeds rows keeps its own, so the hot loop allocates nothing.
+struct RowReseedScratch {
+  std::vector<double> base_lbs;
+  std::vector<std::pair<double, std::size_t>> blocks;
+};
+
+/// One exact row of a self-join, re-seeded from its dot products (VALMOD's
+/// recomputed rows): window `row` against every window j of `windows`
+/// outside the exclusion zone |j - row| < exclusion. Each cell's distance
+/// and correlation come from the diagonal tile's cell math, so the row
+/// minimum (MatchPrecedes) and the base LBs are the bits a diagonal walk
+/// over the same dot products produces. A first pass updates the minimum
+/// and stores every base LB; an offer pass then sends (row, j) candidates
+/// through the sink's gate, best blocks of cells first. The candidates
+/// offered depend on the gate the sink keeps, but a sink that keeps a total
+/// order of the best (as core::PartialProfileSet does) ends with the same
+/// set on every target.
+struct RowReseed {
+  WindowArrays windows;
+  std::size_t length;
+  std::size_t row;
+  std::size_t exclusion;  // >= 1
+  const double* dots;     // windows.count dot products QT(row, j)
+  /// The row minimum, updated in place (+inf / -1 for a fresh row).
+  double* min_dist;
+  std::int64_t* min_idx;
+  /// Never null; not shared with a concurrent re-seed.
+  RowReseedScratch* scratch;
+  /// Receives (row, j) candidates only; never null.
+  const OfferSink* sink;
+};
+
 /// The hot-kernel table. One instance per compiled-in target; all entries
 /// are always non-null.
 struct Kernels {
@@ -146,6 +181,11 @@ struct Kernels {
   /// lanes in one register and drop to the scalar cell body for minimum or
   /// gate hits, constant windows and the ragged tail rows.
   void (*diagonal_tile)(const DiagonalTile& tile);
+
+  /// Re-seeds one row (see RowReseed). Vector targets evaluate four cells
+  /// per register in the first pass and drop to the scalar cell body as the
+  /// tile does; the offer pass is scalar on every target.
+  void (*reseed_row)(const RowReseed& row);
 };
 
 /// Name for a target: "scalar", "avx2", "neon".

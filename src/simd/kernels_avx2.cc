@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <limits>
 
 #include "simd/kernels.h"
 #include "simd/kernels_scalar_inl.h"
@@ -241,6 +242,52 @@ void WindowStatsAvx2(const double* prefix, const double* prefix_sq,
   }
 }
 
+/// Broadcast constants of the cell math at one length.
+struct CellConstants {
+  explicit CellConstants(std::size_t length)
+      : l(_mm256_set1_pd(static_cast<double>(length))),
+        two_l(_mm256_set1_pd(2.0 * static_cast<double>(length))),
+        sqrt_l(_mm256_set1_pd(std::sqrt(static_cast<double>(length)))),
+        one(_mm256_set1_pd(1.0)),
+        neg_one(_mm256_set1_pd(-1.0)),
+        zero(_mm256_setzero_pd()) {}
+  __m256d l, two_l, sqrt_l, one, neg_one, zero;
+};
+
+/// The correlations of four cells of one row window i against the windows
+/// j..j+3, in scalar_kernel::CellValueAt's operation order.
+inline __m256d CellRho(const CellConstants& c, __m256d qt, double mean_i,
+                       const double* means_j, double std_i,
+                       const double* stds_j) {
+  const __m256d cov =
+      _mm256_sub_pd(_mm256_div_pd(qt, c.l),
+                    _mm256_mul_pd(_mm256_set1_pd(mean_i),
+                                  _mm256_loadu_pd(means_j)));
+  const __m256d ratio = _mm256_div_pd(
+      cov, _mm256_mul_pd(_mm256_set1_pd(std_i), _mm256_loadu_pd(stds_j)));
+  // std::clamp(ratio, -1, 1): maxpd/minpd return their second operand on
+  // NaN, as std::clamp returns its argument.
+  return _mm256_min_pd(c.one, _mm256_max_pd(c.neg_one, ratio));
+}
+
+/// scalar_kernel::CellValueAt's distance from the correlation.
+inline __m256d CellDistance(const CellConstants& c, __m256d rho) {
+  const __m256d sq = _mm256_mul_pd(c.two_l, _mm256_sub_pd(c.one, rho));
+  return _mm256_and_pd(_mm256_cmp_pd(sq, c.zero, _CMP_GT_OQ),
+                       _mm256_sqrt_pd(sq));
+}
+
+/// scalar_kernel::CellBaseLb of four correlations.
+inline __m256d CellBaseLb(const CellConstants& c, __m256d rho) {
+  const __m256d residual =
+      _mm256_mul_pd(c.l, _mm256_sub_pd(c.one, _mm256_mul_pd(rho, rho)));
+  const __m256d positive_lb =
+      _mm256_and_pd(_mm256_cmp_pd(residual, c.zero, _CMP_GT_OQ),
+                    _mm256_sqrt_pd(residual));
+  return _mm256_blendv_pd(positive_lb, c.sqrt_l,
+                          _mm256_cmp_pd(rho, c.zero, _CMP_LE_OQ));
+}
+
 /// The diagonal tile's full-width rows: all four lanes in one register,
 /// with the distance (and, when seeding, the base LB) of every cell
 /// computed in-lane. A row drops to the scalar cell body only when it holds
@@ -252,13 +299,7 @@ template <bool kRows, bool kCols, bool kSeed>
 inline void DiagonalTileBody(const DiagonalTile& t, std::size_t full_rows,
                              double* qt_out) {
   const std::size_t tail = t.length - 1;
-  const double l = static_cast<double>(t.length);
-  const __m256d vl = _mm256_set1_pd(l);
-  const __m256d two_l = _mm256_set1_pd(2.0 * l);
-  const __m256d sqrt_l = _mm256_set1_pd(std::sqrt(l));
-  const __m256d one = _mm256_set1_pd(1.0);
-  const __m256d neg_one = _mm256_set1_pd(-1.0);
-  const __m256d zero = _mm256_setzero_pd();
+  const CellConstants c(t.length);
   const double* rv = t.rows.values;
   const double* cv = t.cols.values;
   __m256d qt = _mm256_loadu_pd(t.initial_dots);
@@ -285,21 +326,11 @@ inline void DiagonalTileBody(const DiagonalTile& t, std::size_t full_rows,
       continue;
     }
 
-    const __m256d cov =
-        _mm256_sub_pd(_mm256_div_pd(qt, vl),
-                      _mm256_mul_pd(_mm256_set1_pd(t.rows.means[i]),
-                                    _mm256_loadu_pd(t.cols.means + j)));
-    const __m256d ratio =
-        _mm256_div_pd(cov, _mm256_mul_pd(_mm256_set1_pd(t.rows.stds[i]),
-                                         _mm256_loadu_pd(t.cols.stds + j)));
-    // std::clamp(ratio, -1, 1): maxpd/minpd return their second operand on
-    // NaN, as std::clamp returns its argument.
-    const __m256d rho = _mm256_min_pd(one, _mm256_max_pd(neg_one, ratio));
-    const __m256d sq = _mm256_mul_pd(two_l, _mm256_sub_pd(one, rho));
-    const __m256d d = _mm256_and_pd(_mm256_cmp_pd(sq, zero, _CMP_GT_OQ),
-                                    _mm256_sqrt_pd(sq));
+    const __m256d rho = CellRho(c, qt, t.rows.means[i], t.cols.means + j,
+                                t.rows.stds[i], t.cols.stds + j);
+    const __m256d d = CellDistance(c, rho);
 
-    __m256d hit = zero;
+    __m256d hit = c.zero;
     if constexpr (kRows) {
       hit = _mm256_cmp_pd(d, _mm256_set1_pd(t.row_dist[i]), _CMP_LE_OQ);
     }
@@ -307,15 +338,9 @@ inline void DiagonalTileBody(const DiagonalTile& t, std::size_t full_rows,
       hit = _mm256_or_pd(
           hit, _mm256_cmp_pd(d, _mm256_loadu_pd(t.col_dist + j), _CMP_LE_OQ));
     }
-    __m256d lb = zero;
+    __m256d lb = c.zero;
     if constexpr (kSeed) {
-      const __m256d residual =
-          _mm256_mul_pd(vl, _mm256_sub_pd(one, _mm256_mul_pd(rho, rho)));
-      const __m256d positive_lb =
-          _mm256_and_pd(_mm256_cmp_pd(residual, zero, _CMP_GT_OQ),
-                        _mm256_sqrt_pd(residual));
-      lb = _mm256_blendv_pd(positive_lb, sqrt_l,
-                            _mm256_cmp_pd(rho, zero, _CMP_LE_OQ));
+      lb = CellBaseLb(c, rho);
       const double* admit = t.sink->admit;
       hit = _mm256_or_pd(
           hit, _mm256_cmp_pd(lb, _mm256_set1_pd(admit[i]), _CMP_LE_OQ));
@@ -358,13 +383,85 @@ void DiagonalTileAvx2(const DiagonalTile& t) {
   scalar_kernel::DiagonalTileRows(t, full_rows, qt);
 }
 
+/// The first pass over the cells [begin, end) of a re-seeded row, four per
+/// register with the tile's cell math: every base LB is stored in-lane, and
+/// a group drops to the scalar cell body when it holds a constant window or
+/// some lane may change the row minimum (compared with <=, so
+/// MatchPrecedes settles exact ties); the tail runs the scalar cells.
+void ReseedRowCellsAvx2(const RowReseed& r, std::size_t begin,
+                        std::size_t end) {
+  const CellConstants c(r.length);
+  const WindowArrays& w = r.windows;
+  double* base_lbs = r.scratch->base_lbs.data();
+  alignas(32) double d_lanes[kDiagonalLanes];
+  alignas(32) double lb_lanes[kDiagonalLanes];
+  std::size_t j = begin;
+  for (; j + kDiagonalLanes <= end; j += kDiagonalLanes) {
+    std::uint32_t col_const;
+    std::memcpy(&col_const, w.is_const + j, sizeof(col_const));
+    if ((w.is_const[r.row] | col_const) != 0) {
+      scalar_kernel::RowCells(r, j, j + kDiagonalLanes);
+      continue;
+    }
+    const __m256d rho = CellRho(c, _mm256_loadu_pd(r.dots + j),
+                                w.means[r.row], w.means + j, w.stds[r.row],
+                                w.stds + j);
+    const __m256d d = CellDistance(c, rho);
+    const __m256d lb = CellBaseLb(c, rho);
+    const __m256d hit =
+        _mm256_cmp_pd(d, _mm256_set1_pd(*r.min_dist), _CMP_LE_OQ);
+    if (_mm256_movemask_pd(hit) == 0) {
+      _mm256_storeu_pd(base_lbs + j, lb);
+      continue;
+    }
+    _mm256_store_pd(d_lanes, d);
+    _mm256_store_pd(lb_lanes, lb);
+    for (std::size_t k = 0; k < kDiagonalLanes; ++k) {
+      scalar_kernel::ApplyRowCell(r, j + k, d_lanes[k], lb_lanes[k]);
+    }
+  }
+  scalar_kernel::RowCells(r, j, end);
+}
+
+/// scalar_kernel::LowestBaseLb, four cells per register: minpd returns its
+/// second operand for a NaN first, so NaN cells are skipped as there. Ends
+/// with vzeroupper after the last 256-bit use, which the compiler leaves
+/// out here: the offer pass calls the sink, and legacy-SSE code behind it
+/// would otherwise pay the AVX-SSE transition on every instruction (about
+/// 4x the cost of an offer, measured).
+double LowestBaseLbAvx2(const double* base_lbs, std::size_t lo,
+                        std::size_t hi) {
+  __m256d lowest = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  std::size_t j = lo;
+  for (; j + kDiagonalLanes <= hi; j += kDiagonalLanes) {
+    lowest = _mm256_min_pd(_mm256_loadu_pd(base_lbs + j), lowest);
+  }
+  const __m128d pair = _mm_min_pd(_mm256_castpd256_pd128(lowest),
+                                  _mm256_extractf128_pd(lowest, 1));
+  _mm256_zeroupper();
+  const double out = std::min(_mm_cvtsd_f64(pair),
+                              _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair)));
+  return std::min(out, scalar_kernel::LowestBaseLb(base_lbs, j, hi));
+}
+
+void ReseedRowAvx2(const RowReseed& r) {
+  scalar_kernel::PrepareScratch(r);
+  const scalar_kernel::RowRuns runs = scalar_kernel::RowRunsOf(r);
+  ReseedRowCellsAvx2(r, 0, runs.left_end);
+  ReseedRowCellsAvx2(r, runs.right_begin, r.windows.count);
+  scalar_kernel::MarkExclusionZone(r, runs);
+  scalar_kernel::OfferRowCandidates(r, [&](std::size_t lo, std::size_t hi) {
+    return LowestBaseLbAvx2(r.scratch->base_lbs.data(), lo, hi);
+  });
+}
+
 }  // namespace
 
 const Kernels& Avx2Kernels() {
   static constexpr Kernels kTable = {
       &Radix2PassAvx2,      &FusedRadix4DitAvx2, &FusedRadix4DifAvx2,
       &ComplexMultiplyAvx2, &DotProductAvx2,     &WindowStatsAvx2,
-      &DiagonalTileAvx2,
+      &DiagonalTileAvx2,    &ReseedRowAvx2,
   };
   return kTable;
 }

@@ -202,9 +202,14 @@ void WindowStatsNeon(const double* prefix, const double* prefix_sq,
   }
 }
 
-// No NEON diagonal body yet: the tile runs the scalar walk.
+// No NEON cell bodies yet: the tile and the row re-seed run the scalar
+// walks.
 void DiagonalTileNeon(const DiagonalTile& tile) {
   scalar_kernel::DiagonalTileWalk(tile);
+}
+
+void ReseedRowNeon(const RowReseed& row) {
+  scalar_kernel::ReseedRowWalk(row);
 }
 
 }  // namespace
@@ -213,7 +218,7 @@ const Kernels& NeonKernels() {
   static constexpr Kernels kTable = {
       &Radix2PassNeon,      &FusedRadix4DitNeon, &FusedRadix4DifNeon,
       &ComplexMultiplyNeon, &DotProductNeon,     &WindowStatsNeon,
-      &DiagonalTileNeon,
+      &DiagonalTileNeon,    &ReseedRowNeon,
   };
   return kTable;
 }

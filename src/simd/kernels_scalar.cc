@@ -89,13 +89,17 @@ void DiagonalTileScalar(const DiagonalTile& tile) {
   scalar_kernel::DiagonalTileWalk(tile);
 }
 
+void ReseedRowScalar(const RowReseed& row) {
+  scalar_kernel::ReseedRowWalk(row);
+}
+
 }  // namespace
 
 const Kernels& ScalarKernels() {
   static constexpr Kernels kTable = {
       &Radix2PassScalar,      &FusedRadix4DitScalar, &FusedRadix4DifScalar,
       &ComplexMultiplyScalar, &DotProductScalar,     &WindowStatsScalar,
-      &DiagonalTileScalar,
+      &DiagonalTileScalar,    &ReseedRowScalar,
   };
   return kTable;
 }

@@ -6,6 +6,8 @@
 // tie rule. The cases cover ragged tiles, scans shorter than one tile,
 // AB-joins (no exclusion zone, negative diagonals), constant plateaus,
 // windows on either side of the constant-window threshold and exact ties.
+// The row re-seed kernel, which shares the tile's cell math, is held to the
+// same scalar formulas on the same kinds of rows.
 
 #include <gtest/gtest.h>
 
@@ -21,6 +23,7 @@
 #include "common/parallel.h"
 #include "core/lower_bound.h"
 #include "core/partial_profile.h"
+#include "mass/mass.h"
 #include "mp/ab_join.h"
 #include "mp/diagonal.h"
 #include "mp/stomp.h"
@@ -458,6 +461,147 @@ TEST(DiagonalKernelTest, WorkersNeverExceedPoolOrTiles) {
   EXPECT_EQ(DiagonalWorkers(scan, 100000), 2u);
   scan.exclusion = 281;  // nothing to walk
   EXPECT_EQ(DiagonalWorkers(scan, 4), 1u);
+}
+
+/// The row re-seed (simd::RowReseed) of `row` from its direct dot products
+/// against the library's scalar formulas, on every target: the row minimum,
+/// the stored candidates of a set grown to `capacity`, and the gate
+/// contract. The reference is the diagonal walk's cell math, so a re-seeded
+/// row holds what the seeding scan would have given it.
+void CheckReseedRow(const series::DataSeries& series, std::size_t length,
+                    std::size_t row, std::size_t capacity,
+                    const std::string& name) {
+  WindowStats windows;
+  ASSERT_TRUE(windows.Compute(series, length).ok());
+  const simd::WindowArrays w = windows.Arrays(series);
+  const std::size_t count = w.count;
+  const std::size_t exclusion = ExclusionZoneFor(length, 0.5);
+  const std::vector<double> dots =
+      mass::DirectSlidingDots(series.centered(), row, length, count);
+
+  Minima want_min(count);
+  std::vector<core::Entry> candidates;
+  const bool const_row = w.is_const[row] != 0;
+  for (std::size_t j = 0; j < count; ++j) {
+    if ((j > row ? j - row : row - j) < exclusion) continue;
+    const bool const_j = w.is_const[j] != 0;
+    want_min.Update(row,
+                    series::PairDistanceFromDot(dots[j], w.means[row],
+                                                w.means[j], w.stds[row],
+                                                w.stds[j], length, const_row,
+                                                const_j),
+                    j);
+    const double rho =
+        const_row || const_j
+            ? 0.0
+            : series::CorrelationFromDot(dots[j], w.means[row], w.means[j],
+                                         w.stds[row], w.stds[j], length);
+    candidates.push_back({static_cast<std::int64_t>(j), dots[j],
+                          core::BaseLowerBound(rho, length)});
+  }
+  SortByBaseLb(row, &candidates);
+  const std::size_t kept = std::min(capacity, candidates.size());
+
+  const simd::Target original = simd::ActiveTarget();
+  for (const simd::Target target : simd::SupportedTargets()) {
+    ASSERT_TRUE(simd::SetTarget(target).ok());
+    const std::string where = name + " row " + std::to_string(row) +
+                              " target=" + simd::TargetName(target);
+    simd::RowReseedScratch scratch;
+
+    core::PartialProfileSet set(count, kP, length);
+    if (capacity > kP) ASSERT_TRUE(set.Grow(row, capacity)) << where;
+    double min_dist = kInf;
+    std::int64_t min_idx = -1;
+    const simd::OfferSink sink = set.ReseedSink();
+    simd::ActiveKernels().reseed_row({w, length, row, exclusion, dots.data(),
+                                      &min_dist, &min_idx, &scratch,
+                                      &sink});
+    set.FinishSeeding(row);
+    EXPECT_EQ(Bits(min_dist), Bits(want_min.distances[row])) << where;
+    EXPECT_EQ(min_idx, want_min.indices[row]) << where;
+    const auto stored = set.Row(row);
+    ASSERT_EQ(stored.size(), kept) << where;
+    for (std::size_t e = 0; e < kept; ++e) {
+      EXPECT_EQ(stored[e].match, candidates[e].match) << where;
+      EXPECT_EQ(Bits(stored[e].dot), Bits(candidates[e].dot)) << where;
+      EXPECT_EQ(Bits(stored[e].base_lb), Bits(candidates[e].base_lb))
+          << where;
+    }
+    const double bound = kept == capacity ? candidates[kept - 1].base_lb
+                                          : kInf;
+    EXPECT_EQ(Bits(set.max_base_lb(row)), Bits(bound)) << where;
+
+    // The gate on its own, held at a base LB some candidates equal: exactly
+    // the candidates at or below it are offered.
+    std::vector<double> admit(count, -kInf);
+    admit[row] = candidates[kept - 1].base_lb;
+    OfferLog log;
+    log.rows.resize(count);
+    const simd::OfferSink gate{admit.data(), &OfferLog::Record, &log};
+    // A minimum pre-filled with the row's distance but a farther match:
+    // the tie must reach MatchPrecedes, which picks the nearer match.
+    double tied_dist = want_min.distances[row];
+    std::int64_t tied_idx = static_cast<std::int64_t>(3 * count);
+    simd::ActiveKernels().reseed_row({w, length, row, exclusion, dots.data(),
+                                      &tied_dist, &tied_idx, &scratch,
+                                      &gate});
+    EXPECT_EQ(tied_idx, want_min.indices[row]) << where << " tied";
+    std::vector<core::Entry> offered = log.rows[row];
+    SortByBaseLb(row, &offered);
+    std::vector<core::Entry> expected;
+    for (const core::Entry& e : candidates) {
+      if (e.base_lb <= admit[row]) expected.push_back(e);
+    }
+    ASSERT_EQ(offered.size(), expected.size()) << where << " gate";
+    for (std::size_t e = 0; e < expected.size(); ++e) {
+      EXPECT_EQ(offered[e].match, expected[e].match) << where << " gate";
+      EXPECT_EQ(Bits(offered[e].base_lb), Bits(expected[e].base_lb))
+          << where << " gate";
+    }
+  }
+  ASSERT_TRUE(simd::SetTarget(original).ok());
+}
+
+TEST(RowReseedKernelTest, OrdinaryRowsAtEveryCapacity) {
+  const series::DataSeries series = RandomWalk(700, 15);
+  const std::size_t length = 40;
+  const std::size_t last = series.NumSubsequences(length) - 1;
+  for (const std::size_t row : {std::size_t{0}, std::size_t{1},
+                                std::size_t{333}, last - 2, last}) {
+    for (const std::size_t capacity : {kP, 2 * kP, 64 * kP}) {
+      CheckReseedRow(series, length, row, capacity,
+                     "random_walk cap " + std::to_string(capacity));
+    }
+  }
+}
+
+TEST(RowReseedKernelTest, ConstantWindowsAndTheThreshold) {
+  // Plateaus(600) is flat over [100, 175) and [400, 466): rows inside,
+  // at the edge and outside a plateau, so cells and rows are constant.
+  const series::DataSeries plateaus = Plateaus(600, 16);
+  for (const std::size_t row : {120u, 99u, 300u, 410u}) {
+    CheckReseedRow(plateaus, 24, row, 2 * kP, "plateaus");
+  }
+  // Rows in the quiet stretches just below and just above the threshold.
+  const series::DataSeries near = NearThreshold(500, 17);
+  for (const std::size_t row : {110u, 150u, 310u, 350u}) {
+    CheckReseedRow(near, 20, row, 2 * kP, "near-threshold");
+  }
+}
+
+TEST(RowReseedKernelTest, ExactTies) {
+  // Every window of a +-1 alternation at an even length has mean 0 and
+  // standard deviation 1, so windows an even gap apart tie at distance 0
+  // and base LB 0: only MatchPrecedes orders them.
+  std::vector<double> values(96);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    values[i] = i % 2 == 0 ? -1.0 : 1.0;
+  }
+  const series::DataSeries series = FromValues(std::move(values));
+  for (const std::size_t row : {0u, 40u, 88u}) {
+    CheckReseedRow(series, 8, row, kP, "ties");
+  }
 }
 
 }  // namespace

@@ -2,10 +2,13 @@
 // randomly drawn workloads, shapes, ranges, and parameters. Each seed
 // derives one full configuration; any divergence of the per-length top-k
 // distances fails the property. A second tier pins the sweep shape (long
-// lengths, few rows certify) where partial-profile rows grow.
+// lengths, few rows certify) where partial-profile rows grow and recomputed
+// rows come from cached dot rows or from MASS.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -13,6 +16,7 @@
 #include "baselines/stomp_range.h"
 #include "common/rng.h"
 #include "core/valmod.h"
+#include "mass/engine.h"
 #include "series/generators.h"
 
 namespace valmod::core {
@@ -81,36 +85,58 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ValmodFuzzTest,
 struct SweepShape {
   const char* generator;
   std::size_t n, lmin, lmax, k, p;
+  /// Points of one constant stretch starting at n / 3; 0 for none.
+  std::size_t plateau = 0;
 };
 
 // Long lengths over wide ranges, where most rows fail certification and
 // recomputed rows grow their capacity. Every shape grows rows; in all but
 // the first, growth also runs into the set's budget and is refused for
-// some rows.
+// some rows. Recomputed rows derive from cached dot rows where one is in
+// reach. The n=4096 shape recomputes about 400 rows per length against a
+// cache of 16 rows, so rows are evicted and re-anchored by MASS. The
+// plateau makes derived rows cross constant windows; it is shorter than
+// 1.5 lmin, so no two constant windows pair up at distance 0.
 constexpr SweepShape kSweepShapes[] = {
     {"random_walk", 1024, 200, 240, 1, 10},
     {"random_walk", 1024, 200, 240, 3, 5},
     {"seismic", 1500, 150, 220, 2, 2},
     {"random_walk", 2048, 300, 380, 2, 4},
+    {"random_walk", 4096, 256, 272, 3, 2},
+    {"random_walk", 1500, 100, 130, 2, 3, 140},
 };
 
 void PrintTo(const SweepShape& shape, std::ostream* out) {
   *out << shape.generator << " n=" << shape.n << " l=" << shape.lmin << "-"
-       << shape.lmax << " k=" << shape.k << " p=" << shape.p;
+       << shape.lmax << " k=" << shape.k << " p=" << shape.p
+       << " plateau=" << shape.plateau;
+}
+
+series::DataSeries SweepSeries(const SweepShape& shape) {
+  auto series = synth::ByName(shape.generator, shape.n, 1);
+  EXPECT_TRUE(series.ok());
+  if (shape.plateau == 0) return std::move(*series);
+  std::vector<double> values(series->values().begin(),
+                             series->values().end());
+  const std::size_t from = shape.n / 3;
+  std::fill(values.begin() + from, values.begin() + from + shape.plateau,
+            values[from]);
+  auto flat = series::DataSeries::Create(std::move(values));
+  EXPECT_TRUE(flat.ok());
+  return std::move(*flat);
 }
 
 class ValmodSweepShapeTest : public ::testing::TestWithParam<SweepShape> {};
 
 TEST_P(ValmodSweepShapeTest, ExactAndThreadInvariant) {
   const SweepShape& shape = GetParam();
-  auto series = synth::ByName(shape.generator, shape.n, 1);
-  ASSERT_TRUE(series.ok());
+  const series::DataSeries series = SweepSeries(shape);
 
   baselines::StompRangeOptions baseline_options;
   baseline_options.min_length = shape.lmin;
   baseline_options.max_length = shape.lmax;
   baseline_options.k = shape.k;
-  auto baseline = baselines::RunStompRange(*series, baseline_options);
+  auto baseline = baselines::RunStompRange(series, baseline_options);
   ASSERT_TRUE(baseline.ok());
 
   std::vector<ValmodResult> runs;
@@ -121,8 +147,22 @@ TEST_P(ValmodSweepShapeTest, ExactAndThreadInvariant) {
     options.k = shape.k;
     options.p = shape.p;
     options.num_threads = threads;
-    auto result = RunValmod(*series, options);
+    const mass::EngineCounters before = mass::EngineCountersSnapshot();
+    auto result = RunValmod(series, options);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
+    const mass::EngineCounters after = mass::EngineCountersSnapshot();
+    // Both recompute paths ran: some rows were anchored by MASS, the rest
+    // derived from cached dot rows.
+    std::size_t recomputed = 0;
+    for (const LengthStats& stats : result->stats) {
+      recomputed += stats.recomputed_rows;
+    }
+    const std::uint64_t anchored =
+        (after.rows_overlap_save - before.rows_overlap_save) +
+        (after.rows_fft_pair - before.rows_fft_pair) +
+        (after.rows_direct - before.rows_direct);
+    EXPECT_GT(anchored, 0u) << "threads " << threads;
+    EXPECT_LT(anchored, recomputed) << "threads " << threads;
     ASSERT_EQ(result->per_length.size(), baseline->size());
     for (std::size_t i = 0; i < baseline->size(); ++i) {
       const auto& want = (*baseline)[i].motifs;

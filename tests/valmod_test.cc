@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -271,46 +272,59 @@ TEST(ValmodTest, ThreadedInitialScanMatchesSerial) {
 }
 
 // The certification loop routes recompute batches through the engine's
-// batched entry point. The batch composition (a fixed 16 rows) and the
-// row pairing inside a batch depend only on the row order — never on the
-// thread count — so the entire result must be bit-identical, not just
-// close, across thread counts.
+// batched entry point or derives them from cached dot rows. The batch
+// composition (a fixed 16 rows), which rows find a cached base (picked in
+// batch order) and the row pairing inside a batch depend only on the row
+// order — never on the thread count — so the entire result must be
+// bit-identical, not just close, across thread counts. The random walk at
+// long lengths derives most of its thousands of recomputed rows in
+// parallel.
 TEST(ValmodTest, BatchedRecomputeBitIdenticalAcrossThreadCounts) {
-  auto series = synth::ByName("ecg", 2000, 53);
-  ASSERT_TRUE(series.ok());
-  ValmodOptions base;
-  base.min_length = 32;
-  base.max_length = 72;
-  base.k = 3;
+  struct Case {
+    const char* generator;
+    std::uint64_t seed;
+    std::size_t n, lmin, lmax, p;
+  };
+  for (const Case& c : {Case{"ecg", 53, 2000, 32, 72, 10},
+                        Case{"random_walk", 3, 1024, 200, 215, 5}}) {
+    SCOPED_TRACE(c.generator);
+    auto series = synth::ByName(c.generator, c.n, c.seed);
+    ASSERT_TRUE(series.ok());
+    ValmodOptions base;
+    base.min_length = c.lmin;
+    base.max_length = c.lmax;
+    base.k = 3;
+    base.p = c.p;
 
-  auto reference = RunValmod(*series, base);
-  ASSERT_TRUE(reference.ok());
-  for (int threads : {2, 4}) {
-    ValmodOptions options = base;
-    options.num_threads = threads;
-    auto result = RunValmod(*series, options);
-    ASSERT_TRUE(result.ok());
+    auto reference = RunValmod(*series, base);
+    ASSERT_TRUE(reference.ok());
+    for (int threads : {2, 4}) {
+      ValmodOptions options = base;
+      options.num_threads = threads;
+      auto result = RunValmod(*series, options);
+      ASSERT_TRUE(result.ok());
 
-    ASSERT_EQ(result->per_length.size(), reference->per_length.size());
-    for (std::size_t i = 0; i < reference->per_length.size(); ++i) {
-      const auto& want = reference->per_length[i].motifs;
-      const auto& got = result->per_length[i].motifs;
-      ASSERT_EQ(got.size(), want.size()) << "threads=" << threads;
-      for (std::size_t m = 0; m < want.size(); ++m) {
-        EXPECT_EQ(got[m].offset_a, want[m].offset_a);
-        EXPECT_EQ(got[m].offset_b, want[m].offset_b);
-        EXPECT_EQ(got[m].distance, want[m].distance)
-            << "threads=" << threads << " length "
-            << reference->per_length[i].length << " rank " << m;
+      ASSERT_EQ(result->per_length.size(), reference->per_length.size());
+      for (std::size_t i = 0; i < reference->per_length.size(); ++i) {
+        const auto& want = reference->per_length[i].motifs;
+        const auto& got = result->per_length[i].motifs;
+        ASSERT_EQ(got.size(), want.size()) << "threads=" << threads;
+        for (std::size_t m = 0; m < want.size(); ++m) {
+          EXPECT_EQ(got[m].offset_a, want[m].offset_a);
+          EXPECT_EQ(got[m].offset_b, want[m].offset_b);
+          EXPECT_EQ(got[m].distance, want[m].distance)
+              << "threads=" << threads << " length "
+              << reference->per_length[i].length << " rank " << m;
+        }
       }
-    }
-    ASSERT_EQ(result->min_length_profile.distances.size(),
-              reference->min_length_profile.distances.size());
-    for (std::size_t j = 0;
-         j < reference->min_length_profile.distances.size(); ++j) {
-      EXPECT_EQ(result->min_length_profile.distances[j],
-                reference->min_length_profile.distances[j])
-          << "threads=" << threads << " j=" << j;
+      ASSERT_EQ(result->min_length_profile.distances.size(),
+                reference->min_length_profile.distances.size());
+      for (std::size_t j = 0;
+           j < reference->min_length_profile.distances.size(); ++j) {
+        EXPECT_EQ(result->min_length_profile.distances[j],
+                  reference->min_length_profile.distances[j])
+            << "threads=" << threads << " j=" << j;
+      }
     }
   }
 }
