@@ -25,12 +25,12 @@ struct MoenOptions {
 /// of All Lengths"): the exact *best* motif pair for every length of the
 /// range (MOEN's natural output is k = 1).
 ///
-/// Faithful-in-structure reimplementation (DESIGN.md §3.8): per length, an
-/// MK-style search — reference distance profiles via MASS, candidate pairs
-/// enumerated in ascending order of a triangle-inequality lower bound, exact
-/// distances with early abandoning — with the best-so-far seeded by
-/// re-evaluating the previous length's motif at the new length, which plays
-/// the role of MOEN's cross-length bound reuse.
+/// Faithful-in-structure reimplementation: per length, an MK-style search —
+/// reference distance profiles via MASS, candidate pairs enumerated in
+/// ascending order of a triangle-inequality lower bound, exact distances
+/// with early abandoning — with the best-so-far seeded by re-evaluating the
+/// previous length's motif at the new length, which plays the role of
+/// MOEN's cross-length bound reuse.
 Result<std::vector<core::LengthMotifs>> RunMoen(
     const series::DataSeries& series, const MoenOptions& options);
 

@@ -25,10 +25,10 @@ struct QuickMotifOptions {
 /// QuickMotif ([3] in the text, Li et al. ICDE'15): exact fixed-length best
 /// motif pair via spatial pruning over PAA summaries.
 ///
-/// Faithful-in-structure reimplementation (DESIGN.md §3.8): z-normalized
-/// subsequences are summarized with PAA, ordered along a Morton (z-order)
-/// curve — substituting the original's Hilbert curve, same locality purpose —
-/// and grouped into MBR blocks. Block pairs are visited in ascending MBR
+/// Faithful-in-structure reimplementation: z-normalized subsequences are
+/// summarized with PAA, ordered along a Morton (z-order) curve —
+/// substituting the original's Hilbert curve, same locality purpose — and
+/// grouped into MBR blocks. Block pairs are visited in ascending MBR
 /// lower-bound order; within a pair, candidates are checked with the PAA
 /// point lower bound and then an early-abandoning exact distance. All bounds
 /// are admissible, so the result is exact.

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "series/znorm.h"
+#include "simd/dispatch.h"
 
 namespace valmod::core {
 
@@ -78,6 +79,7 @@ void DeriveDotRow(std::span<const double> centered, const DotRow& base,
   for (std::size_t j = hi; j < count; ++j) {
     d[j] = series::DotProduct(c + offset, c + j, length);
   }
+  simd::NoteKernelCalls(simd::KernelKind::kDotProduct, lo + (count - hi));
 }
 
 DotRowCache::DotRowCache(std::size_t series_size)

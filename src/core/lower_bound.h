@@ -9,7 +9,7 @@
 
 namespace valmod::core {
 
-/// VALMOD's cross-length lower bound (DESIGN.md §3.4).
+/// VALMOD's cross-length lower bound.
 ///
 /// For subsequences of a series starting at offsets i and j, with Pearson
 /// correlation `rho` at base length `l`, the z-normalized distance at any

@@ -1,7 +1,6 @@
 #include "mass/engine.h"
 
 #include <atomic>
-#include <cstring>
 #include <string>
 #include <utility>
 
@@ -20,7 +19,6 @@ struct EngineCounterStorage {
   std::atomic<std::uint64_t> chunk_spectra_hits{0};
   std::atomic<std::uint64_t> chunk_spectra_misses{0};
   std::atomic<std::uint64_t> chunk_spectra_evictions{0};
-  std::atomic<std::uint64_t> chunk_spectra_adopted{0};
   std::atomic<std::uint64_t> rows_direct{0};
   std::atomic<std::uint64_t> rows_fft_pair{0};
   std::atomic<std::uint64_t> rows_overlap_save{0};
@@ -45,8 +43,6 @@ EngineCounters EngineCountersSnapshot() {
       c.chunk_spectra_misses.load(std::memory_order_relaxed);
   out.chunk_spectra_evictions =
       c.chunk_spectra_evictions.load(std::memory_order_relaxed);
-  out.chunk_spectra_adopted =
-      c.chunk_spectra_adopted.load(std::memory_order_relaxed);
   out.rows_direct = c.rows_direct.load(std::memory_order_relaxed);
   out.rows_fft_pair = c.rows_fft_pair.load(std::memory_order_relaxed);
   out.rows_overlap_save = c.rows_overlap_save.load(std::memory_order_relaxed);
@@ -147,72 +143,6 @@ void MassEngine::TrimChunkSpectraLocked() {
     chunk_spectra_.erase(victim);
     Bump(g_engine_counters.chunk_spectra_evictions);
   }
-}
-
-std::size_t MassEngine::AdoptChunkSpectraFrom(MassEngine& previous,
-                                              std::size_t unchanged_prefix) {
-  const auto centered = series_.centered();
-  const auto prev_centered = previous.series_.centered();
-  if (unchanged_prefix == 0 || unchanged_prefix > centered.size() ||
-      unchanged_prefix > prev_centered.size()) {
-    return 0;
-  }
-  // Adoption is only sound when a fresh build would transform the exact
-  // same chunk bytes, so verify the prefix bitwise. One O(prefix) memcmp
-  // per snapshot generation is noise next to the O(n) stats build that
-  // accompanies it, and it turns a subtle caller mistake (re-anchored or
-  // slid values) into a clean "nothing adopted".
-  if (std::memcmp(centered.data(), prev_centered.data(),
-                  unchanged_prefix * sizeof(double)) != 0) {
-    return 0;
-  }
-
-  // Snapshot the previous engine's entries under its lock; the shared_ptr
-  // handles keep them alive even if that engine concurrently evicts.
-  std::vector<std::shared_ptr<const ChunkSpectra>> sources;
-  {
-    std::lock_guard<std::mutex> lock(previous.mutex_);
-    sources.reserve(previous.chunk_spectra_.size());
-    for (const auto& entry : previous.chunk_spectra_) {
-      sources.push_back(entry.second);
-    }
-  }
-
-  const std::size_t n = centered.size();
-  std::size_t copied = 0;
-  for (const std::shared_ptr<const ChunkSpectra>& source : sources) {
-    const std::size_t chunk_fft_size = source->plan->size();
-    const std::size_t hop = source->hop;
-    auto spectra = std::make_shared<ChunkSpectra>();
-    spectra->plan = source->plan;
-    spectra->hop = hop;
-    const std::size_t num_chunks = (n + hop - 1) / hop;
-    spectra->chunks.resize(num_chunks);
-    for (std::size_t c = 0; c < num_chunks; ++c) {
-      const std::size_t begin = c * hop;
-      // A chunk is copyable only when the previous build read a full,
-      // unpadded chunk entirely inside the unchanged prefix; a chunk that
-      // was zero-padded at the old series end now reads appended data and
-      // must be recomputed.
-      if (begin + chunk_fft_size <= unchanged_prefix &&
-          c < source->chunks.size()) {
-        spectra->chunks[c] = source->chunks[c];
-        ++copied;
-        continue;
-      }
-      const std::size_t len = std::min(chunk_fft_size, n - begin);
-      std::vector<std::complex<double>>& bins = spectra->chunks[c];
-      bins.resize(chunk_fft_size);
-      spectra->plan->RealForwardPair(centered.subspan(begin, len), {}, bins);
-    }
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (chunk_spectra_.count(chunk_fft_size) > 0) continue;  // lost the race
-    spectra->last_used = ++chunk_spectra_clock_;
-    chunk_spectra_.emplace(chunk_fft_size, std::move(spectra));
-    TrimChunkSpectraLocked();
-  }
-  Bump(g_engine_counters.chunk_spectra_adopted, copied);
-  return copied;
 }
 
 std::size_t MassEngine::CacheMemoryBytes() {

@@ -89,26 +89,6 @@ class MassEngine {
       std::span<const double> query,
       ConvolutionBackend backend = ConvolutionBackend::kAuto);
 
-  /// Streaming-append cache carry-over: seeds this engine's overlap-save
-  /// chunk-spectra cache from `previous` (the engine of the prior snapshot
-  /// generation of the same growing series), given that the first
-  /// `unchanged_prefix` *centered* values of both series are bit-identical.
-  /// For every chunk size `previous` had cached, chunks lying entirely
-  /// inside the unchanged prefix are copied verbatim (they are bit-identical
-  /// to what a fresh build would produce — same input, same plan) and only
-  /// the suffix chunks the appended points touch (including the previously
-  /// zero-padded tail chunk) are recomputed. Returns the number of chunks
-  /// copied; 0 — and no cache changes — when the prefix check fails.
-  ///
-  /// The full-size series spectra are deliberately *not* carried over:
-  /// appending changes the padded FFT size and every bin, so there is
-  /// nothing reusable there.
-  ///
-  /// Thread-safe against concurrent use of both engines, but intended to be
-  /// called once, right after construction, before this engine is hot.
-  std::size_t AdoptChunkSpectraFrom(MassEngine& previous,
-                                    std::size_t unchanged_prefix);
-
   /// Approximate heap footprint of the engine's caches (spectra, chunk
   /// spectra, scratch free list), for the `stats` verb's per-dataset
   /// memory reporting.
@@ -234,7 +214,9 @@ struct EngineCounters {
   std::uint64_t chunk_spectra_hits = 0;
   std::uint64_t chunk_spectra_misses = 0;
   std::uint64_t chunk_spectra_evictions = 0;
-  // Chunks copied across append generations (AdoptChunkSpectraFrom).
+  // Always 0: streaming snapshots no longer carry chunk spectra across
+  // append generations. Kept only because the repository benchmark reads
+  // it; the next change to that benchmark removes it.
   std::uint64_t chunk_spectra_adopted = 0;
   // Rows of sliding-dot work per executed backend (kAuto resolves
   // before counting, so every row lands on a concrete backend).

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <limits>
+#include <numeric>
 
 #include "common/match_order.h"
 #include "common/parallel.h"
@@ -76,6 +77,9 @@ bool WalkDiagonals(const DiagonalScan& scan, std::size_t workers,
   std::vector<std::vector<std::int64_t>> local_idx(
       workers - 1, std::vector<std::int64_t>(count, -1));
 
+  // Direct dot products per worker (the first cell of every diagonal it
+  // starts), noted once after the walk.
+  std::vector<std::uint64_t> direct_dots(workers, 0);
   std::atomic<std::size_t> next_tile{0};
   std::atomic<bool> expired{false};
   ParallelFor(0, workers, static_cast<int>(workers), [&](std::size_t w) {
@@ -100,6 +104,7 @@ bool WalkDiagonals(const DiagonalScan& scan, std::size_t workers,
                                      band->cols->values + first + k,
                                      scan.length);
       }
+      direct_dots[w] += lanes;
       const simd::DiagonalTile walk{
           *band->rows,
           *band->cols,
@@ -116,6 +121,9 @@ bool WalkDiagonals(const DiagonalScan& scan, std::size_t workers,
       kernels.diagonal_tile(walk);
     }
   });
+  simd::NoteKernelCalls(simd::KernelKind::kDotProduct,
+                        std::accumulate(direct_dots.begin(), direct_dots.end(),
+                                        std::uint64_t{0}));
   if (expired.load()) return false;
 
   for (std::size_t w = 1; w < workers; ++w) {

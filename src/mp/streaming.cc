@@ -7,6 +7,7 @@
 
 #include "common/fault.h"
 #include "series/znorm.h"
+#include "simd/dispatch.h"
 
 namespace valmod::mp {
 
@@ -117,6 +118,7 @@ void StreamingProfile::AppendValidated(double value) {
   const std::size_t m = n - length_;  // newest window offset (local)
   if (m == 0) {
     last_dots_.assign(1, series::DotProduct(v, v, length_));
+    simd::NoteKernelCalls(simd::KernelKind::kDotProduct, 1);
     last_dots_start_ = base;
     distances_.PushBack(kInfinity);
     neighbors_.PushBack(-1);
@@ -132,6 +134,7 @@ void StreamingProfile::AppendValidated(double value) {
   // the one no retained window needs anymore.
   std::vector<double> new_dots(m + 1);
   new_dots[0] = series::DotProduct(v, v + m, length_);
+  simd::NoteKernelCalls(simd::KernelKind::kDotProduct, 1);
   const double tail_new = v[m + length_ - 1];
   const std::size_t shift = base - last_dots_start_;
   for (std::size_t j = 1; j <= m; ++j) {
@@ -198,9 +201,11 @@ void StreamingProfile::RepairRow(std::size_t row) {
   const double std_r = std::sqrt(var_r);
   const bool const_r = var_r <= kStreamConstantVariance;
   const std::size_t rows = distances_.size();
+  std::uint64_t direct_dots = 0;
   for (std::size_t j = 0; j < rows; ++j) {
     const std::size_t gap = j > row ? j - row : row - j;
     if (gap < exclusion_) continue;
+    ++direct_dots;
     const double var_j = Variance(j);
     const double d = series::PairDistanceFromDot(
         series::DotProduct(v + row, v + j, length_), mean_r, Mean(j), std_r,
@@ -217,6 +222,7 @@ void StreamingProfile::RepairRow(std::size_t row) {
       neighbors_[row] = base + static_cast<std::int64_t>(j);
     }
   }
+  simd::NoteKernelCalls(simd::KernelKind::kDotProduct, direct_dots);
 }
 
 void StreamingProfile::MaybeReanchor() {
@@ -259,8 +265,8 @@ void StreamingProfile::MaybeReanchor() {
   for (std::size_t w = 0; w <= m; ++w) {
     last_dots_[w] = series::DotProduct(v + w, v + m, length_);
   }
+  simd::NoteKernelCalls(simd::KernelKind::kDotProduct, m + 1);
   last_dots_start_ = values_.start_index();
-  ++anchor_epoch_;
   last_reanchor_total_ = values_.total_appended();
 }
 

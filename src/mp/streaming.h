@@ -69,9 +69,7 @@ struct StreamingOptions {
 /// O(W) dot-product carry — keeping the conditioning ratio bounded (~1e-10
 /// relative error) for any drift. Re-anchors are rate-limited to one per
 /// `length` appends, so their O(W l) cost amortizes to O(W) per append —
-/// the same order as the regular update. Each re-anchor bumps
-/// `anchor_epoch()`, which downstream snapshot caches use to detect that
-/// the shifted values changed wholesale.
+/// the same order as the regular update.
 class StreamingProfile {
  public:
   /// Creates an empty streaming profile for subsequences of `length`.
@@ -104,9 +102,6 @@ class StreamingProfile {
   /// Global stream position of the first retained point == total evicted.
   std::size_t window_start() const { return values_.start_index(); }
   std::size_t total_appended() const { return values_.total_appended(); }
-  /// Incremented on every re-anchor; a change means every retained shifted
-  /// value (and hence any snapshot materialized from them) changed.
-  std::uint64_t anchor_epoch() const { return anchor_epoch_; }
 
   /// Materialized snapshot of the maintained profile over the retained
   /// window. O(W): distances are copied and neighbor indices rebased to be
@@ -154,7 +149,6 @@ class StreamingProfile {
   bool reanchor_ = true;
   double anchor_ = 0.0;  // fixed shift applied to all values
   bool anchored_ = false;
-  std::uint64_t anchor_epoch_ = 0;
   std::size_t last_reanchor_total_ = 0;  // total_appended() at last re-anchor
 
   /// Retained shifted values; evicts per `max_points`.

@@ -11,13 +11,6 @@ Result<DataSeries> DataSeries::Create(std::vector<double> values) {
   return DataSeries(std::move(values), std::move(stats));
 }
 
-Result<DataSeries> DataSeries::CreateWithCenter(std::vector<double> values,
-                                                double center) {
-  VALMOD_ASSIGN_OR_RETURN(stats::MovingStats stats,
-                          stats::MovingStats::CreateWithCenter(values, center));
-  return DataSeries(std::move(values), std::move(stats));
-}
-
 DataSeries DataSeries::Clone() const {
   std::vector<double> copy(values_);
   Result<DataSeries> cloned = Create(std::move(copy));

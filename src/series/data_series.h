@@ -25,13 +25,6 @@ class DataSeries {
   /// entries. Cost: O(n) to build prefix statistics.
   static Result<DataSeries> Create(std::vector<double> values);
 
-  /// Like Create, but centers the stats at `center` instead of the series'
-  /// global mean (see stats::MovingStats::CreateWithCenter). Streaming
-  /// snapshots pass 0.0 over anchor-shifted values so `centered()` — and
-  /// with it every cached spectrum — is bit-stable while the window grows.
-  static Result<DataSeries> CreateWithCenter(std::vector<double> values,
-                                             double center);
-
   DataSeries(DataSeries&&) = default;
   DataSeries& operator=(DataSeries&&) = default;
   DataSeries(const DataSeries&) = delete;

@@ -13,8 +13,8 @@
 ///
 /// The paper evaluates on real recordings (UCR ECG, ASTRO light curves,
 /// entomology EPG, seismographs) that are not shipped with this repository;
-/// each generator below is the documented substitute (DESIGN.md §4). All
-/// generators are deterministic in their seed.
+/// each generator below is the substitute for one of them. All generators
+/// are deterministic in their seed.
 namespace valmod::synth {
 
 /// Gaussian random walk: the standard null workload for matrix-profile

@@ -10,9 +10,4 @@ std::size_t WindowedSeries::Append(double value) {
   return 1;
 }
 
-Result<DataSeries> WindowedSeries::ToDataSeries(double center) const {
-  const auto window = values();
-  return DataSeries::CreateWithCenter({window.begin(), window.end()}, center);
-}
-
 }  // namespace valmod::series

@@ -5,10 +5,6 @@
 #include <span>
 #include <vector>
 
-#include "common/result.h"
-#include "common/status.h"
-#include "series/data_series.h"
-
 namespace valmod::series {
 
 /// Contiguous sliding buffer: a ring buffer that trades a bounded amount of
@@ -122,13 +118,6 @@ class WindowedSeries {
   std::size_t compactions() const { return buffer_.compactions(); }
 
   std::size_t MemoryBytes() const { return buffer_.MemoryBytes(); }
-
-  /// Materializes the retained window as an immutable DataSeries whose
-  /// stats are centered at `center` (see MovingStats::CreateWithCenter;
-  /// streaming callers pass 0.0 so the centered representation is
-  /// bit-stable across appends, which is what lets engine caches carry
-  /// over). Fails on an empty window or non-finite values.
-  Result<DataSeries> ToDataSeries(double center) const;
 
  private:
   SlidingBuffer<double> buffer_;

@@ -15,7 +15,7 @@
 
 namespace valmod::series {
 
-/// -- Distance conventions (DESIGN.md §3.1) ---------------------------------
+/// -- Distance conventions ---------------------------------------------------
 ///
 /// The z-normalized Euclidean distance between two windows of length `l` is
 /// `d = sqrt(2 l (1 - rho))` with `rho` their Pearson correlation. Constant

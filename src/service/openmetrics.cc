@@ -193,9 +193,6 @@ std::string RenderOpenMetrics(const VerbMetrics& metrics,
   Type("valmod_engine_chunk_spectra_evictions", "counter", &out);
   CounterLine("valmod_engine_chunk_spectra_evictions", "",
               engine.chunk_spectra_evictions, &out);
-  Type("valmod_engine_chunk_spectra_adopted", "counter", &out);
-  CounterLine("valmod_engine_chunk_spectra_adopted", "",
-              engine.chunk_spectra_adopted, &out);
   Type("valmod_engine_rows", "counter", &out);
   CounterLine("valmod_engine_rows", "{backend=\"direct\"}", engine.rows_direct,
               &out);

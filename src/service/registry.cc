@@ -76,33 +76,10 @@ Result<std::shared_ptr<const DatasetSnapshot>> Dataset::Snapshot() {
   // its appended values and the next query retries the build.
   VALMOD_RETURN_IF_ERROR(VALMOD_FAULT_POINT("registry.snapshot.alloc"));
   const auto values = streaming_->values();
-  // The stats are centered at 0 over the anchor-shifted values rather than
-  // at the materialized window's own mean: z-normalized queries cannot tell
-  // the difference, but it makes `centered()` bit-stable while the window
-  // grows in place, which is what lets the new engine adopt the previous
-  // generation's overlap-save chunk spectra below.
   VALMOD_ASSIGN_OR_RETURN(
       series::DataSeries series,
-      series::DataSeries::CreateWithCenter({values.begin(), values.end()},
-                                           /*center=*/0.0));
-  auto next =
-      std::make_shared<DatasetSnapshot>(std::move(series), generation_);
-  // Pure-extension fast path: if the retained values are the previous
-  // snapshot's values plus appended points (same anchor epoch, same window
-  // start, grew), seed the new engine's chunk-spectra cache from the old
-  // one so only the chunks the new points touch are recomputed —
-  // O(new points), not O(n), per generation.
-  if (snapshot_ && snapshot_points_ > 0 &&
-      snapshot_anchor_epoch_ == streaming_->anchor_epoch() &&
-      snapshot_window_start_ == streaming_->window_start() &&
-      snapshot_points_ <= values.size()) {
-    next->engine().AdoptChunkSpectraFrom(snapshot_->engine(),
-                                         snapshot_points_);
-  }
-  snapshot_ = std::move(next);
-  snapshot_points_ = values.size();
-  snapshot_anchor_epoch_ = streaming_->anchor_epoch();
-  snapshot_window_start_ = streaming_->window_start();
+      series::DataSeries::Create({values.begin(), values.end()}));
+  snapshot_ = std::make_shared<DatasetSnapshot>(std::move(series), generation_);
   return snapshot_;
 }
 

@@ -91,14 +91,17 @@ class Dataset {
 
   /// The current (series, engine) snapshot. For a static dataset this is
   /// always the same object; for a streaming dataset the snapshot is
-  /// materialized lazily from the appended values at first use per
-  /// generation (and reused until the next append). Fails for a streaming
-  /// dataset with no points yet.
+  /// materialized lazily from the retained values at first use per
+  /// generation (and reused until the next append): an O(n) copy and stats
+  /// build, plus a fresh engine whose caches fill on first use. Fails for a
+  /// streaming dataset with no points yet.
   ///
   /// Streaming note: the materialized series holds the values shifted by
-  /// the StreamingProfile's anchor. Z-normalized distances are invariant
-  /// under a global shift, so every query result is unaffected; only raw
-  /// value readback would see the shift, and the service never exposes it.
+  /// the StreamingProfile's anchor, built by the same DataSeries::Create as
+  /// a static load (so centered at the window's own mean). Z-normalized
+  /// distances are invariant under a global shift, so every query result is
+  /// unaffected; only raw value readback would see the shift, and the
+  /// service never exposes it.
   Result<std::shared_ptr<const DatasetSnapshot>> Snapshot();
 
   /// The dataset state one append produced, captured atomically under the
@@ -159,13 +162,6 @@ class Dataset {
   /// Cached snapshot; for streaming datasets its generation may trail
   /// generation_ until the next Snapshot() call re-materializes.
   std::shared_ptr<const DatasetSnapshot> snapshot_;
-  /// Provenance of the streaming snapshot_, used to decide whether the next
-  /// materialization is a pure extension of the previous one (same anchor,
-  /// same window start, grew) — in which case the new engine adopts the old
-  /// engine's chunk spectra and the append path stays O(new points).
-  std::size_t snapshot_points_ = 0;
-  std::uint64_t snapshot_anchor_epoch_ = 0;
-  std::size_t snapshot_window_start_ = 0;
 };
 
 /// Named, ref-counted registry of long-lived datasets — the serving

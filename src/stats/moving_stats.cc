@@ -13,9 +13,17 @@ Result<MovingStats> MovingStats::Create(std::span<const double> data) {
   if (data.empty()) {
     return Status::InvalidArgument("MovingStats requires a non-empty series");
   }
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    if (!std::isfinite(data[i])) {
+      return Status::InvalidArgument("non-finite value at index " +
+                                     std::to_string(i));
+    }
+  }
+
+  MovingStats stats;
+  stats.n_ = data.size();
   // Neumaier-compensated global mean: the shift that conditions everything
-  // downstream, so compute it carefully. (Non-finite values poison the sum
-  // but CreateImpl validates every element before the mean is used.)
+  // downstream, so compute it carefully.
   double sum = 0.0, comp = 0.0;
   for (double x : data) {
     const double t = sum + x;
@@ -26,29 +34,7 @@ Result<MovingStats> MovingStats::Create(std::span<const double> data) {
     }
     sum = t;
   }
-  return CreateImpl(data, (sum + comp) / static_cast<double>(data.size()));
-}
-
-Result<MovingStats> MovingStats::CreateWithCenter(std::span<const double> data,
-                                                  double center) {
-  if (data.empty()) {
-    return Status::InvalidArgument("MovingStats requires a non-empty series");
-  }
-  return CreateImpl(data, center);
-}
-
-Result<MovingStats> MovingStats::CreateImpl(std::span<const double> data,
-                                            double center) {
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if (!std::isfinite(data[i])) {
-      return Status::InvalidArgument("non-finite value at index " +
-                                     std::to_string(i));
-    }
-  }
-
-  MovingStats stats;
-  stats.n_ = data.size();
-  stats.global_mean_ = center;
+  stats.global_mean_ = (sum + comp) / static_cast<double>(data.size());
 
   stats.centered_.resize(data.size());
   for (std::size_t i = 0; i < data.size(); ++i) {

@@ -15,7 +15,8 @@ namespace valmod::stats {
 /// MovingStats::constant_variance_threshold()).
 ///
 /// Constant (zero-variance) windows cannot be z-normalized; the library's
-/// convention (see DESIGN.md §3.1) z-normalizes them to the all-zeros vector.
+/// convention (see the distance conventions in series/znorm.h) z-normalizes
+/// them to the all-zeros vector.
 inline constexpr double kConstantVarianceEpsilon = 1e-12;
 
 /// Precomputed prefix sums giving O(1) mean / variance / standard deviation
@@ -32,18 +33,6 @@ class MovingStats {
   /// Builds prefix sums over `data`. Fails on empty input or non-finite
   /// values.
   static Result<MovingStats> Create(std::span<const double> data);
-
-  /// Like Create, but centers at the caller-supplied `center` instead of
-  /// the computed global mean. The streaming path passes 0.0 over values
-  /// that are already anchor-shifted: because the center then never moves
-  /// with new appends, `centered()` is bit-stable across successive
-  /// materializations of a growing window — which is what lets the MASS
-  /// engine's chunk spectra carry over from one snapshot generation to the
-  /// next (see MassEngine::AdoptChunkSpectraFrom). Conditioning is the
-  /// caller's responsibility: the values must already be moderate around
-  /// `center` (StreamingProfile's re-anchoring guarantees this).
-  static Result<MovingStats> CreateWithCenter(std::span<const double> data,
-                                              double center);
 
   /// Number of points in the underlying series.
   std::size_t size() const { return n_; }
@@ -117,9 +106,6 @@ class MovingStats {
   Status SweepWindowStats(std::size_t length, double mean_shift,
                           std::vector<double>* means,
                           std::vector<double>* std_devs) const;
-
-  static Result<MovingStats> CreateImpl(std::span<const double> data,
-                                        double center);
 
   std::size_t n_ = 0;
   double global_mean_ = 0.0;

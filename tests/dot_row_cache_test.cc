@@ -11,12 +11,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "mass/mass.h"
 #include "series/data_series.h"
 #include "series/generators.h"
+#include "simd/dispatch.h"
 
 namespace valmod::core {
 namespace {
@@ -104,6 +106,34 @@ TEST(DotRowDerivationTest, FirstAndLastRows) {
                              last - 3, length + 3, "last row, longer");
   ExpectDerivedMatchesDirect(series, DirectRow(series, 0, length), 0,
                              length + 8, "row 0, longer");
+}
+
+std::uint64_t DotProductCalls() {
+  const simd::KernelCounters counters = simd::KernelCountersSnapshot();
+  return counters.calls[static_cast<int>(simd::ActiveTarget())]
+                       [static_cast<int>(simd::KernelKind::kDotProduct)];
+}
+
+TEST(DotRowDerivationTest, CountsTheDirectEdgeCells) {
+  // Only the edge cells no offset step reaches are direct dot products: the
+  // first s windows of a forward step s; of a backward step s, the last s
+  // less the windows the length advances drop from the count.
+  const series::DataSeries series = FromValues(RandomWalkValues(500, 9));
+  const DotRow base = DirectRow(series, 200, 40);
+  struct Case {
+    std::size_t offset;
+    std::size_t length;
+    std::uint64_t direct;
+  };
+  for (const Case& c : {Case{200, 40, 0}, Case{205, 40, 5}, Case{195, 40, 5},
+                        Case{207, 43, 7}, Case{193, 43, 4},
+                        Case{198, 45, 0}}) {
+    std::vector<double> derived;
+    const std::uint64_t before = DotProductCalls();
+    DeriveDotRow(series.centered(), base, c.offset, c.length, &derived);
+    EXPECT_EQ(DotProductCalls() - before, c.direct)
+        << "offset " << c.offset << " length " << c.length;
+  }
 }
 
 TEST(DotRowDerivationTest, ConstantWindowsAndTheThreshold) {

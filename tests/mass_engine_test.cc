@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "fft/fft.h"
 #include "mass/backend.h"
 #include "mass/engine.h"
 #include "mass/mass.h"
@@ -569,89 +568,6 @@ TEST(MassEngineTest, RejectsInvalidWindows) {
   EXPECT_FALSE(engine.ComputeRowProfiles(rows, 100).ok());
   std::vector<double> long_query(300, 1.0);
   EXPECT_FALSE(engine.DistanceProfile(long_query).ok());
-}
-
-// ---------------------------------------------------------------------------
-// Chunk-spectra adoption: the streaming-append carry-over path. Both series
-// use CreateWithCenter(values, 0.0) — the registry's streaming convention —
-// so the shorter series' centered values are a bit-identical prefix of the
-// longer one's.
-// ---------------------------------------------------------------------------
-
-TEST(MassEngineAdoptionTest, AdoptedSpectraAreBitIdenticalToFresh) {
-  const std::size_t prev_n = 1900;
-  const std::size_t n = 2048;
-  const std::size_t length = 64;
-  auto full = synth::ByName("random_walk", n, 29);
-  ASSERT_TRUE(full.ok());
-  const std::vector<double> values(full->values().begin(),
-                                   full->values().end());
-
-  auto prev_series = DataSeries::CreateWithCenter(
-      {values.begin(), values.begin() + prev_n}, 0.0);
-  ASSERT_TRUE(prev_series.ok());
-  auto next_series = DataSeries::CreateWithCenter(values, 0.0);
-  ASSERT_TRUE(next_series.ok());
-  auto fresh_series = DataSeries::CreateWithCenter(values, 0.0);
-  ASSERT_TRUE(fresh_series.ok());
-
-  MassEngine prev(*prev_series);
-  // Populate the previous engine's chunk spectra at this length's size.
-  ASSERT_TRUE(
-      prev.ComputeRowProfile(0, length, ConvolutionBackend::kOverlapSave)
-          .ok());
-  ASSERT_EQ(prev.ChunkSpectraCacheSizeForTesting(), 1u);
-
-  MassEngine adopted(*next_series);
-  const std::size_t copied = adopted.AdoptChunkSpectraFrom(prev, prev_n);
-  // Every full chunk inside the unchanged prefix is copied, the rest (the
-  // appended suffix and the previously zero-padded tail) recomputed.
-  const std::size_t chunk = fft::OverlapSaveFftSize(length);
-  const std::size_t hop = chunk / 2;
-  ASSERT_GE(prev_n, chunk);
-  EXPECT_EQ(copied, (prev_n - chunk) / hop + 1);
-  EXPECT_EQ(adopted.ChunkSpectraCacheSizeForTesting(), 1u);
-
-  MassEngine fresh(*fresh_series);
-  for (const std::size_t offset : {std::size_t{0}, prev_n - length, n - length}) {
-    auto a = adopted.ComputeRowProfile(offset, length,
-                                       ConvolutionBackend::kOverlapSave);
-    auto f = fresh.ComputeRowProfile(offset, length,
-                                     ConvolutionBackend::kOverlapSave);
-    ASSERT_TRUE(a.ok());
-    ASSERT_TRUE(f.ok());
-    ASSERT_EQ(a->distances.size(), f->distances.size());
-    for (std::size_t j = 0; j < f->distances.size(); ++j) {
-      // Bit identity, not tolerance: adoption copies the exact bins a
-      // fresh build would have produced.
-      EXPECT_EQ(a->dots[j], f->dots[j]) << "offset=" << offset << " j=" << j;
-      EXPECT_EQ(a->distances[j], f->distances[j])
-          << "offset=" << offset << " j=" << j;
-    }
-  }
-}
-
-TEST(MassEngineAdoptionTest, PrefixMismatchAdoptsNothing) {
-  auto base = synth::ByName("sine", 1024, 31);
-  ASSERT_TRUE(base.ok());
-  std::vector<double> values(base->values().begin(), base->values().end());
-  auto prev_series = DataSeries::CreateWithCenter(values, 0.0);
-  ASSERT_TRUE(prev_series.ok());
-  values[100] += 0.5;  // a re-anchor or slide would change the prefix
-  values.push_back(0.25);
-  auto next_series = DataSeries::CreateWithCenter(values, 0.0);
-  ASSERT_TRUE(next_series.ok());
-
-  MassEngine prev(*prev_series);
-  ASSERT_TRUE(
-      prev.ComputeRowProfile(0, 32, ConvolutionBackend::kOverlapSave).ok());
-
-  MassEngine next(*next_series);
-  EXPECT_EQ(next.AdoptChunkSpectraFrom(prev, 1024), 0u);
-  EXPECT_EQ(next.ChunkSpectraCacheSizeForTesting(), 0u);
-  // Out-of-range prefixes are rejected, not clamped.
-  EXPECT_EQ(next.AdoptChunkSpectraFrom(prev, 5000), 0u);
-  EXPECT_EQ(next.AdoptChunkSpectraFrom(prev, 0), 0u);
 }
 
 TEST(MassEngineTest, CacheMemoryBytesGrowsWithUse) {

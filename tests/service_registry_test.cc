@@ -256,39 +256,5 @@ TEST(DatasetRegistryTest, WindowedSnapshotServesRetainedWindow) {
   EXPECT_EQ((*snapshot)->series().size(), 32u);
 }
 
-TEST(DatasetRegistryTest, StreamingSnapshotAdoptsEngineCachesAcrossAppends) {
-  // Unbounded streaming: consecutive snapshots are pure extensions, so the
-  // new generation's engine inherits the previous one's chunk spectra
-  // (observable as a pre-warmed cache before any query runs).
-  DatasetRegistry registry;
-  auto dataset = registry.CreateStreaming("grow", 16);
-  ASSERT_TRUE(dataset.ok());
-  const series::DataSeries source = MakeSeries(3000, 11);
-  const auto values = source.values();
-  ASSERT_TRUE((*dataset)->Append(values.subspan(0, 2500)).ok());
-
-  auto first = (*dataset)->Snapshot();
-  ASSERT_TRUE(first.ok());
-  // Populate the first generation's chunk-spectra cache.
-  ASSERT_TRUE((*first)
-                  ->engine()
-                  .ComputeRowProfile(0, 16, mass::ConvolutionBackend::kOverlapSave)
-                  .ok());
-  ASSERT_EQ((*first)->engine().ChunkSpectraCacheSizeForTesting(), 1u);
-
-  ASSERT_TRUE((*dataset)->Append(values.subspan(2500)).ok());
-  auto second = (*dataset)->Snapshot();
-  ASSERT_TRUE(second.ok());
-  ASSERT_NE(second->get(), first->get());
-  // Adopted before any query touched the new engine.
-  EXPECT_EQ((*second)->engine().ChunkSpectraCacheSizeForTesting(), 1u);
-  // And the adopted state answers queries identically to a fresh compute.
-  auto row = (*second)->engine().ComputeRowProfile(
-      100, 16, mass::ConvolutionBackend::kOverlapSave);
-  ASSERT_TRUE(row.ok());
-  auto batch = mp::ComputeStomp((*second)->series(), 16);
-  ASSERT_TRUE(batch.ok());
-}
-
 }  // namespace
 }  // namespace valmod::service

@@ -505,7 +505,8 @@ TEST(ServiceProtocolTest, ProfileRejectsAlgoParam) {
 // dataset holding the same points returns from the batch paths (VALMOD and
 // the variable-length discord search): one selection, so non-overlapping
 // motifs on both. A noisy sine has no constant windows and no exact
-// repeats, so neither list depends on tie-breaking.
+// repeats, so neither list depends on tie-breaking. The streaming dataset's
+// batch answers, from its materialized snapshot, must agree as well.
 TEST(ServiceProtocolTest, MaintainedTopKEqualsStaticAnswers) {
   Service service;
   ASSERT_TRUE(Ok(Roundtrip(service,
@@ -521,6 +522,23 @@ TEST(ServiceProtocolTest, MaintainedTopKEqualsStaticAnswers) {
       R"({"verb":"append","dataset":"stream","params":{"values":)" +
           Value(std::move(values)).Serialize() + "}}")));
 
+  const auto expect_same = [](const Value& got, const Value& want,
+                              const std::string& where) {
+    ASSERT_GE(want.AsArray().size(), 3u) << where;
+    ASSERT_EQ(got.AsArray().size(), want.AsArray().size()) << where;
+    for (std::size_t r = 0; r < want.AsArray().size(); ++r) {
+      const Value& g = got.AsArray()[r];
+      const Value& w = want.AsArray()[r];
+      for (const char* field : {"offset_a", "offset_b", "offset"}) {
+        EXPECT_EQ(g.GetNumber(field, -1), w.GetNumber(field, -1))
+            << where << " " << field << " rank " << r;
+      }
+      EXPECT_NEAR(g.GetNumber("distance", -1), w.GetNumber("distance", -1),
+                  1e-8)
+          << where << " rank " << r;
+    }
+  };
+
   for (const std::string verb : {"motifs", "discords"}) {
     SCOPED_TRACE(verb);
     const std::string tail =
@@ -534,29 +552,14 @@ TEST(ServiceProtocolTest, MaintainedTopKEqualsStaticAnswers) {
     EXPECT_TRUE(maintained.Find("result")->GetBool("maintained", false));
     EXPECT_FALSE(batch.Find("result")->GetBool("maintained", false));
 
-    const auto expect_same = [](const Value& got, const Value& want) {
-      ASSERT_GE(want.AsArray().size(), 3u);
-      ASSERT_EQ(got.AsArray().size(), want.AsArray().size());
-      for (std::size_t r = 0; r < want.AsArray().size(); ++r) {
-        const Value& g = got.AsArray()[r];
-        const Value& w = want.AsArray()[r];
-        for (const char* field : {"offset_a", "offset_b", "offset"}) {
-          EXPECT_EQ(g.GetNumber(field, -1), w.GetNumber(field, -1))
-              << field << " rank " << r;
-        }
-        EXPECT_NEAR(g.GetNumber("distance", -1), w.GetNumber("distance", -1),
-                    1e-8)
-            << "rank " << r;
-      }
-    };
     const auto per_length = [&](const Value& response) -> const Value& {
       return *response.Find("result")->Find("per_length")->AsArray()[0].Find(
           verb);
     };
-    expect_same(per_length(maintained), per_length(batch));
+    expect_same(per_length(maintained), per_length(batch), verb);
     if (verb == "motifs") {
       expect_same(*maintained.Find("result")->Find("ranked"),
-                  *batch.Find("result")->Find("ranked"));
+                  *batch.Find("result")->Find("ranked"), "ranked");
     }
 
     // k = 0 is an error on both, not an empty maintained list.
@@ -569,6 +572,49 @@ TEST(ServiceProtocolTest, MaintainedTopKEqualsStaticAnswers) {
           << dataset << ": " << response.Serialize();
     }
   }
+
+  // Requests the maintained profile cannot answer (several lengths, a
+  // query) run the batch paths on the streaming dataset's materialized
+  // snapshot; they must agree with the static dataset too.
+  const auto request = [&](const std::string& verb, const char* dataset,
+                           const std::string& params) {
+    return Roundtrip(service, R"({"verb":")" + verb + R"(","dataset":")" +
+                                  dataset + R"(","params":)" + params + "}");
+  };
+  const std::string motifs_params = R"({"lmin":32,"lmax":36,"k":4})";
+  Value motifs_stream = request("motifs", "stream", motifs_params);
+  Value motifs_static = request("motifs", "static", motifs_params);
+  ASSERT_TRUE(Ok(motifs_stream)) << motifs_stream.Serialize();
+  ASSERT_TRUE(Ok(motifs_static)) << motifs_static.Serialize();
+  EXPECT_FALSE(motifs_stream.Find("result")->GetBool("maintained", false));
+  const Value::Array& lengths_stream =
+      motifs_stream.Find("result")->Find("per_length")->AsArray();
+  const Value::Array& lengths_static =
+      motifs_static.Find("result")->Find("per_length")->AsArray();
+  ASSERT_EQ(lengths_static.size(), 5u);
+  ASSERT_EQ(lengths_stream.size(), lengths_static.size());
+  for (std::size_t i = 0; i < lengths_static.size(); ++i) {
+    expect_same(*lengths_stream[i].Find("motifs"),
+                *lengths_static[i].Find("motifs"),
+                "motifs length " + std::to_string(32 + i));
+  }
+  expect_same(*motifs_stream.Find("result")->Find("ranked"),
+              *motifs_static.Find("result")->Find("ranked"), "lmax 36 ranked");
+
+  // A query that is not a window of the series, so no match sits at a
+  // distance of ~0 where rounding dominates.
+  auto query_series = synth::ByName("ecg", 48, 3);
+  ASSERT_TRUE(query_series.ok());
+  Value::Array query;
+  for (const double v : query_series->values()) query.push_back(Value(v));
+  const std::string query_params =
+      R"({"k":3,"values":)" + Value(std::move(query)).Serialize() + "}";
+  Value query_stream = request("query", "stream", query_params);
+  Value query_static = request("query", "static", query_params);
+  ASSERT_TRUE(Ok(query_stream)) << query_stream.Serialize();
+  ASSERT_TRUE(Ok(query_static)) << query_static.Serialize();
+  expect_same(*query_stream.Find("result")->Find("matches"),
+              *query_static.Find("result")->Find("matches"), "query");
 }
 
 TEST(ServiceProtocolTest, AdmissionQueueFullIsAStructuredError) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <string>
 
 #include "common/timer.h"
@@ -13,6 +14,7 @@
 #include "series/data_series.h"
 #include "series/generators.h"
 #include "series/znorm.h"
+#include "simd/dispatch.h"
 
 namespace valmod::mp {
 namespace {
@@ -90,6 +92,31 @@ TEST(StompTest, ParallelMatchesSerial) {
   for (std::size_t i = 0; i < a->size(); ++i) {
     EXPECT_DOUBLE_EQ(a->distances[i], b->distances[i]) << i;
     EXPECT_EQ(a->indices[i], b->indices[i]) << i;
+  }
+}
+
+std::uint64_t DotProductCalls() {
+  const simd::KernelCounters counters = simd::KernelCountersSnapshot();
+  return counters.calls[static_cast<int>(simd::ActiveTarget())]
+                       [static_cast<int>(simd::KernelKind::kDotProduct)];
+}
+
+TEST(StompTest, CountsOneDirectDotPerDiagonal) {
+  // The diagonal walk computes the first cell of each diagonal directly and
+  // every later cell by the recurrence, so the dot_product counter grows by
+  // exactly the number of diagonals walked, at any thread count.
+  auto series = synth::ByName("ecg", 1200, 31);
+  ASSERT_TRUE(series.ok());
+  const std::size_t length = 64;
+  const std::size_t count = series->NumSubsequences(length);
+  for (const int threads : {1, 4}) {
+    ProfileOptions options;
+    options.num_threads = threads;
+    const std::uint64_t before = DotProductCalls();
+    auto profile = ComputeStomp(*series, length, options);
+    ASSERT_TRUE(profile.ok());
+    EXPECT_EQ(DotProductCalls() - before, count - profile->exclusion_zone)
+        << "threads=" << threads;
   }
 }
 

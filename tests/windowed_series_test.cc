@@ -95,17 +95,5 @@ TEST(WindowedSeriesTest, MemoryBoundedOverLongStream) {
   EXPECT_LE(series.MemoryBytes(), 8 * max_points * sizeof(double));
 }
 
-TEST(WindowedSeriesTest, ToDataSeriesMaterializesRetainedWindow) {
-  WindowedSeries series(4);
-  for (int i = 0; i < 7; ++i) series.Append(static_cast<double>(i));
-  auto data = series.ToDataSeries(/*center=*/0.0);
-  ASSERT_TRUE(data.ok());
-  ASSERT_EQ(data->size(), 4u);
-  EXPECT_DOUBLE_EQ(data->values()[0], 3.0);
-  EXPECT_DOUBLE_EQ(data->values()[3], 6.0);
-  // center=0 means centered() == values() bit-for-bit.
-  EXPECT_EQ(data->centered()[0], data->values()[0]);
-}
-
 }  // namespace
 }  // namespace valmod::series
