@@ -3,16 +3,9 @@
 // file — the VALMOD_BENCH_JSON CMake target and CI use this for the
 // BENCH_engine.json artifact):
 //
-//   1. Repeated row profiles at a fixed length on a 2^17-point series:
-//      the seed's uncached algorithm (three full-size complex transforms)
-//      vs the current uncached free function vs the cached MassEngine
-//      single-query path vs the pair-packed batched path vs the
-//      overlap-save batched path. A frozen copy of the PR 1 implementation
-//      (scalar std::complex radix-2 butterflies, single query per
-//      transform) is kept here as the previous-PR baseline — the same role
-//      SeedSlidingDots plays for the seed — so the JSON tracks real
-//      PR-over-PR gains even though the library paths share the current
-//      (restructured, fused radix-2^2) butterfly kernels.
+//   1. Repeated rows at a fixed length on a 2^17-point series: 1-row
+//      batches (the single-lane path) vs the pair-packed batched path vs
+//      the overlap-save batched path.
 //   2. A backend sweep at 2^15 / 2^17 / 2^19 points: pair-packed vs
 //      overlap-save rows, single-threaded so the speedups isolate the
 //      algorithm, plus the backend the cost model actually picks at each
@@ -25,20 +18,22 @@
 //      stay auditable against real timings), and the backend the cost
 //      model picks. These are the `boundary_sweep` rows of BENCH_engine.json that
 //      mass/backend.h and the cost-model tests refer to.
-//   3. ParallelFor dispatch: spawn-per-call std::thread (the seed's
+//   3. A SIMD target sweep: the overlap-save and direct paths under every
+//      dispatch target this build and machine support.
+//   4. ParallelFor dispatch: spawn-per-call std::thread (the seed's
 //      implementation) vs the persistent pool, plus the pool's
 //      threads-created counter across the timed regions — the observable
 //      "no per-batch thread spawn" guarantee.
+//
+// Every timing covers sliding dots only: the engine returns dots, and no
+// timed region derives distances from them.
 
 #include <algorithm>
 #include <cmath>
-#include <complex>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
-#include <memory>
-#include <numbers>
 #include <string>
 #include <thread>
 #include <vector>
@@ -46,10 +41,8 @@
 #include "bench_util.h"
 #include "common/parallel.h"
 #include "common/timer.h"
-#include "fft/fft.h"
 #include "mass/backend.h"
 #include "mass/engine.h"
-#include "mass/mass.h"
 #include "series/data_series.h"
 #include "series/generators.h"
 #include "simd/dispatch.h"
@@ -58,201 +51,6 @@ namespace {
 
 using valmod::WallTimer;
 using valmod::series::DataSeries;
-
-/// The seed's sliding-dot algorithm: zero-pad both operands to the full
-/// FFT size and run three complex transforms, exactly as the seed's
-/// convolution did. Kept here as the uncached baseline.
-std::vector<double> SeedSlidingDots(std::span<const double> series,
-                                    std::span<const double> query) {
-  const std::size_t n = series.size();
-  const std::size_t m = query.size();
-  const std::size_t fft_size = valmod::fft::NextPowerOfTwo(n + m - 1);
-  std::vector<std::complex<double>> fa(fft_size), fb(fft_size);
-  for (std::size_t i = 0; i < n; ++i) fa[i] = series[i];
-  for (std::size_t i = 0; i < m; ++i) fb[i] = query[m - 1 - i];
-  (void)valmod::fft::Transform(fa, valmod::fft::Direction::kForward);
-  (void)valmod::fft::Transform(fb, valmod::fft::Direction::kForward);
-  for (std::size_t i = 0; i < fft_size; ++i) fa[i] *= fb[i];
-  (void)valmod::fft::Transform(fa, valmod::fft::Direction::kInverse);
-  std::vector<double> dots(n - m + 1);
-  for (std::size_t i = 0; i + m <= n; ++i) dots[i] = fa[m - 1 + i].real();
-  return dots;
-}
-
-/// Full seed-equivalent row profile (dots + distances) on the baseline.
-void SeedRowProfile(const DataSeries& series, std::size_t offset,
-                    std::size_t length, std::vector<double>* distances) {
-  const auto centered = series.centered();
-  const std::vector<double> dots = SeedSlidingDots(
-      centered, centered.subspan(offset, length));
-  valmod::mass::DistancesFromDots(series, offset, length, dots, distances);
-}
-
-/// Frozen copy of the PR 1 FftPlan: scalar radix-2 butterflies over
-/// std::complex with per-stage strided twiddle lookups, and the
-/// pack-two-reals real-input path. This is the transform the PR 1
-/// single-query engine ran on; the library has since moved to fused
-/// radix-2^2 passes with the complex arithmetic spelled out on doubles.
-class Pr1Plan {
- public:
-  explicit Pr1Plan(std::size_t n) : n_(n) {
-    bit_reverse_.resize(n_);
-    std::size_t j = 0;
-    bit_reverse_[0] = 0;
-    for (std::size_t i = 1; i < n_; ++i) {
-      std::size_t bit = n_ >> 1;
-      for (; j & bit; bit >>= 1) j ^= bit;
-      j ^= bit;
-      bit_reverse_[i] = static_cast<std::uint32_t>(j);
-    }
-    twiddles_.resize(n_ / 2);
-    for (std::size_t k = 0; k < n_ / 2; ++k) {
-      const double angle = -2.0 * std::numbers::pi * static_cast<double>(k) /
-                           static_cast<double>(n_);
-      twiddles_[k] = {std::cos(angle), std::sin(angle)};
-    }
-    if (n_ >= 4) half_ = std::make_unique<Pr1Plan>(n_ / 2);
-  }
-
-  std::size_t half_bins() const { return n_ / 2 + 1; }
-
-  void Transform(std::span<std::complex<double>> data, bool forward) const {
-    if (n_ == 1) return;
-    for (std::size_t i = 1; i < n_; ++i) {
-      const std::size_t j = bit_reverse_[i];
-      if (i < j) std::swap(data[i], data[j]);
-    }
-    for (std::size_t len = 2; len <= n_; len <<= 1) {
-      const std::size_t half = len / 2;
-      const std::size_t stride = n_ / len;
-      for (std::size_t start = 0; start < n_; start += len) {
-        for (std::size_t k = 0; k < half; ++k) {
-          const std::complex<double> w =
-              forward ? twiddles_[k * stride]
-                      : std::conj(twiddles_[k * stride]);
-          const std::complex<double> u = data[start + k];
-          const std::complex<double> v = data[start + k + half] * w;
-          data[start + k] = u + v;
-          data[start + k + half] = u - v;
-        }
-      }
-    }
-    if (!forward) {
-      const double inv_n = 1.0 / static_cast<double>(n_);
-      for (auto& x : data) x *= inv_n;
-    }
-  }
-
-  void PackedRealForward(std::span<const double> input,
-                         std::span<std::complex<double>> spectrum) const {
-    const std::size_t m = n_ / 2;
-    auto packed = spectrum.first(m);
-    for (std::size_t k = 0; k < m; ++k) {
-      const double re = 2 * k < input.size() ? input[2 * k] : 0.0;
-      const double im = 2 * k + 1 < input.size() ? input[2 * k + 1] : 0.0;
-      packed[k] = {re, im};
-    }
-    half_->Transform(packed, /*forward=*/true);
-    const std::complex<double> z0 = spectrum[0];
-    spectrum[0] = {z0.real() + z0.imag(), 0.0};
-    spectrum[m] = {z0.real() - z0.imag(), 0.0};
-    for (std::size_t k = 1; k < m - k; ++k) {
-      const std::size_t j = m - k;
-      const std::complex<double> zk = spectrum[k];
-      const std::complex<double> zj = spectrum[j];
-      const std::complex<double> ek = 0.5 * (zk + std::conj(zj));
-      const std::complex<double> ok =
-          (zk - std::conj(zj)) * std::complex<double>(0.0, -0.5);
-      const std::complex<double> ej = 0.5 * (zj + std::conj(zk));
-      const std::complex<double> oj =
-          (zj - std::conj(zk)) * std::complex<double>(0.0, -0.5);
-      spectrum[k] = ek + twiddles_[k] * ok;
-      spectrum[j] = ej + twiddles_[j] * oj;
-    }
-    spectrum[m / 2] = std::conj(spectrum[m / 2]);
-  }
-
-  void PackedRealInverse(std::span<std::complex<double>> spectrum,
-                         std::span<double> output) const {
-    const std::size_t m = n_ / 2;
-    const std::complex<double> x0 = spectrum[0];
-    const std::complex<double> xm = spectrum[m];
-    {
-      const std::complex<double> e0 = 0.5 * (x0 + std::conj(xm));
-      const std::complex<double> o0 = 0.5 * (x0 - std::conj(xm));
-      spectrum[0] = e0 + std::complex<double>(0.0, 1.0) * o0;
-    }
-    for (std::size_t k = 1; k < m - k; ++k) {
-      const std::size_t j = m - k;
-      const std::complex<double> xk = spectrum[k];
-      const std::complex<double> xj = spectrum[j];
-      const std::complex<double> ek = 0.5 * (xk + std::conj(xj));
-      const std::complex<double> ok =
-          0.5 * (xk - std::conj(xj)) * std::conj(twiddles_[k]);
-      const std::complex<double> ej = 0.5 * (xj + std::conj(xk));
-      const std::complex<double> oj =
-          0.5 * (xj - std::conj(xk)) * std::conj(twiddles_[j]);
-      spectrum[k] = ek + std::complex<double>(0.0, 1.0) * ok;
-      spectrum[j] = ej + std::complex<double>(0.0, 1.0) * oj;
-    }
-    spectrum[m / 2] = std::conj(spectrum[m / 2]);
-    auto packed = spectrum.first(m);
-    half_->Transform(packed, /*forward=*/false);
-    for (std::size_t k = 0; k < m; ++k) {
-      output[2 * k] = packed[k].real();
-      output[2 * k + 1] = packed[k].imag();
-    }
-  }
-
- private:
-  std::size_t n_;
-  std::vector<std::uint32_t> bit_reverse_;
-  std::vector<std::complex<double>> twiddles_;
-  std::unique_ptr<Pr1Plan> half_;
-};
-
-/// Frozen copy of the PR 1 cached single-query scheme: series spectrum
-/// computed once, then one real forward + pointwise product + one real
-/// inverse per row — on the PR 1 transform above.
-class Pr1SingleQueryEngine {
- public:
-  Pr1SingleQueryEngine(const DataSeries& series, std::size_t length)
-      : series_(series),
-        fft_size_(valmod::fft::NextPowerOfTwo(series.size() + length - 1)),
-        plan_(fft_size_),
-        series_bins_(plan_.half_bins()) {
-    plan_.PackedRealForward(series_.centered(), series_bins_);
-  }
-
-  void ComputeRow(std::size_t offset, std::size_t length,
-                  std::vector<double>* distances) {
-    const auto centered = series_.centered();
-    const auto query = centered.subspan(offset, length);
-    reversed_query_.assign(query.rbegin(), query.rend());
-    bins_.resize(plan_.half_bins());
-    plan_.PackedRealForward(reversed_query_, bins_);
-    for (std::size_t i = 0; i < bins_.size(); ++i) {
-      bins_[i] = series_bins_[i] * bins_[i];
-    }
-    conv_.resize(fft_size_);
-    plan_.PackedRealInverse(bins_, conv_);
-    const std::size_t count = series_.NumSubsequences(length);
-    dots_.resize(count);
-    for (std::size_t i = 0; i < count; ++i) dots_[i] = conv_[length - 1 + i];
-    valmod::mass::DistancesFromDots(series_, offset, length, dots_,
-                                    distances);
-  }
-
- private:
-  const DataSeries& series_;
-  std::size_t fft_size_;
-  Pr1Plan plan_;
-  std::vector<std::complex<double>> series_bins_;
-  std::vector<double> reversed_query_;
-  std::vector<std::complex<double>> bins_;
-  std::vector<double> conv_;
-  std::vector<double> dots_;
-};
 
 /// The seed's ParallelFor: spawn and join std::threads on every call.
 void SpawnParallelFor(std::size_t begin, std::size_t end, int threads,
@@ -332,13 +130,13 @@ SweepResult RunBackendSweep(std::size_t n, std::size_t length,
   timer.Restart();
   auto pair = engine.ComputeRowProfiles(rows, length, /*num_threads=*/1,
                                         ConvolutionBackend::kFftPair);
-  for (const auto& row : *pair) *checksum += Checksum(row.distances);
+  for (const auto& row : *pair) *checksum += Checksum(row);
   result.pair_seconds = timer.ElapsedSeconds();
 
   timer.Restart();
   auto ols = engine.ComputeRowProfiles(rows, length, /*num_threads=*/1,
                                        ConvolutionBackend::kOverlapSave);
-  for (const auto& row : *ols) *checksum += Checksum(row.distances);
+  for (const auto& row : *ols) *checksum += Checksum(row);
   result.overlap_save_seconds = timer.ElapsedSeconds();
   return result;
 }
@@ -369,7 +167,7 @@ double TimePerRow(valmod::mass::MassEngine& engine,
     WallTimer timer;
     auto batch = engine.ComputeRowProfiles(rows, length, 1, backend);
     const double elapsed = timer.ElapsedSeconds();
-    for (const auto& row : *batch) *checksum += Checksum(row.distances);
+    for (const auto& row : *batch) *checksum += Checksum(row);
     best = std::min(best, elapsed / static_cast<double>(rows.size()));
   }
   return best;
@@ -464,12 +262,12 @@ std::vector<SimdSweepResult> RunSimdTargetSweep(double* checksum) {
       auto ols = engine.ComputeRowProfiles(ols_rows, ols_length, 1,
                                            ConvolutionBackend::kOverlapSave);
       const double ols_elapsed = timer.ElapsedSeconds();
-      for (const auto& row : *ols) *checksum += Checksum(row.distances);
+      for (const auto& row : *ols) *checksum += Checksum(row);
       timer.Restart();
       auto direct = engine.ComputeRowProfiles(direct_rows, direct_length, 1,
                                               ConvolutionBackend::kDirect);
       const double direct_elapsed = timer.ElapsedSeconds();
-      for (const auto& row : *direct) *checksum += Checksum(row.distances);
+      for (const auto& row : *direct) *checksum += Checksum(row);
       r.overlap_save_seconds = std::min(r.overlap_save_seconds, ols_elapsed);
       r.direct_seconds = std::min(r.direct_seconds, direct_elapsed);
     }
@@ -517,44 +315,17 @@ int main(int argc, char** argv) {
   for (std::size_t r = 0; r < repetitions; ++r) rows[r] = r * stride;
 
   valmod::mass::MassEngine engine(series);
-  Pr1SingleQueryEngine pr1_engine(series, length);
-  std::vector<double> scratch;
   double checksum = 0.0;
 
-  // Untimed warmup: builds FFT plans for every variant and the engines'
-  // cached series spectra (the one-time cost is deliberately excluded — it
-  // is amortized over thousands of calls in real runs, and every path gets
-  // the same plan-warm treatment).
-  SeedRowProfile(series, 0, length, &scratch);
-  (void)valmod::mass::ComputeRowProfile(series, 0, length);
-  (void)engine.ComputeRowProfile(0, length);
-  pr1_engine.ComputeRow(0, length, &scratch);
+  // Untimed warmup: builds the FFT plan and the engine's cached series
+  // spectrum (the one-time cost is deliberately excluded — it is amortized
+  // over thousands of calls in real runs).
+  (void)engine.ComputeRowProfiles({rows.data(), 1}, length);
 
   WallTimer timer;
   for (std::size_t r = 0; r < repetitions; ++r) {
-    SeedRowProfile(series, rows[r], length, &scratch);
-    checksum += Checksum(scratch);
-  }
-  const double seed_seconds = timer.ElapsedSeconds();
-
-  timer.Restart();
-  for (std::size_t r = 0; r < repetitions; ++r) {
-    auto row = valmod::mass::ComputeRowProfile(series, rows[r], length);
-    checksum += Checksum(row->distances);
-  }
-  const double uncached_seconds = timer.ElapsedSeconds();
-
-  timer.Restart();
-  for (std::size_t r = 0; r < repetitions; ++r) {
-    pr1_engine.ComputeRow(rows[r], length, &scratch);
-    checksum += Checksum(scratch);
-  }
-  const double pr1_single_seconds = timer.ElapsedSeconds();
-
-  timer.Restart();
-  for (std::size_t r = 0; r < repetitions; ++r) {
-    auto row = engine.ComputeRowProfile(rows[r], length);
-    checksum += Checksum(row->distances);
+    auto row = engine.ComputeRowProfiles({&rows[r], 1}, length);
+    checksum += Checksum(row->front());
   }
   const double cached_seconds = timer.ElapsedSeconds();
 
@@ -568,15 +339,13 @@ int main(int argc, char** argv) {
   timer.Restart();
   auto batched = engine.ComputeRowProfiles(rows, length, /*num_threads=*/1,
                                            ConvolutionBackend::kFftPair);
-  for (const auto& row : *batched) checksum += Checksum(row.distances);
+  for (const auto& row : *batched) checksum += Checksum(row);
   const double pair_batched_seconds = timer.ElapsedSeconds();
 
   timer.Restart();
   auto overlap_batched = engine.ComputeRowProfiles(
       rows, length, /*num_threads=*/1, ConvolutionBackend::kOverlapSave);
-  for (const auto& row : *overlap_batched) {
-    checksum += Checksum(row.distances);
-  }
+  for (const auto& row : *overlap_batched) checksum += Checksum(row);
   const double overlap_save_batched_seconds = timer.ElapsedSeconds();
 
   // Backend sweep across series sizes (fewer repetitions at 2^19 to keep
@@ -683,24 +452,15 @@ int main(int argc, char** argv) {
   AppendFormat(
       &json,
       "{%s,\"bench\":\"mass_engine\",\"series_n\":%zu,\"length\":%zu,"
-      "\"repetitions\":%zu,"
-      "\"seed_uncached_seconds\":%.6f,\"uncached_seconds\":%.6f,"
-      "\"pr1_single_seconds\":%.6f,\"cached_seconds\":%.6f,"
+      "\"repetitions\":%zu,\"cached_seconds\":%.6f,"
       "\"pair_batched_seconds\":%.6f,"
       "\"overlap_save_batched_seconds\":%.6f,"
-      "\"speedup_cached_vs_seed_uncached\":%.3f,"
-      "\"speedup_cached_vs_uncached\":%.3f,"
-      "\"speedup_pair_batched_vs_pr1_single\":%.3f,"
       "\"speedup_pair_batched_vs_cached_single\":%.3f,"
       "\"speedup_overlap_save_vs_pair\":%.3f,"
       "\"sweep\":[%s],",
       valmod::bench::RunMetadataJsonFragment().c_str(),
-      n, length, repetitions, seed_seconds, uncached_seconds,
-      pr1_single_seconds, cached_seconds, pair_batched_seconds,
-      overlap_save_batched_seconds,
-      seed_seconds / cached_seconds, uncached_seconds / cached_seconds,
-      pr1_single_seconds / pair_batched_seconds,
-      cached_seconds / pair_batched_seconds,
+      n, length, repetitions, cached_seconds, pair_batched_seconds,
+      overlap_save_batched_seconds, cached_seconds / pair_batched_seconds,
       pair_batched_seconds / overlap_save_batched_seconds,
       sweep_json.c_str());
   std::string simd_json;

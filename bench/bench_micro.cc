@@ -1,5 +1,5 @@
-// Micro-benchmarks (google-benchmark) for the computational kernels: FFT,
-// MASS row profiles, window statistics, STOMP
+// Micro-benchmarks (google-benchmark) for the computational kernels: the
+// pair-packed FFT, MASS engine rows, window statistics, STOMP
 // (serial/parallel), the base-LB heap, and end-to-end VALMOD at small scale.
 
 #include <benchmark/benchmark.h>
@@ -9,8 +9,8 @@
 
 #include "core/partial_profile.h"
 #include "core/valmod.h"
-#include "fft/fft.h"
-#include "mass/mass.h"
+#include "fft/plan.h"
+#include "mass/engine.h"
 #include "mp/ab_join.h"
 #include "mp/stomp.h"
 #include "mp/streaming.h"
@@ -27,28 +27,33 @@ DataSeries MakeSeries(std::size_t n) {
   return std::move(series).value();
 }
 
-void BM_FftTransform(benchmark::State& state) {
+void BM_RealForwardPair(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  std::vector<std::complex<double>> data(n, {1.0, -0.5});
+  const auto plan = valmod::fft::GetPlan(n);
+  const std::vector<double> a(n / 2, 1.0), b(n / 2, -0.5);
+  std::vector<std::complex<double>> spectrum(n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(data.data());
-    (void)valmod::fft::Transform(data, valmod::fft::Direction::kForward);
+    plan->RealForwardPair(a, b, spectrum);
+    benchmark::DoNotOptimize(spectrum.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(n));
 }
-BENCHMARK(BM_FftTransform)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 16);
+BENCHMARK(BM_RealForwardPair)->Arg(1 << 10)->Arg(1 << 13)->Arg(1 << 16);
 
-void BM_MassRowProfile(benchmark::State& state) {
+// One row of sliding dots as a 1-row batch on a warm engine.
+void BM_EngineRowBatch(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const DataSeries series = MakeSeries(n);
+  valmod::mass::MassEngine engine(series);
+  const std::size_t row[] = {n / 2};
   for (auto _ : state) {
-    auto row = valmod::mass::ComputeRowProfile(series, n / 2, 256);
-    benchmark::DoNotOptimize(row);
+    auto dots = engine.ComputeRowProfiles(row, 256);
+    benchmark::DoNotOptimize(dots);
   }
 }
-BENCHMARK(BM_MassRowProfile)->Arg(1 << 12)->Arg(1 << 15);
+BENCHMARK(BM_EngineRowBatch)->Arg(1 << 12)->Arg(1 << 15);
 
 void BM_WindowStats(benchmark::State& state) {
   const DataSeries series = MakeSeries(1 << 15);

@@ -74,7 +74,7 @@ Result<std::vector<core::LengthMotifs>> RunMoen(
   const double const_threshold = stats.constant_std_threshold();
 
   // One engine across the whole length sweep: every length computes
-  // `num_references` row profiles, and the cached series spectrum serves
+  // `num_references` reference rows, and the cached series spectrum serves
   // them all.
   mass::MassEngine engine(series);
 
@@ -122,9 +122,11 @@ Result<std::vector<core::LengthMotifs>> RunMoen(
     for (std::size_t r = 0; r < refs; ++r) {
       const std::size_t ref_offset = r * (count - 1) / std::max<std::size_t>(
                                                            1, refs - 1);
-      VALMOD_ASSIGN_OR_RETURN(mass::RowProfile profile,
-                              engine.ComputeRowProfile(ref_offset, length));
-      ref_profiles.push_back(std::move(profile.distances));
+      const std::size_t ref_rows[] = {ref_offset};
+      VALMOD_ASSIGN_OR_RETURN(std::vector<std::vector<double>> dots,
+                              engine.ComputeRowProfiles(ref_rows, length));
+      mass::DistancesFromDots(series, ref_offset, length, dots[0],
+                              &ref_profiles.emplace_back());
     }
 
     // Order subsequences by distance to the first reference; for sorted

@@ -45,15 +45,22 @@ Result<MotifSet> ExpandMotifSet(mass::MassEngine& engine,
   const std::size_t exclusion =
       mp::ExclusionZoneFor(length, options.exclusion_fraction);
 
-  // Distance to the nearer seed member, for every subsequence.
-  VALMOD_ASSIGN_OR_RETURN(
-      mass::RowProfile from_a,
-      engine.ComputeRowProfile(static_cast<std::size_t>(pair.offset_a),
-                               length));
-  VALMOD_ASSIGN_OR_RETURN(
-      mass::RowProfile from_b,
-      engine.ComputeRowProfile(static_cast<std::size_t>(pair.offset_b),
-                               length));
+  // Distance to the nearer seed member, for every subsequence. Each seed
+  // is its own 1-row batch: one 2-row batch would pair-pack them and round
+  // differently.
+  const auto seed_distances =
+      [&](int64_t offset) -> Result<std::vector<double>> {
+    const std::size_t row[] = {static_cast<std::size_t>(offset)};
+    VALMOD_ASSIGN_OR_RETURN(std::vector<std::vector<double>> dots,
+                            engine.ComputeRowProfiles(row, length));
+    std::vector<double> distances;
+    mass::DistancesFromDots(series, row[0], length, dots[0], &distances);
+    return distances;
+  };
+  VALMOD_ASSIGN_OR_RETURN(std::vector<double> from_a,
+                          seed_distances(pair.offset_a));
+  VALMOD_ASSIGN_OR_RETURN(std::vector<double> from_b,
+                          seed_distances(pair.offset_b));
 
   struct Candidate {
     double distance;
@@ -69,7 +76,7 @@ Result<MotifSet> ExpandMotifSet(mass::MassEngine& engine,
         static_cast<int64_t>(j) == pair.offset_b) {
       continue;
     }
-    const double d = std::min(from_a.distances[j], from_b.distances[j]);
+    const double d = std::min(from_a[j], from_b[j]);
     if (d <= radius) {
       candidates.push_back(Candidate{d, static_cast<int64_t>(j)});
     }

@@ -289,10 +289,10 @@ Status ValmodRunner::RecomputeRows(std::span<const std::size_t> rows,
   // (or overlap-save) transform, the pairing depending only on the row
   // order — never on the thread count, which only controls how pairs fan
   // out.
-  std::vector<mass::RowProfile> profiles;
+  std::vector<std::vector<double>> anchored_dots;
   if (!anchored.empty()) {
     VALMOD_ASSIGN_OR_RETURN(
-        profiles,
+        anchored_dots,
         engine_.ComputeRowProfiles(anchored, length, options_.num_threads));
   }
   std::vector<DotRow> fresh(rows.size());
@@ -300,13 +300,12 @@ Status ValmodRunner::RecomputeRows(std::span<const std::size_t> rows,
     fresh[b].offset = rows[b];
     fresh[b].length = length;
     if (bases[b] == nullptr) {
-      fresh[b].dots = std::move(profiles[m++].dots);
+      fresh[b].dots = std::move(anchored_dots[m++]);
     } else {
       fresh[b].chain =
           bases[b]->chain + DerivationSteps(*bases[b], rows[b], length);
     }
   }
-  profiles.clear();  // the re-seed derives every distance from the dots
   // A recomputed row failed certification: its stored candidates did not
   // reach far enough. It reseeds with double its capacity (capped at the
   // windows at this length) while the set's budget lasts; a refused row

@@ -1,26 +1,12 @@
 #ifndef VALMOD_FFT_FFT_H_
 #define VALMOD_FFT_FFT_H_
 
-#include <complex>
 #include <cstddef>
-#include <span>
-
-#include "common/status.h"
 
 namespace valmod::fft {
 
-/// Transform direction for Transform().
-enum class Direction { kForward, kInverse };
-
 /// Smallest power of two >= n (n = 0 maps to 1).
 std::size_t NextPowerOfTwo(std::size_t n);
-
-/// In-place iterative radix-2 Cooley-Tukey FFT.
-///
-/// `data.size()` must be a power of two. The inverse transform includes the
-/// 1/N scaling, so Transform(kForward) followed by Transform(kInverse)
-/// reproduces the input (up to rounding).
-Status Transform(std::span<std::complex<double>> data, Direction direction);
 
 /// Chunk FFT size used by the overlap-save convolution paths for a filter of
 /// `filter_size` points: the smallest power of two >= 4 * filter_size, with

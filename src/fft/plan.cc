@@ -18,16 +18,6 @@ namespace valmod::fft {
 FftPlan::FftPlan(std::size_t n) : n_(n) {
   assert(IsPowerOfTwo(n));
 
-  bit_reverse_.resize(n_);
-  std::size_t j = 0;
-  bit_reverse_[0] = 0;
-  for (std::size_t i = 1; i < n_; ++i) {
-    std::size_t bit = n_ >> 1;
-    for (; j & bit; bit >>= 1) j ^= bit;
-    j ^= bit;
-    bit_reverse_[i] = static_cast<std::uint32_t>(j);
-  }
-
   twiddles_.resize(n_ / 2);
   for (std::size_t k = 0; k < n_ / 2; ++k) {
     const double angle =
@@ -41,47 +31,8 @@ FftPlan::FftPlan(std::size_t n) : n_(n) {
 // src/simd/kernels_scalar_inl.h for the loop bodies and derivation
 // comments) are runtime-dispatched: simd::ActiveKernels() resolves to the
 // best vector target the CPU supports, and every target is bit-identical
-// to the scalar oracle. The schedule below stays here; only the dense
+// to the scalar oracle. The schedules below stay here; only the dense
 // inner sweeps moved.
-
-void FftPlan::DitPasses(double* d, bool forward) const {
-  const simd::Kernels& kernels = simd::ActiveKernels();
-  const double sign = forward ? 1.0 : -1.0;
-  const double* tw = reinterpret_cast<const double*>(twiddles_.data());
-  std::size_t len = 2;
-  std::uint64_t fused = 0;
-  if (std::countr_zero(n_) % 2 == 1) {
-    kernels.radix2_pass(d, n_);
-    simd::NoteKernelCalls(simd::KernelKind::kRadix2Pass, 1);
-    len = 4;
-  }
-  for (; len <= n_ / 2; len <<= 2) {
-    kernels.fused_radix4_dit(d, n_, len, tw, sign);
-    ++fused;
-  }
-  simd::NoteKernelCalls(simd::KernelKind::kFusedRadix4Dit, fused);
-}
-
-void FftPlan::TransformImpl(std::span<std::complex<double>> data,
-                            bool forward) const {
-  assert(data.size() == n_);
-  if (n_ == 1) return;
-
-  for (std::size_t i = 1; i < n_; ++i) {
-    const std::size_t j = bit_reverse_[i];
-    if (i < j) std::swap(data[i], data[j]);
-  }
-
-  // std::complex<double> has array-compatible layout, so the butterfly
-  // kernels may view the buffer as interleaved doubles.
-  double* d = reinterpret_cast<double*>(data.data());
-  DitPasses(d, forward);
-
-  if (!forward) {
-    const double inv_n = 1.0 / static_cast<double>(n_);
-    for (std::size_t i = 0; i < 2 * n_; ++i) d[i] *= inv_n;
-  }
-}
 
 void FftPlan::ForwardBitrev(std::span<std::complex<double>> data) const {
   assert(data.size() == n_);
@@ -108,17 +59,25 @@ void FftPlan::InverseBitrev(std::span<std::complex<double>> data) const {
   assert(data.size() == n_);
   if (n_ == 1) return;
   double* d = reinterpret_cast<double*>(data.data());
-  DitPasses(d, /*forward=*/false);
+  // Decimation in time over the bit-reversed spectrum: spans grow from 2 to
+  // n, output lands in natural order. An odd log2(n) runs the span-2 stage
+  // first. The conjugate twiddles (sign -1) make it the inverse.
+  const simd::Kernels& kernels = simd::ActiveKernels();
+  const double* tw = reinterpret_cast<const double*>(twiddles_.data());
+  std::size_t len = 2;
+  std::uint64_t fused = 0;
+  if (std::countr_zero(n_) % 2 == 1) {
+    kernels.radix2_pass(d, n_);
+    simd::NoteKernelCalls(simd::KernelKind::kRadix2Pass, 1);
+    len = 4;
+  }
+  for (; len <= n_ / 2; len <<= 2) {
+    kernels.fused_radix4_dit(d, n_, len, tw, /*sign=*/-1.0);
+    ++fused;
+  }
+  simd::NoteKernelCalls(simd::KernelKind::kFusedRadix4Dit, fused);
   const double inv_n = 1.0 / static_cast<double>(n_);
   for (std::size_t i = 0; i < 2 * n_; ++i) d[i] *= inv_n;
-}
-
-void FftPlan::Forward(std::span<std::complex<double>> data) const {
-  TransformImpl(data, /*forward=*/true);
-}
-
-void FftPlan::Inverse(std::span<std::complex<double>> data) const {
-  TransformImpl(data, /*forward=*/false);
 }
 
 void FftPlan::RealForwardPair(std::span<const double> a,
@@ -167,19 +126,6 @@ void FftPlan::MultiplyPairByRealSpectrumInto(
       reinterpret_cast<const double*>(real_spectrum.data()),
       reinterpret_cast<double*>(product.data()), n_);
   simd::NoteKernelCalls(simd::KernelKind::kComplexMultiply, 1);
-}
-
-void FftPlan::RealInversePair(std::span<std::complex<double>> spectrum,
-                              std::span<double> a, std::span<double> b) const {
-  assert(spectrum.size() == n_);
-  assert(a.size() == n_);
-  assert(b.size() == n_);
-
-  InverseBitrev(spectrum);
-  for (std::size_t i = 0; i < n_; ++i) {
-    a[i] = spectrum[i].real();
-    b[i] = spectrum[i].imag();
-  }
 }
 
 namespace {

@@ -14,16 +14,20 @@ inline bool IsPowerOfTwo(std::size_t n) { return n != 0 && (n & (n - 1)) == 0; }
 
 /// A reusable radix-2 FFT plan for one power-of-two size.
 ///
-/// The plan precomputes the bit-reversal permutation and a twiddle-factor
-/// table `w[j] = exp(-2*pi*i*j / n)` once, so transforms are pure table
-/// lookups: no trigonometry on the hot path and, unlike the incremental
-/// `w *= wlen` recurrence, no error accumulation across a butterfly pass
-/// (every twiddle is exact to one rounding of sin/cos).
+/// The plan precomputes a twiddle-factor table `w[j] = exp(-2*pi*i*j / n)`
+/// once, so transforms are pure table lookups: no trigonometry on the hot
+/// path and, unlike the incremental `w *= wlen` recurrence, no error
+/// accumulation across a butterfly pass (every twiddle is exact to one
+/// rounding of sin/cos).
 ///
-/// Real signals go through the pair-packed path (`RealForwardPair` /
-/// `RealInversePair`): two real signals ride the real and imaginary lanes of
+/// There is one transform ordering, the convolution pipeline's: a
+/// decimation-in-frequency forward that leaves its spectrum in bit-reversed
+/// bin order, and a decimation-in-time inverse that consumes that order, so
+/// no permutation pass ever runs. Real signals enter through the pair-packed
+/// `RealForwardPair`: two real signals ride the real and imaginary lanes of
 /// one full-size complex transform, and a lone signal leaves the second lane
-/// empty.
+/// empty. After the pointwise product, `InverseBitrev` returns the two real
+/// results in the real and imaginary lanes.
 ///
 /// Instances are immutable after construction and safe to share across
 /// threads. Obtain them through `GetPlan`, which caches one plan per size.
@@ -33,12 +37,6 @@ class FftPlan {
   explicit FftPlan(std::size_t n);
 
   std::size_t size() const { return n_; }
-
-  /// In-place complex transform. `data.size()` must equal `size()`. The
-  /// inverse includes the 1/n scaling, so Forward followed by Inverse
-  /// reproduces the input up to rounding.
-  void Forward(std::span<std::complex<double>> data) const;
-  void Inverse(std::span<std::complex<double>> data) const;
 
   /// Forward transform in decimation-in-frequency order: natural-order
   /// input, *bit-reversed* output (`data[i]` holds bin `rev(i)`). Skips the
@@ -62,8 +60,8 @@ class FftPlan {
   /// order never needs to be undone): any linear pointwise operation — in
   /// particular multiplying by the spectrum of a shared real signal, see
   /// MultiplyPairByRealSpectrum — commutes with the packing and is
-  /// permutation-invariant, and RealInversePair separates the two real
-  /// results for free.
+  /// permutation-invariant, and InverseBitrev separates the two real
+  /// results for free (real lane `a`, imaginary lane `b`).
   void RealForwardPair(std::span<const double> a, std::span<const double> b,
                        std::span<std::complex<double>> spectrum) const;
 
@@ -89,26 +87,8 @@ class FftPlan {
       std::span<const std::complex<double>> pair_spectrum,
       std::span<std::complex<double>> product) const;
 
-  /// Inverse of RealForwardPair, including the 1/n scaling: one
-  /// InverseBitrev recovers both real sequences (`a[i]` from the real
-  /// parts, `b[i]` from the imaginary parts). Requires
-  /// `spectrum.size() == size()` and `a.size() == b.size() == size()`.
-  /// `spectrum` is consumed as scratch, so the transform allocates nothing.
-  void RealInversePair(std::span<std::complex<double>> spectrum,
-                       std::span<double> a, std::span<double> b) const;
-
  private:
-  void TransformImpl(std::span<std::complex<double>> data,
-                     bool forward) const;
-  /// Decimation-in-time butterfly schedule over bit-reversed data (the body
-  /// of TransformImpl after the permutation), without the 1/n scaling. The
-  /// butterfly kernels themselves (span-2 and fused radix-2^2 passes) come
-  /// from simd::ActiveKernels(), dispatched once per schedule.
-  void DitPasses(double* d, bool forward) const;
-
   std::size_t n_;
-  /// Input permutation: element i swaps into bit_reverse_[i].
-  std::vector<std::uint32_t> bit_reverse_;
   /// twiddles_[j] = exp(-2*pi*i*j / n), j in [0, n/2). A butterfly pass of
   /// span `len` reads every (n/len)-th entry, so one table serves every
   /// stage.

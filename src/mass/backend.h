@@ -42,9 +42,9 @@ enum class ConvolutionBackend {
   kDirect,
   /// Full-size pair-packed FFT: two queries ride the real/imaginary lanes
   /// of one complex transform, so a pair of rows costs one forward + one
-  /// inverse. Batched calls pack rows pairwise; a single row (or the odd
-  /// tail row of a batch) runs the same pipeline with an empty second
-  /// lane.
+  /// inverse. Batched calls pack rows pairwise; a 1-row batch, an
+  /// external query and the odd tail row of a batch run the same pipeline
+  /// with an empty second lane.
   kFftPair,
   /// Overlap-save: chunked FFTs of ~4x the query length against per-chunk
   /// series spectra cached in the engine. Cuts the per-row flop count from
@@ -100,11 +100,12 @@ double OverlapSaveSlidingDotsCost(const BackendCostModel& model,
                                   std::size_t length, std::size_t count,
                                   bool pair);
 
-/// Resolves kAuto for one row profile: a pure function of its arguments that
-/// picks the backend with the smallest predicted cost under `model` (the
-/// static fit; tests pass other weights to steer the choice). With `batched`
-/// set the FFT family is priced pair-packed — two rows per transform, as the
-/// batched entry point executes it; otherwise the unpaired flavors compete.
+/// Resolves kAuto for one row of sliding dots: a pure function of its
+/// arguments that picks the backend with the smallest predicted cost under
+/// `model` (the static fit; tests pass other weights to steer the choice).
+/// With `batched` set the FFT family is priced pair-packed — two rows per
+/// transform, as a multi-row engine batch executes it; otherwise (a 1-row
+/// batch or an external query) the unpaired flavors compete.
 /// A full-FFT winner is kFftPair either way. Overlap-save is excluded when
 /// its chunk would not be smaller than the full transform (chunking
 /// degenerates to one full-size block plus overhead). Never returns kAuto.

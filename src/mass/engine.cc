@@ -6,8 +6,6 @@
 
 #include "common/parallel.h"
 #include "fft/fft.h"
-#include "series/znorm.h"
-#include "stats/moving_stats.h"
 
 namespace valmod::mass {
 
@@ -189,25 +187,47 @@ void MassEngine::ReleaseScratch(std::unique_ptr<Scratch> scratch) {
   free_scratch_.push_back(std::move(scratch));
 }
 
+Status MassEngine::BackendDots(ConvolutionBackend backend,
+                               std::span<const double> query_a,
+                               std::span<const double> query_b,
+                               std::vector<double>* dots_a,
+                               std::vector<double>* dots_b) {
+  switch (backend) {
+    case ConvolutionBackend::kDirect: {
+      const std::size_t count = series_.NumSubsequences(query_a.size());
+      *dots_a = DirectSlidingDots(series_.centered(), query_a, count);
+      if (!query_b.empty()) {
+        *dots_b = DirectSlidingDots(series_.centered(), query_b, count);
+      }
+      break;
+    }
+    case ConvolutionBackend::kFftPair:
+      CachedSlidingDotsPair(query_a, query_b, dots_a, dots_b);
+      break;
+    case ConvolutionBackend::kOverlapSave:
+      OverlapSaveDotsPair(query_a, query_b, dots_a, dots_b);
+      break;
+    case ConvolutionBackend::kAuto:
+      return Status::Internal("unresolved convolution backend");
+  }
+  NoteEngineRows(backend, query_b.empty() ? 1 : 2);
+  return Status::Ok();
+}
+
 void MassEngine::CachedSlidingDotsPair(std::span<const double> query_a,
                                        std::span<const double> query_b,
-                                       std::size_t length,
                                        std::vector<double>* dots_a,
                                        std::vector<double>* dots_b) {
   const auto centered = series_.centered();
   const std::size_t n = centered.size();
-  const std::size_t m = length;
+  const std::size_t m = query_a.size();
   const std::size_t out_size = n + m - 1;
   const std::size_t fft_size = fft::NextPowerOfTwo(out_size);
   const std::size_t count = n - m + 1;
 
   if (fft_size < 2) {  // single-point series and queries
     dots_a->assign(1, query_a[0] * centered[0]);
-    if (query_b.empty()) {
-      dots_b->clear();
-    } else {
-      dots_b->assign(1, query_b[0] * centered[0]);
-    }
+    if (!query_b.empty()) dots_b->assign(1, query_b[0] * centered[0]);
     return;
   }
 
@@ -230,20 +250,17 @@ void MassEngine::CachedSlidingDotsPair(std::span<const double> query_a,
                                  scratch->pair_bins);
   spectrum.plan->MultiplyPairByRealSpectrum(spectrum.pair_bins,
                                             scratch->pair_bins);
-  // Instead of RealInversePair (which would materialize two full-size real
-  // arrays only for `count` entries of each to survive), run the inverse in
-  // place and read the two convolutions straight out of the packed buffer's
-  // real/imaginary lanes — at large sizes the two skipped full-size unpack
-  // sweeps are a measurable share of the pair cost.
+  // The inverse runs in place, and the two convolutions are read straight
+  // out of the packed buffer's real/imaginary lanes: only `count` entries
+  // of each survive, so unpacking two full-size real arrays first would be
+  // wasted sweeps.
   spectrum.plan->InverseBitrev(scratch->pair_bins);
 
   dots_a->resize(count);
   for (std::size_t i = 0; i < count; ++i) {
     (*dots_a)[i] = scratch->pair_bins[m - 1 + i].real();
   }
-  if (query_b.empty()) {
-    dots_b->clear();
-  } else {
+  if (!query_b.empty()) {
     dots_b->resize(count);
     for (std::size_t i = 0; i < count; ++i) {
       (*dots_b)[i] = scratch->pair_bins[m - 1 + i].imag();
@@ -254,12 +271,11 @@ void MassEngine::CachedSlidingDotsPair(std::span<const double> query_a,
 
 void MassEngine::OverlapSaveDotsPair(std::span<const double> query_a,
                                      std::span<const double> query_b,
-                                     std::size_t length,
                                      std::vector<double>* dots_a,
                                      std::vector<double>* dots_b) {
   const auto centered = series_.centered();
   const std::size_t n = centered.size();
-  const std::size_t m = length;
+  const std::size_t m = query_a.size();
   const std::size_t count = n - m + 1;
   const std::size_t chunk_size = fft::OverlapSaveFftSize(m);
 
@@ -281,8 +297,9 @@ void MassEngine::OverlapSaveDotsPair(std::span<const double> query_a,
                                 scratch->reversed_query_b,
                                 scratch->ols_filter);
 
+  const bool pair = !query_b.empty();
   dots_a->resize(count);
-  if (dots_b != nullptr) dots_b->resize(count);
+  if (pair) dots_b->resize(count);
   scratch->ols_work.resize(chunk_size);
   const std::size_t hop = spectra.hop;
   for (std::size_t begin = 0; begin < count; begin += hop) {
@@ -298,137 +315,56 @@ void MassEngine::OverlapSaveDotsPair(std::span<const double> query_a,
     for (std::size_t i = begin; i < end; ++i) {
       const std::complex<double>& v = scratch->ols_work[m - 1 + (i - begin)];
       (*dots_a)[i] = v.real();
-      if (dots_b != nullptr) (*dots_b)[i] = v.imag();
+      if (pair) (*dots_b)[i] = v.imag();
     }
   }
   ReleaseScratch(std::move(scratch));
 }
 
-void MassEngine::ComputeRowPairFft(std::size_t offset_a, std::size_t offset_b,
-                                   std::size_t length, RowProfile* row_a,
-                                   RowProfile* row_b) {
-  const auto centered = series_.centered();
-  CachedSlidingDotsPair(centered.subspan(offset_a, length),
-                        centered.subspan(offset_b, length), length,
-                        &row_a->dots, &row_b->dots);
-  DistancesFromDots(series_, offset_a, length, row_a->dots,
-                    &row_a->distances);
-  DistancesFromDots(series_, offset_b, length, row_b->dots,
-                    &row_b->distances);
-}
-
-void MassEngine::ComputeRowPairOverlapSave(std::size_t offset_a,
-                                           std::size_t offset_b,
-                                           std::size_t length,
-                                           RowProfile* row_a,
-                                           RowProfile* row_b) {
-  const auto centered = series_.centered();
-  OverlapSaveDotsPair(centered.subspan(offset_a, length),
-                      centered.subspan(offset_b, length), length,
-                      &row_a->dots, &row_b->dots);
-  DistancesFromDots(series_, offset_a, length, row_a->dots,
-                    &row_a->distances);
-  DistancesFromDots(series_, offset_b, length, row_b->dots,
-                    &row_b->distances);
-}
-
-Result<RowProfile> MassEngine::ComputeRowProfile(std::size_t query_offset,
-                                                 std::size_t length,
-                                                 ConvolutionBackend backend) {
-  VALMOD_RETURN_IF_ERROR(ValidateWindow(series_, query_offset, length));
-  const std::size_t count = series_.NumSubsequences(length);
-  if (backend == ConvolutionBackend::kAuto) {
-    backend = ChooseConvolutionBackend(series_.size(), length, count);
-  }
-
-  RowProfile row;
-  const auto query = series_.centered().subspan(query_offset, length);
-  switch (backend) {
-    case ConvolutionBackend::kDirect:
-      row.dots =
-          DirectSlidingDots(series_.centered(), query_offset, length, count);
-      break;
-    case ConvolutionBackend::kFftPair: {
-      // A single row runs the pair machinery with the second lane empty.
-      std::vector<double> unused;
-      CachedSlidingDotsPair(query, {}, length, &row.dots, &unused);
-      break;
-    }
-    case ConvolutionBackend::kOverlapSave:
-      OverlapSaveDotsPair(query, {}, length, &row.dots, nullptr);
-      break;
-    case ConvolutionBackend::kAuto:
-      return Status::Internal("unresolved convolution backend");
-  }
-  NoteEngineRows(backend, 1);
-  DistancesFromDots(series_, query_offset, length, row.dots, &row.distances);
-  return row;
-}
-
-Result<std::vector<RowProfile>> MassEngine::ComputeRowProfiles(
+Result<std::vector<std::vector<double>>> MassEngine::ComputeRowProfiles(
     std::span<const std::size_t> rows, std::size_t length, int num_threads,
     ConvolutionBackend backend) {
   for (std::size_t row : rows) {
     VALMOD_RETURN_IF_ERROR(ValidateWindow(series_, row, length));
   }
-  const std::size_t count = series_.NumSubsequences(length);
-  std::vector<RowProfile> profiles(rows.size());
-  if (rows.empty()) return profiles;
+  std::vector<std::vector<double>> dots(rows.size());
+  if (rows.empty()) return dots;
 
   if (backend == ConvolutionBackend::kAuto) {
     // The cost model prices the batch as the engine will execute it:
     // adjacent rows share one pair-packed (or overlap-save) transform, so a
     // multi-row batch competes the pair flavors against the direct dots.
-    backend = ChooseConvolutionBackend(series_.size(), length, count,
+    backend = ChooseConvolutionBackend(series_.size(), length,
+                                       series_.NumSubsequences(length),
                                        /*batched=*/rows.size() > 1);
   }
 
-  if (backend == ConvolutionBackend::kDirect) {
-    // Row-independent kernel: just fan the rows out. Results are
-    // bit-identical to per-row ComputeRowProfile calls.
-    VALMOD_RETURN_IF_ERROR(ParallelForWithStatus(
-        0, rows.size(), num_threads, [&](std::size_t i) -> Status {
-          VALMOD_ASSIGN_OR_RETURN(
-              profiles[i], ComputeRowProfile(rows[i], length, backend));
-          return Status::Ok();
-        }));
-    return profiles;
-  }
-
-  // Pair families: adjacent rows share one packed transform; an odd tail
-  // row runs the same family with an empty second lane. The pairing depends
-  // only on the order of `rows`, so results are independent of num_threads.
-  const bool overlap_save = backend == ConvolutionBackend::kOverlapSave;
-  const std::size_t pairs = rows.size() / 2;
-  const std::size_t tasks = pairs + rows.size() % 2;
-
+  // The direct kernel is row-independent, so its rows fan out one per task.
+  // The transform families pair adjacent rows into one packed transform; an
+  // odd tail row runs the same family with an empty second lane. The
+  // pairing depends only on the order of `rows`, so results are independent
+  // of num_threads.
+  const std::size_t lanes = backend == ConvolutionBackend::kDirect ? 1 : 2;
+  const std::size_t tasks = (rows.size() + lanes - 1) / lanes;
   // Warm the spectra serially so pool workers never contend on their
   // one-time construction.
-  if (overlap_save) {
+  if (backend == ConvolutionBackend::kOverlapSave) {
     ChunkSpectraFor(fft::OverlapSaveFftSize(length));
-  } else {
+  } else if (backend == ConvolutionBackend::kFftPair) {
     SpectrumFor(fft::NextPowerOfTwo(series_.size() + length - 1));
   }
+  const auto centered = series_.centered();
   VALMOD_RETURN_IF_ERROR(ParallelForWithStatus(
       0, tasks, num_threads, [&](std::size_t t) -> Status {
-        if (t < pairs) {
-          if (overlap_save) {
-            ComputeRowPairOverlapSave(rows[2 * t], rows[2 * t + 1], length,
-                                      &profiles[2 * t], &profiles[2 * t + 1]);
-          } else {
-            ComputeRowPairFft(rows[2 * t], rows[2 * t + 1], length,
-                              &profiles[2 * t], &profiles[2 * t + 1]);
-          }
-          // The tail (and the direct fan-out above) count inside
-          // ComputeRowProfile; the pair paths bypass it, so count here.
-          NoteEngineRows(backend, 2);
-          return Status::Ok();
-        }
-        VALMOD_ASSIGN_OR_RETURN(
-            profiles.back(), ComputeRowProfile(rows.back(), length, backend));
-        return Status::Ok();
+        const std::size_t a = t * lanes;
+        const bool pair = lanes == 2 && a + 1 < rows.size();
+        return BackendDots(
+            backend, centered.subspan(rows[a], length),
+            pair ? centered.subspan(rows[a + 1], length)
+                 : std::span<const double>(),
+            &dots[a], pair ? &dots[a + 1] : nullptr);
       }));
-  return profiles;
+  return dots;
 }
 
 Result<std::vector<double>> MassEngine::DistanceProfile(
@@ -440,35 +376,19 @@ Result<std::vector<double>> MassEngine::DistanceProfile(
     return Status::InvalidArgument("query longer than series");
   }
   const std::size_t length = query.size();
-  const std::size_t count = series_.NumSubsequences(length);
   if (backend == ConvolutionBackend::kAuto) {
-    // Same cost-based selection as ComputeRowProfile: for short queries
-    // (or short series) the direct products beat any transform by a wide
-    // margin, and unconditionally taking an FFT path would also pay the
-    // engine's one-time spectrum build for a single cheap call.
-    backend = ChooseConvolutionBackend(series_.size(), length, count);
+    // Priced like a 1-row batch: for short queries (or short series) the
+    // direct products beat any transform by a wide margin, and
+    // unconditionally taking an FFT path would also pay the engine's
+    // one-time spectrum build for a single cheap call.
+    backend = ChooseConvolutionBackend(series_.size(), length,
+                                       series_.NumSubsequences(length));
   }
 
   VALMOD_ASSIGN_OR_RETURN(CenteredQuery centered, CenterQuery(query));
   std::vector<double> dots;
-  switch (backend) {
-    case ConvolutionBackend::kDirect:
-      dots = DirectExternalSlidingDots(series_.centered(), centered.values,
-                                       count);
-      break;
-    case ConvolutionBackend::kFftPair: {
-      std::vector<double> unused;
-      CachedSlidingDotsPair(centered.values, {}, length, &dots, &unused);
-      break;
-    }
-    case ConvolutionBackend::kOverlapSave:
-      OverlapSaveDotsPair(centered.values, {}, length, &dots, nullptr);
-      break;
-    case ConvolutionBackend::kAuto:
-      return Status::Internal("unresolved convolution backend");
-  }
-  NoteEngineRows(backend, 1);
-
+  VALMOD_RETURN_IF_ERROR(
+      BackendDots(backend, centered.values, {}, &dots, nullptr));
   std::vector<double> distances;
   DistancesFromExternalQueryDots(series_, centered.std_dev,
                                  centered.constant, length, dots, &distances);

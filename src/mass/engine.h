@@ -23,7 +23,8 @@ namespace valmod::mass {
 /// depend on the query across calls.
 ///
 /// The engine is the single place the library computes sliding dot
-/// products, behind a `ConvolutionBackend` selection (see mass/backend.h):
+/// products (MASS, Mueen's Algorithm for Similarity Search), behind a
+/// `ConvolutionBackend` selection (see mass/backend.h):
 ///
 ///  - kDirect: O(count * length) multiply-adds; short windows.
 ///  - kFftPair: queries ride the lanes of one full-size complex transform
@@ -40,15 +41,17 @@ namespace valmod::mass {
 ///    cache resident; pairs of rows share the chunk pipeline the same way
 ///    the full-size pair path does.
 ///
+/// Self-join rows come back as dots: VALMOD re-seeds a recomputed row from
+/// them and never reads a distance row, and the callers that do want
+/// distances derive them with `DistancesFromDots` (mass/mass.h).
+///
 /// `ConvolutionBackend::kAuto` (the default everywhere) applies the static
 /// cost model in `ChooseConvolutionBackend` — batched calls are priced
 /// pair-packed, exactly as they execute; forcing a specific backend through
 /// the per-call `backend` argument exists for tests and benches. Backends
 /// agree to ~1e-9 relative, not bit-for-bit (the evaluation order differs);
 /// within one backend, batched results depend only on the row order, never
-/// on `num_threads`. The auto single-query path is bit-identical to the
-/// `mass::ComputeRowProfile` free function, which is a thin wrapper over an
-/// engine.
+/// on `num_threads`.
 ///
 /// Thread-safety: all public methods are safe to call concurrently (the
 /// VALMOD certification loop recomputes batches of rows in parallel). The
@@ -62,29 +65,27 @@ class MassEngine {
 
   const series::DataSeries& series() const { return series_; }
 
-  /// Same contract (and, under kAuto, numerics) as mass::ComputeRowProfile.
-  /// A forced backend must still satisfy the window validation; the FFT
-  /// families run their pair machinery with an empty second lane.
-  Result<RowProfile> ComputeRowProfile(
-      std::size_t query_offset, std::size_t length,
-      ConvolutionBackend backend = ConvolutionBackend::kAuto);
-
-  /// Batched form: row profiles for every offset in `rows` at one length,
-  /// in input order. Under kAuto this resolves the backend once for the
-  /// whole batch with the FFT family priced pair-packed; adjacent rows
-  /// share one transform, and an odd tail row stays in the batch's family
-  /// with an empty second lane, so it is bit-identical to ComputeRowProfile
-  /// of that row on the same backend. The row pairing — and therefore the
-  /// numeric result — depends only on the order of `rows`, never on
-  /// `num_threads`, which only controls how pairs fan out over the pool.
-  Result<std::vector<RowProfile>> ComputeRowProfiles(
+  /// Centered sliding dot products of the window at each offset in `rows`
+  /// (at `length` points) against every window of the series, in input
+  /// order: `dots[r][j] = sum_t centered[rows[r] + t] * centered[j + t]`.
+  ///
+  /// Under kAuto the backend is resolved once for the whole batch, with the
+  /// FFT family priced pair-packed when the batch has more than one row. A
+  /// 1-row batch is priced unpaired and runs the single-lane pipeline. In a
+  /// longer batch adjacent rows share one transform, and an odd tail row
+  /// stays in the batch's family with an empty second lane. The row pairing
+  /// — and therefore the numeric result — depends only on the order of
+  /// `rows`, never on `num_threads`, which only controls how the work fans
+  /// out over the pool. A forced backend must still satisfy the window
+  /// validation.
+  Result<std::vector<std::vector<double>>> ComputeRowProfiles(
       std::span<const std::size_t> rows, std::size_t length,
       int num_threads = 1,
       ConvolutionBackend backend = ConvolutionBackend::kAuto);
 
-  /// Same contract (and numerics) as mass::DistanceProfile: z-normalized
-  /// distances of an external query against every window of the series,
-  /// through the same backend selection as ComputeRowProfile.
+  /// MASS against an external query: z-normalized distances of `query`
+  /// against every window of the series of `query.size()` points, priced
+  /// and run as a 1-row batch.
   Result<std::vector<double>> DistanceProfile(
       std::span<const double> query,
       ConvolutionBackend backend = ConvolutionBackend::kAuto);
@@ -150,35 +151,32 @@ class MassEngine {
   std::unique_ptr<Scratch> AcquireScratch();
   void ReleaseScratch(std::unique_ptr<Scratch> scratch);
 
-  /// Sliding dot products of two centered queries of the same length
-  /// against the whole centered series in one forward + one inverse
-  /// transform (the two queries ride the real and imaginary lanes of a
-  /// single complex FFT against the cached spectrum). `query_b` may be
-  /// empty (single-lane use); `dots_b` is then cleared.
+  /// The one place a resolved backend becomes sliding dots: `query_a`
+  /// (and `query_b`, when non-empty, with the same length) against the whole
+  /// centered series. `dots_b` may be null when `query_b` is empty. Counts
+  /// the rows on the backend's engine counter. Fails only on kAuto.
+  Status BackendDots(ConvolutionBackend backend,
+                     std::span<const double> query_a,
+                     std::span<const double> query_b,
+                     std::vector<double>* dots_a,
+                     std::vector<double>* dots_b);
+
+  /// kFftPair: both queries ride the real and imaginary lanes of one
+  /// full-size complex transform against the cached series spectrum, so a
+  /// pair costs one forward + one inverse. Same lane contract as
+  /// BackendDots.
   void CachedSlidingDotsPair(std::span<const double> query_a,
                              std::span<const double> query_b,
-                             std::size_t length, std::vector<double>* dots_a,
+                             std::vector<double>* dots_a,
                              std::vector<double>* dots_b);
 
-  /// Overlap-save sliding dot products: both queries (the second optional,
-  /// as in CachedSlidingDotsPair — pass an empty span and null `dots_b`)
-  /// ride one chunk-size pair transform, multiplied against every cached
-  /// chunk spectrum in turn.
+  /// kOverlapSave: both queries ride one chunk-size pair transform,
+  /// multiplied against every cached chunk spectrum in turn. Same lane
+  /// contract as BackendDots.
   void OverlapSaveDotsPair(std::span<const double> query_a,
                            std::span<const double> query_b,
-                           std::size_t length, std::vector<double>* dots_a,
+                           std::vector<double>* dots_a,
                            std::vector<double>* dots_b);
-
-  /// FFT-path row pair: profiles for the windows at `offset_a` / `offset_b`
-  /// through the full-size pair-packed transform.
-  void ComputeRowPairFft(std::size_t offset_a, std::size_t offset_b,
-                         std::size_t length, RowProfile* row_a,
-                         RowProfile* row_b);
-
-  /// Overlap-save row pair: same contract through the chunked pipeline.
-  void ComputeRowPairOverlapSave(std::size_t offset_a, std::size_t offset_b,
-                                 std::size_t length, RowProfile* row_a,
-                                 RowProfile* row_b);
 
   const series::DataSeries& series_;
 

@@ -1,9 +1,9 @@
 #include "mass/mass.h"
 
+#include <algorithm>
 #include <limits>
 #include <string>
 
-#include "mass/engine.h"
 #include "series/znorm.h"
 #include "simd/dispatch.h"
 #include "stats/moving_stats.h"
@@ -56,17 +56,9 @@ void DistancesFromExternalQueryDots(const series::DataSeries& series,
   }
 }
 
-std::vector<double> DirectSlidingDots(std::span<const double> centered,
-                                      std::size_t query_offset,
-                                      std::size_t length, std::size_t count) {
-  return DirectExternalSlidingDots(centered,
-                                   centered.subspan(query_offset, length),
-                                   count);
-}
-
-std::vector<double> DirectExternalSlidingDots(
-    std::span<const double> centered_series,
-    std::span<const double> centered_query, std::size_t count) {
+std::vector<double> DirectSlidingDots(std::span<const double> centered_series,
+                                      std::span<const double> centered_query,
+                                      std::size_t count) {
   std::vector<double> dots(count);
   // Hoist the dispatched kernel out of the loop: one atomic load for the
   // whole sweep instead of one per window.
@@ -97,22 +89,6 @@ void DistancesFromDots(const series::DataSeries& series,
         dots[j], mean_q, mean_j, std_q, std_j, length, const_q,
         std_j <= const_threshold);
   }
-}
-
-Result<RowProfile> ComputeRowProfile(const series::DataSeries& series,
-                                     std::size_t query_offset,
-                                     std::size_t length) {
-  // A throwaway engine re-derives nothing the uncached path didn't already
-  // pay for (the series spectrum is built once either way); routing through
-  // it keeps the kernels and the cost model in exactly one place.
-  MassEngine engine(series);
-  return engine.ComputeRowProfile(query_offset, length);
-}
-
-Result<std::vector<double>> DistanceProfile(const series::DataSeries& series,
-                                            std::span<const double> query) {
-  MassEngine engine(series);
-  return engine.DistanceProfile(query);
 }
 
 Result<std::vector<double>> BruteDistanceProfile(

@@ -5,6 +5,7 @@
 #include <string>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/status.h"
 #include "common/trace.h"
 #include "mass/engine.h"
@@ -25,7 +26,7 @@ Result<MatrixProfile> ComputeStamp(const series::DataSeries& series,
   }
 
   // One engine for the whole sweep: the series spectrum and FFT plan are
-  // computed once and shared by all row profiles.
+  // computed once and shared by all rows.
   mass::MassEngine engine(series);
   MatrixProfile profile;
   profile.subsequence_length = length;
@@ -51,19 +52,22 @@ Result<MatrixProfile> ComputeStamp(const series::DataSeries& series,
     rows.resize(end - begin);
     std::iota(rows.begin(), rows.end(), begin);
     VALMOD_ASSIGN_OR_RETURN(
-        std::vector<mass::RowProfile> batch,
+        std::vector<std::vector<double>> batch,
         engine.ComputeRowProfiles(rows, length, num_threads));
-    for (std::size_t b = 0; b < batch.size(); ++b) {
+    // Each row's distances and minimum touch only that row's slot, so the
+    // rows fan out over the same workers as their dots.
+    ParallelFor(0, batch.size(), num_threads, [&](std::size_t b) {
       const std::size_t i = begin + b;
-      mass::RowProfile& row = batch[b];
-      mass::ApplyExclusionZone(&row.distances, i, profile.exclusion_zone);
+      std::vector<double> distances;
+      mass::DistancesFromDots(series, i, length, batch[b], &distances);
+      mass::ApplyExclusionZone(&distances, i, profile.exclusion_zone);
       for (std::size_t j = 0; j < count; ++j) {
-        if (row.distances[j] < profile.distances[i]) {
-          profile.distances[i] = row.distances[j];
+        if (distances[j] < profile.distances[i]) {
+          profile.distances[i] = distances[j];
           profile.indices[i] = static_cast<int64_t>(j);
         }
       }
-    }
+    });
   }
   return profile;
 }

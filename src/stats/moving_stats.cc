@@ -48,6 +48,14 @@ Result<MovingStats> MovingStats::Create(std::span<const double> data) {
     stats.prefix_[i + 1] = stats.prefix_[i] + c;
     stats.prefix_sq_[i + 1] = stats.prefix_sq_[i] + c * c;
   }
+  // Finite values can still overflow their sums. An overflowing global mean
+  // or centered value reaches the sum of squares too, and past that every
+  // window would read as constant, so one check on the total covers all
+  // three.
+  if (!std::isfinite(stats.prefix_sq_.back())) {
+    return Status::InvalidArgument(
+        "value magnitudes overflow the series' sum of squares");
+  }
 
   const double global_variance = stats.Variance(0, stats.n_);
   stats.constant_variance_threshold_ =

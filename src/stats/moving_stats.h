@@ -30,8 +30,8 @@ inline constexpr double kConstantVarianceEpsilon = 1e-12;
 /// the shift back, `Variance()` needs no correction.
 class MovingStats {
  public:
-  /// Builds prefix sums over `data`. Fails on empty input or non-finite
-  /// values.
+  /// Builds prefix sums over `data`. Fails on empty input, non-finite
+  /// values, or magnitudes whose sum of squares overflows a double.
   static Result<MovingStats> Create(std::span<const double> data);
 
   /// Number of points in the underlying series.

@@ -477,7 +477,8 @@ void CheckReseedRow(const series::DataSeries& series, std::size_t length,
   const std::size_t count = w.count;
   const std::size_t exclusion = ExclusionZoneFor(length, 0.5);
   const std::vector<double> dots =
-      mass::DirectSlidingDots(series.centered(), row, length, count);
+      mass::DirectSlidingDots(series.centered(),
+                              series.centered().subspan(row, length), count);
 
   Minima want_min(count);
   std::vector<core::Entry> candidates;

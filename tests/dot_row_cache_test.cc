@@ -41,8 +41,9 @@ DotRow DirectRow(const series::DataSeries& series, std::size_t offset,
                  std::size_t length) {
   const std::size_t count = series.NumSubsequences(length);
   return DotRow{offset, length, 0,
-                mass::DirectSlidingDots(series.centered(), offset, length,
-                                        count)};
+                mass::DirectSlidingDots(
+                    series.centered(),
+                    series.centered().subspan(offset, length), count)};
 }
 
 /// Compares every cell of `dots` with the direct row of (offset, length),

@@ -1,8 +1,8 @@
 // Concurrency hammer for the shared MassEngine — the serving stack's core
 // assumption is that one registry-held engine may serve any number of
-// concurrent requests. N threads issue a mixed stream of row-profile,
-// batched-row-profile, and distance-profile calls at different lengths and
-// forced backends against ONE engine, racing each other through the
+// concurrent requests. N threads issue a mixed stream of 1-row batches,
+// 3-row batches, and external-query distance profiles at different lengths
+// and forced backends against ONE engine, racing each other through the
 // engine's spectrum caches, chunk-spectra LRU, and scratch free list; the
 // results must be bit-identical to the same calls executed serially on a
 // fresh engine. Run under TSan in CI (the tsan job builds this target).
@@ -10,12 +10,14 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "mass/backend.h"
 #include "mass/engine.h"
+#include "mass/mass.h"
 #include "series/generators.h"
 
 namespace valmod::mass {
@@ -49,14 +51,30 @@ std::vector<CallSpec> BuildCalls(std::size_t thread_index, std::size_t n) {
   return calls;
 }
 
+/// Distances of the rows at `offsets` through one engine batch, flattened
+/// in row order: the engine's dots, then DistancesFromDots.
+std::vector<double> BatchDistances(
+    MassEngine& engine, std::span<const std::size_t> offsets,
+    std::size_t length,
+    ConvolutionBackend backend = ConvolutionBackend::kAuto) {
+  auto dots = engine.ComputeRowProfiles(offsets, length, 1, backend);
+  EXPECT_TRUE(dots.ok()) << dots.status().ToString();
+  std::vector<double> flat, distances;
+  if (!dots.ok()) return flat;
+  for (std::size_t r = 0; r < offsets.size(); ++r) {
+    DistancesFromDots(engine.series(), offsets[r], length, (*dots)[r],
+                      &distances);
+    flat.insert(flat.end(), distances.begin(), distances.end());
+  }
+  return flat;
+}
+
 /// Executes one call and flattens the result to a comparable vector.
 std::vector<double> Execute(MassEngine& engine, const CallSpec& call) {
   switch (call.kind) {
     case CallSpec::kRow: {
-      auto row = engine.ComputeRowProfile(call.offset, call.length,
-                                          call.backend);
-      EXPECT_TRUE(row.ok()) << row.status().ToString();
-      return row.ok() ? row->distances : std::vector<double>{};
+      const std::size_t row[] = {call.offset};
+      return BatchDistances(engine, row, call.length, call.backend);
     }
     case CallSpec::kBatch: {
       // A small batch of adjacent rows: exercises pair packing and the
@@ -66,16 +84,7 @@ std::vector<double> Execute(MassEngine& engine, const CallSpec& call) {
       for (std::size_t r = 0; r < 3; ++r) {
         rows.push_back((call.offset + r * 17) % count);
       }
-      auto profiles =
-          engine.ComputeRowProfiles(rows, call.length, 1, call.backend);
-      EXPECT_TRUE(profiles.ok()) << profiles.status().ToString();
-      std::vector<double> flat;
-      if (profiles.ok()) {
-        for (const RowProfile& p : *profiles) {
-          flat.insert(flat.end(), p.distances.begin(), p.distances.end());
-        }
-      }
-      return flat;
+      return BatchDistances(engine, rows, call.length, call.backend);
     }
     case CallSpec::kDistance: {
       const auto values = engine.series().values();
@@ -150,11 +159,11 @@ TEST(EngineConcurrencyTest, LongLivedEngineStaysConsistentUnderChurn) {
 
   // Expected single row per length, computed serially first.
   const std::size_t kLengths[] = {8, 24, 60, 130, 300, 512};
+  const std::size_t kRow[] = {5};
   std::vector<std::vector<double>> expected;
   for (const std::size_t length : kLengths) {
-    auto row = engine.ComputeRowProfile(5, length);
-    ASSERT_TRUE(row.ok());
-    expected.push_back(row->distances);
+    expected.push_back(BatchDistances(engine, kRow, length));
+    ASSERT_FALSE(expected.back().empty());
   }
 
   std::vector<std::thread> threads;
@@ -162,11 +171,11 @@ TEST(EngineConcurrencyTest, LongLivedEngineStaysConsistentUnderChurn) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < 12; ++i) {
         const std::size_t li = (t + static_cast<std::size_t>(i)) % 6;
-        auto row = engine.ComputeRowProfile(5, kLengths[li]);
-        ASSERT_TRUE(row.ok());
-        ASSERT_EQ(row->distances.size(), expected[li].size());
+        const std::vector<double> row =
+            BatchDistances(engine, kRow, kLengths[li]);
+        ASSERT_EQ(row.size(), expected[li].size());
         for (std::size_t j = 0; j < expected[li].size(); ++j) {
-          ASSERT_EQ(row->distances[j], expected[li][j])
+          ASSERT_EQ(row[j], expected[li][j])
               << "thread " << t << " iter " << i << " length "
               << kLengths[li];
         }

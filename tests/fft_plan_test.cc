@@ -1,7 +1,7 @@
 // Tests for the plan-caching FFT layer: table-twiddle accuracy against a
 // direct DFT (the regression guard for the old error-accumulating
-// `w *= wlen` recurrence), the pair-packed real-input path, and the
-// per-size plan registry.
+// `w *= wlen` recurrence), the pair-packed real-input path through the
+// bit-reversed pipeline, and the per-size plan registry.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +16,15 @@
 
 namespace valmod::fft {
 namespace {
+
+/// The bin ForwardBitrev leaves at index `i` of an `n`-point spectrum.
+std::size_t BitReversed(std::size_t i, std::size_t n) {
+  std::size_t r = 0;
+  for (std::size_t bit = 1; bit < n; bit <<= 1) {
+    r = (r << 1) | ((i & bit) != 0 ? 1 : 0);
+  }
+  return r;
+}
 
 /// Direct O(n^2) DFT with table-based twiddles (index j*k mod n), accurate
 /// to ~sqrt(n) rounding: the ground truth for transform accuracy.
@@ -48,20 +57,23 @@ TEST_P(PlanDftAccuracyTest, TransformMatchesDirectDft) {
   for (auto& x : data) x = {rng.Gaussian(), rng.Gaussian()};
   const std::vector<std::complex<double>> expected = DirectDft(data);
 
-  ASSERT_TRUE(Transform(data, Direction::kForward).ok());
+  GetPlan(n)->ForwardBitrev(data);
   // Transform values are O(sqrt(n)); 1e-8 leaves two orders of margin over
   // the direct DFT's own rounding at 2^14 while catching any twiddle drift
   // (the old recurrence drifted well past this at large sizes).
-  for (std::size_t k = 0; k < n; ++k) {
-    EXPECT_NEAR(data[k].real(), expected[k].real(), 1e-8) << "n=" << n
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t k = BitReversed(i, n);
+    EXPECT_NEAR(data[i].real(), expected[k].real(), 1e-8) << "n=" << n
                                                           << " k=" << k;
-    EXPECT_NEAR(data[k].imag(), expected[k].imag(), 1e-8) << "n=" << n
+    EXPECT_NEAR(data[i].imag(), expected[k].imag(), 1e-8) << "n=" << n
                                                           << " k=" << k;
   }
 }
 
+// Odd and even log2 sizes: 2^1, 2^3 and 2^9 run the extra span-2 pass.
 INSTANTIATE_TEST_SUITE_P(SizesUpTo2p14, PlanDftAccuracyTest,
-                         ::testing::Values(2, 8, 64, 512, 4096, 16384));
+                         ::testing::Values(1, 2, 4, 8, 64, 512, 4096,
+                                           16384));
 
 /// Naive O(n*m) linear convolution, `out[k] = sum_i a[i] b[k-i]`: the
 /// ground truth for the pair pipeline's convolutions.
@@ -87,14 +99,14 @@ TEST_P(PairPathTest, PairRoundTripReproducesBothInputs) {
   const auto plan = GetPlan(n);
   std::vector<std::complex<double>> spectrum(n);
   plan->RealForwardPair(a, b, spectrum);
-  std::vector<double> out_a(n), out_b(n);
-  plan->RealInversePair(spectrum, out_a, out_b);
+  // The inverse returns `a` in the real lane and `b` in the imaginary lane.
+  plan->InverseBitrev(spectrum);
 
   for (std::size_t i = 0; i < n; ++i) {
     const double ea = i < a.size() ? a[i] : 0.0;
     const double eb = i < b.size() ? b[i] : 0.0;
-    EXPECT_NEAR(out_a[i], ea, 1e-10) << "n=" << n << " i=" << i;
-    EXPECT_NEAR(out_b[i], eb, 1e-10) << "n=" << n << " i=" << i;
+    EXPECT_NEAR(spectrum[i].real(), ea, 1e-10) << "n=" << n << " i=" << i;
+    EXPECT_NEAR(spectrum[i].imag(), eb, 1e-10) << "n=" << n << " i=" << i;
   }
 }
 
@@ -117,17 +129,16 @@ TEST_P(PairPathTest, PairConvolutionMatchesNaiveConvolutions) {
   std::vector<std::complex<double>> pair(n);
   plan->RealForwardPair(qa, qb, pair);
   plan->MultiplyPairByRealSpectrum(shared_spectrum, pair);
-  std::vector<double> conv_a(n), conv_b(n);
-  plan->RealInversePair(pair, conv_a, conv_b);
+  plan->InverseBitrev(pair);
 
   const std::vector<double> ref_a = NaiveConvolution(shared, qa);
   const std::vector<double> ref_b = NaiveConvolution(shared, qb);
   for (std::size_t i = 0; i < ref_a.size(); ++i) {
-    EXPECT_NEAR(conv_a[i], ref_a[i], 1e-9 * (1.0 + std::abs(ref_a[i])))
+    EXPECT_NEAR(pair[i].real(), ref_a[i], 1e-9 * (1.0 + std::abs(ref_a[i])))
         << "n=" << n << " i=" << i;
   }
   for (std::size_t i = 0; i < ref_b.size(); ++i) {
-    EXPECT_NEAR(conv_b[i], ref_b[i], 1e-9 * (1.0 + std::abs(ref_b[i])))
+    EXPECT_NEAR(pair[i].imag(), ref_b[i], 1e-9 * (1.0 + std::abs(ref_b[i])))
         << "n=" << n << " i=" << i;
   }
 }
@@ -146,8 +157,8 @@ TEST(PlanRegistryTest, CachesOnePlanPerSize) {
 TEST(PlanRegistryTest, HandleOutlivesRegistryLookups) {
   const auto plan = GetPlan(16);
   std::vector<std::complex<double>> data(16, {1.0, 0.0});
-  plan->Forward(data);
-  EXPECT_NEAR(data[0].real(), 16.0, 1e-12);
+  plan->ForwardBitrev(data);
+  EXPECT_NEAR(data[0].real(), 16.0, 1e-12);  // DC stays at index 0
 }
 
 TEST(PlanRegistryTest, BoundedWithLruEviction) {

@@ -1,7 +1,7 @@
-// Parity tests for the cached MassEngine against the uncached
-// mass::ComputeRowProfile / mass::DistanceProfile path: same numbers (to
-// 1e-9) across lengths, offsets, constant-window rows, and the batched
-// entry point.
+// Tests for the MassEngine: every convolution backend and entry point
+// (batches of one, two and more rows, external queries) against the direct
+// products and the brute-force definition, batch pairing independent of
+// the thread count, and the engine's bounded caches.
 
 #include <gtest/gtest.h>
 
@@ -9,9 +9,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/result.h"
 #include "common/rng.h"
 #include "mass/backend.h"
 #include "mass/engine.h"
@@ -24,17 +27,38 @@ namespace {
 
 using series::DataSeries;
 
-void ExpectRowParity(const RowProfile& cached, const RowProfile& uncached,
-                     std::size_t offset, std::size_t length) {
-  ASSERT_EQ(cached.dots.size(), uncached.dots.size());
-  ASSERT_EQ(cached.distances.size(), uncached.distances.size());
-  for (std::size_t j = 0; j < cached.dots.size(); ++j) {
-    EXPECT_NEAR(cached.dots[j], uncached.dots[j],
-                1e-9 * (1.0 + std::abs(uncached.dots[j])))
-        << "offset=" << offset << " length=" << length << " j=" << j;
-    EXPECT_NEAR(cached.distances[j], uncached.distances[j], 1e-9)
-        << "offset=" << offset << " length=" << length << " j=" << j;
+/// One self-join row: its dots, and the distances DistancesFromDots derives
+/// from them.
+struct Row {
+  std::vector<double> dots;
+  std::vector<double> distances;
+};
+
+/// Rows at `offsets` through one engine batch, each with its distances.
+Result<std::vector<Row>> ComputeRows(
+    MassEngine& engine, std::span<const std::size_t> offsets,
+    std::size_t length, int num_threads = 1,
+    ConvolutionBackend backend = ConvolutionBackend::kAuto) {
+  VALMOD_ASSIGN_OR_RETURN(
+      std::vector<std::vector<double>> dots,
+      engine.ComputeRowProfiles(offsets, length, num_threads, backend));
+  std::vector<Row> rows(offsets.size());
+  for (std::size_t r = 0; r < rows.size(); ++r) {
+    rows[r].dots = std::move(dots[r]);
+    DistancesFromDots(engine.series(), offsets[r], length, rows[r].dots,
+                      &rows[r].distances);
   }
+  return rows;
+}
+
+/// One row as a 1-row batch.
+Result<Row> ComputeRow(MassEngine& engine, std::size_t offset,
+                       std::size_t length,
+                       ConvolutionBackend backend = ConvolutionBackend::kAuto) {
+  const std::size_t offsets[] = {offset};
+  VALMOD_ASSIGN_OR_RETURN(std::vector<Row> rows,
+                          ComputeRows(engine, offsets, length, 1, backend));
+  return std::move(rows[0]);
 }
 
 // Cross-backend parity: dots to relative 1e-9, distances to 1e-9 on the
@@ -43,7 +67,7 @@ void ExpectRowParity(const RowProfile& cached, const RowProfile& uncached,
 // rounding-level dot difference at a self-match (true distance 0) to an
 // ~1e-7 absolute distance difference — sqrt amplification, not backend
 // disagreement.
-void ExpectCrossBackendParity(const RowProfile& got, const RowProfile& want,
+void ExpectCrossBackendParity(const Row& got, const Row& want,
                               std::size_t offset, std::size_t length) {
   ASSERT_EQ(got.dots.size(), want.dots.size());
   ASSERT_EQ(got.distances.size(), want.distances.size());
@@ -59,58 +83,6 @@ void ExpectCrossBackendParity(const RowProfile& got, const RowProfile& want,
                 want.distances[j] * want.distances[j],
                 1e-8 * (1.0 + static_cast<double>(length)))
         << "offset=" << offset << " length=" << length << " j=" << j;
-  }
-}
-
-class EngineParityTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(EngineParityTest, MatchesUncachedAcrossOffsets) {
-  const std::size_t length = GetParam();
-  const std::size_t n = 2048;
-  auto series = synth::ByName("ecg", n, 7);
-  ASSERT_TRUE(series.ok());
-
-  MassEngine engine(*series);
-  const std::size_t count = series->NumSubsequences(length);
-  for (std::size_t offset :
-       {std::size_t{0}, count / 3, count / 2, count - 1}) {
-    auto cached = engine.ComputeRowProfile(offset, length);
-    ASSERT_TRUE(cached.ok());
-    auto uncached = ComputeRowProfile(*series, offset, length);
-    ASSERT_TRUE(uncached.ok());
-    ExpectRowParity(*cached, *uncached, offset, length);
-  }
-}
-
-// Lengths straddle the cost-model crossover so both the direct-dot fallback
-// and the cached-FFT path are exercised (at n = 2048 the FFT path wins
-// above a few hundred points).
-INSTANTIATE_TEST_SUITE_P(Lengths, EngineParityTest,
-                         ::testing::Values(4, 16, 64, 256, 512, 1024));
-
-TEST(MassEngineTest, ConstantWindowRowsMatchUncached) {
-  // Sine, then a flat shelf, then noise: rows inside the shelf are
-  // constant-window queries, rows straddling it mix both conventions.
-  Rng rng(31);
-  std::vector<double> values;
-  for (std::size_t i = 0; i < 200; ++i) {
-    values.push_back(std::sin(0.1 * static_cast<double>(i)));
-  }
-  values.insert(values.end(), 100, 2.5);
-  for (std::size_t i = 0; i < 200; ++i) values.push_back(rng.Gaussian());
-  auto series = series::DataSeries::Create(std::move(values));
-  ASSERT_TRUE(series.ok());
-
-  MassEngine engine(*series);
-  const std::size_t length = 32;
-  for (std::size_t offset : {std::size_t{100}, std::size_t{190},
-                             std::size_t{230}, std::size_t{290},
-                             std::size_t{350}}) {
-    auto cached = engine.ComputeRowProfile(offset, length);
-    ASSERT_TRUE(cached.ok());
-    auto uncached = ComputeRowProfile(*series, offset, length);
-    ASSERT_TRUE(uncached.ok());
-    ExpectRowParity(*cached, *uncached, offset, length);
   }
 }
 
@@ -131,11 +103,11 @@ TEST(MassEngineTest, BatchedMatchesSingleCalls) {
   MassEngine engine(*series);
   // Odd row count: the tail row runs with an empty second lane.
   const std::vector<std::size_t> rows = {0, 17, 100, 311, 500};
-  auto batched = engine.ComputeRowProfiles(rows, length, /*num_threads=*/3);
+  auto batched = ComputeRows(engine, rows, length, /*num_threads=*/3);
   ASSERT_TRUE(batched.ok());
   ASSERT_EQ(batched->size(), rows.size());
   for (std::size_t i = 0; i < rows.size(); ++i) {
-    auto single = engine.ComputeRowProfile(rows[i], length);
+    auto single = ComputeRow(engine, rows[i], length);
     ASSERT_TRUE(single.ok());
     ExpectCrossBackendParity((*batched)[i], *single, rows[i], length);
   }
@@ -150,8 +122,8 @@ TEST(MassEngineTest, BatchedPairingIndependentOfThreadCount) {
   MassEngine engine(*series);
   std::vector<std::size_t> rows;
   for (std::size_t r = 0; r + length <= n; r += 97) rows.push_back(r);
-  auto serial = engine.ComputeRowProfiles(rows, length, /*num_threads=*/1);
-  auto threaded = engine.ComputeRowProfiles(rows, length, /*num_threads=*/4);
+  auto serial = ComputeRows(engine, rows, length, /*num_threads=*/1);
+  auto threaded = ComputeRows(engine, rows, length, /*num_threads=*/4);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(threaded.ok());
   ASSERT_EQ(serial->size(), threaded->size());
@@ -181,15 +153,14 @@ TEST(MassEngineTest, ForcedBackendsAgreeOnBatches) {
   MassEngine engine(*series);
   // Odd row count: every family exercises its single-lane tail too.
   const std::vector<std::size_t> rows = {0, 3, 500, 501, 1000, 1500, 1900};
-  auto reference =
-      engine.ComputeRowProfiles(rows, length, /*num_threads=*/1,
-                                ConvolutionBackend::kDirect);
+  auto reference = ComputeRows(engine, rows, length, /*num_threads=*/1,
+                               ConvolutionBackend::kDirect);
   ASSERT_TRUE(reference.ok());
   for (ConvolutionBackend backend :
        {ConvolutionBackend::kDirect, ConvolutionBackend::kFftPair,
         ConvolutionBackend::kOverlapSave}) {
-    auto forced = engine.ComputeRowProfiles(rows, length, /*num_threads=*/3,
-                                            backend);
+    auto forced =
+        ComputeRows(engine, rows, length, /*num_threads=*/3, backend);
     ASSERT_TRUE(forced.ok()) << ConvolutionBackendName(backend);
     ASSERT_EQ(forced->size(), rows.size());
     for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -213,11 +184,11 @@ TEST(MassEngineTest, ForcedBackendsAgreeOnSingleRows) {
                              std::size_t{128}, std::size_t{129},
                              std::size_t{200}}) {
     auto reference =
-        engine.ComputeRowProfile(40, length, ConvolutionBackend::kDirect);
+        ComputeRow(engine, 40, length, ConvolutionBackend::kDirect);
     ASSERT_TRUE(reference.ok());
     for (ConvolutionBackend backend :
          {ConvolutionBackend::kFftPair, ConvolutionBackend::kOverlapSave}) {
-      auto forced = engine.ComputeRowProfile(40, length, backend);
+      auto forced = ComputeRow(engine, 40, length, backend);
       ASSERT_TRUE(forced.ok()) << ConvolutionBackendName(backend);
       SCOPED_TRACE(ConvolutionBackendName(backend));
       ExpectCrossBackendParity(*forced, *reference, 40, length);
@@ -260,9 +231,9 @@ struct MatrixShape {
 };
 
 // One shape per chooser region; for each, every backend through every
-// entry point — ComputeRowProfile, DistanceProfile, and batches of one,
-// two (pairs only) and three rows (pairs plus an odd tail) — must match
-// the brute-force distance profile of the same window.
+// entry point — DistanceProfile, and batches of one, two (pairs only) and
+// three rows (pairs plus an odd tail) — must match the brute-force distance
+// profile of the same window.
 TEST(MassEngineTest, BackendMatrixMatchesBruteForce) {
   const MatrixShape shapes[] = {
       {600, 16, ConvolutionBackend::kDirect},
@@ -299,11 +270,6 @@ TEST(MassEngineTest, BackendMatrixMatchesBruteForce) {
       MassEngine engine(*series);
       const EngineCounters before = EngineCountersSnapshot();
 
-      auto row = engine.ComputeRowProfile(rows[0], shape.length, backend);
-      ASSERT_TRUE(row.ok()) << context;
-      ExpectMatchesBrute(row->distances, brute[0], shape.length,
-                         context + " row");
-
       auto window = series->Subsequence(rows[0], shape.length);
       ASSERT_TRUE(window.ok());
       auto distance = engine.DistanceProfile(*window, backend);
@@ -318,8 +284,8 @@ TEST(MassEngineTest, BackendMatrixMatchesBruteForce) {
       for (const std::vector<std::size_t>& picks : batches) {
         std::vector<std::size_t> offsets;
         for (std::size_t p : picks) offsets.push_back(rows[p]);
-        auto profiles = engine.ComputeRowProfiles(offsets, shape.length,
-                                                  /*num_threads=*/2, backend);
+        auto profiles = ComputeRows(engine, offsets, shape.length,
+                                    /*num_threads=*/2, backend);
         ASSERT_TRUE(profiles.ok()) << context;
         ASSERT_EQ(profiles->size(), picks.size());
         for (std::size_t i = 0; i < picks.size(); ++i) {
@@ -335,7 +301,7 @@ TEST(MassEngineTest, BackendMatrixMatchesBruteForce) {
       // backend counts any more, never moves.
       const EngineCounters after = EngineCountersSnapshot();
       EXPECT_EQ(RowsOn(after, backend) - RowsOn(before, backend),
-                2 + batched_rows)
+                1 + batched_rows)
           << context;
       EXPECT_EQ(after.rows_fft_single, 0u) << context;
     }
@@ -343,9 +309,9 @@ TEST(MassEngineTest, BackendMatrixMatchesBruteForce) {
 }
 
 // A batch's odd tail row runs its family's pipeline with an empty second
-// lane, the same kernel a lone ComputeRowProfile call uses, so under kAuto
-// the tail is bit-identical to the single-row call whenever both resolve
-// to the same backend.
+// lane, the same kernel a 1-row batch uses, so under kAuto the tail is
+// bit-identical to the 1-row batch whenever both resolve to the same
+// backend.
 TEST(MassEngineTest, AutoBatchOddTailBitIdenticalToSingleRow) {
   const MatrixShape shapes[] = {
       {2048, 1024, ConvolutionBackend::kFftPair},
@@ -362,12 +328,12 @@ TEST(MassEngineTest, AutoBatchOddTailBitIdenticalToSingleRow) {
     ASSERT_TRUE(series.ok());
     MassEngine engine(*series);
     const std::vector<std::size_t> rows = {3, count / 3, count / 2, 7, 1000};
-    auto batched = engine.ComputeRowProfiles(rows, shape.length,
-                                             /*num_threads=*/3);
+    auto batched = ComputeRows(engine, rows, shape.length,
+                               /*num_threads=*/3);
     ASSERT_TRUE(batched.ok());
-    auto single = engine.ComputeRowProfile(rows.back(), shape.length);
+    auto single = ComputeRow(engine, rows.back(), shape.length);
     ASSERT_TRUE(single.ok());
-    const RowProfile& tail = batched->back();
+    const Row& tail = batched->back();
     ASSERT_EQ(tail.dots.size(), single->dots.size());
     for (std::size_t j = 0; j < tail.dots.size(); ++j) {
       ASSERT_EQ(tail.dots[j], single->dots[j]) << "n=" << shape.n
@@ -395,11 +361,11 @@ TEST(MassEngineTest, OverlapSaveHandlesConstantWindows) {
   const std::size_t length = 48;
   for (std::size_t offset : {std::size_t{250}, std::size_t{310},
                              std::size_t{390}, std::size_t{500}}) {
-    auto ols = engine.ComputeRowProfile(offset, length,
-                                        ConvolutionBackend::kOverlapSave);
+    auto ols =
+        ComputeRow(engine, offset, length, ConvolutionBackend::kOverlapSave);
     ASSERT_TRUE(ols.ok());
     auto direct =
-        engine.ComputeRowProfile(offset, length, ConvolutionBackend::kDirect);
+        ComputeRow(engine, offset, length, ConvolutionBackend::kDirect);
     ASSERT_TRUE(direct.ok());
     ExpectCrossBackendParity(*ols, *direct, offset, length);
   }
@@ -414,10 +380,10 @@ TEST(MassEngineTest, OverlapSaveBatchesIndependentOfThreadCount) {
   MassEngine engine(*series);
   std::vector<std::size_t> rows;
   for (std::size_t r = 0; r + length <= n; r += 131) rows.push_back(r);
-  auto serial = engine.ComputeRowProfiles(rows, length, /*num_threads=*/1,
-                                          ConvolutionBackend::kOverlapSave);
-  auto threaded = engine.ComputeRowProfiles(rows, length, /*num_threads=*/4,
-                                            ConvolutionBackend::kOverlapSave);
+  auto serial = ComputeRows(engine, rows, length, /*num_threads=*/1,
+                            ConvolutionBackend::kOverlapSave);
+  auto threaded = ComputeRows(engine, rows, length, /*num_threads=*/4,
+                              ConvolutionBackend::kOverlapSave);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(threaded.ok());
   ASSERT_EQ(serial->size(), threaded->size());
@@ -445,11 +411,9 @@ TEST(MassEngineTest, ChunkSpectraCacheIsBounded) {
                              std::size_t{64}, std::size_t{128},
                              std::size_t{256}, std::size_t{64},
                              std::size_t{16}}) {
-    auto ols = engine.ComputeRowProfile(5, length,
-                                        ConvolutionBackend::kOverlapSave);
+    auto ols = ComputeRow(engine, 5, length, ConvolutionBackend::kOverlapSave);
     ASSERT_TRUE(ols.ok());
-    auto direct =
-        engine.ComputeRowProfile(5, length, ConvolutionBackend::kDirect);
+    auto direct = ComputeRow(engine, 5, length, ConvolutionBackend::kDirect);
     ASSERT_TRUE(direct.ok());
     ExpectCrossBackendParity(*ols, *direct, 5, length);
     max_cached = std::max(max_cached, engine.ChunkSpectraCacheSizeForTesting());
@@ -474,26 +438,7 @@ TEST(BackendCostModelTest, CrossoverShape) {
             ConvolutionBackend::kOverlapSave);
 }
 
-TEST(MassEngineTest, DistanceProfileMatchesUncached) {
-  const std::size_t n = 1500;
-  auto series = synth::ByName("ecg", n, 19);
-  ASSERT_TRUE(series.ok());
-  Rng rng(23);
-  std::vector<double> query(200);
-  for (auto& x : query) x = rng.Gaussian();
-
-  MassEngine engine(*series);
-  auto cached = engine.DistanceProfile(query);
-  ASSERT_TRUE(cached.ok());
-  auto uncached = DistanceProfile(*series, query);
-  ASSERT_TRUE(uncached.ok());
-  ASSERT_EQ(cached->size(), uncached->size());
-  for (std::size_t j = 0; j < cached->size(); ++j) {
-    EXPECT_NEAR((*cached)[j], (*uncached)[j], 1e-9) << "j=" << j;
-  }
-}
-
-// DistanceProfile routes through the same cost model as ComputeRowProfile;
+// DistanceProfile routes through the same cost model as a 1-row batch;
 // both the direct-product branch (short query) and the FFT branch (long
 // query) must agree with the brute-force definition. The configurations
 // are asserted to actually land on opposite sides of the crossover so the
@@ -544,17 +489,23 @@ TEST(MassEngineTest, DistanceProfileFftPathMatchesBruteForce) {
 
 TEST(MassEngineTest, ReusedEngineStaysConsistentAcrossLengths) {
   // The VALMOD pattern: one engine queried at many lengths; later lengths
-  // must not be perturbed by spectra cached for earlier ones.
+  // must not be perturbed by spectra cached for earlier ones, so each row
+  // is bit-identical to the same row from a fresh engine.
   const std::size_t n = 1024;
   auto series = synth::ByName("ecg", n, 41);
   ASSERT_TRUE(series.ok());
   MassEngine engine(*series);
   for (std::size_t length = 500; length <= 520; ++length) {
-    auto cached = engine.ComputeRowProfile(123, length);
-    ASSERT_TRUE(cached.ok());
-    auto uncached = ComputeRowProfile(*series, 123, length);
-    ASSERT_TRUE(uncached.ok());
-    ExpectRowParity(*cached, *uncached, 123, length);
+    auto reused = ComputeRow(engine, 123, length);
+    ASSERT_TRUE(reused.ok());
+    MassEngine fresh_engine(*series);
+    auto fresh = ComputeRow(fresh_engine, 123, length);
+    ASSERT_TRUE(fresh.ok());
+    ASSERT_EQ(reused->dots.size(), fresh->dots.size());
+    for (std::size_t j = 0; j < fresh->dots.size(); ++j) {
+      ASSERT_EQ(reused->dots[j], fresh->dots[j])
+          << "length=" << length << " j=" << j;
+    }
   }
 }
 
@@ -562,8 +513,8 @@ TEST(MassEngineTest, RejectsInvalidWindows) {
   auto series = synth::ByName("ecg", 256, 1);
   ASSERT_TRUE(series.ok());
   MassEngine engine(*series);
-  EXPECT_FALSE(engine.ComputeRowProfile(0, 0).ok());
-  EXPECT_FALSE(engine.ComputeRowProfile(200, 100).ok());
+  EXPECT_FALSE(ComputeRow(engine, 0, 0).ok());
+  EXPECT_FALSE(ComputeRow(engine, 200, 100).ok());
   const std::vector<std::size_t> rows = {0, 250};
   EXPECT_FALSE(engine.ComputeRowProfiles(rows, 100).ok());
   std::vector<double> long_query(300, 1.0);
@@ -575,10 +526,8 @@ TEST(MassEngineTest, CacheMemoryBytesGrowsWithUse) {
   ASSERT_TRUE(series.ok());
   MassEngine engine(*series);
   const std::size_t before = engine.CacheMemoryBytes();
-  ASSERT_TRUE(
-      engine.ComputeRowProfile(0, 64, ConvolutionBackend::kOverlapSave).ok());
-  ASSERT_TRUE(
-      engine.ComputeRowProfile(0, 64, ConvolutionBackend::kFftPair).ok());
+  ASSERT_TRUE(ComputeRow(engine, 0, 64, ConvolutionBackend::kOverlapSave).ok());
+  ASSERT_TRUE(ComputeRow(engine, 0, 64, ConvolutionBackend::kFftPair).ok());
   EXPECT_GT(engine.CacheMemoryBytes(), before);
 }
 

@@ -1,13 +1,17 @@
-// Tests for MASS: the FFT distance-profile path against the brute-force
-// definitional path, across workload shapes and window placements.
+// Tests for MASS: the engine's sliding dots and the distances derived from
+// them against the brute-force definitional path, across workload shapes
+// and window placements.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "common/result.h"
+#include "mass/engine.h"
 #include "mass/mass.h"
 #include "series/data_series.h"
 #include "series/generators.h"
@@ -17,6 +21,25 @@ namespace valmod::mass {
 namespace {
 
 using series::DataSeries;
+
+/// One self-join row as a 1-row engine batch: its dots, and the distances
+/// DistancesFromDots derives from them.
+struct Row {
+  std::vector<double> dots;
+  std::vector<double> distances;
+};
+
+Result<Row> ComputeRow(const DataSeries& series, std::size_t offset,
+                       std::size_t length) {
+  MassEngine engine(series);
+  const std::size_t rows[] = {offset};
+  VALMOD_ASSIGN_OR_RETURN(std::vector<std::vector<double>> dots,
+                          engine.ComputeRowProfiles(rows, length));
+  Row row;
+  row.dots = std::move(dots[0]);
+  DistancesFromDots(series, offset, length, row.dots, &row.distances);
+  return row;
+}
 
 struct MassCase {
   std::string generator;
@@ -33,7 +56,7 @@ TEST_P(MassProfileTest, RowProfileMatchesBruteForce) {
 
   for (std::size_t offset :
        {std::size_t{0}, c.n / 3, c.n - c.length}) {
-    auto row = ComputeRowProfile(*series, offset, c.length);
+    auto row = ComputeRow(*series, offset, c.length);
     ASSERT_TRUE(row.ok());
     auto query = series->Subsequence(offset, c.length);
     ASSERT_TRUE(query.ok());
@@ -54,7 +77,7 @@ TEST_P(MassProfileTest, SelfDistanceIsZero) {
   auto series = synth::ByName(c.generator, c.n, 11);
   ASSERT_TRUE(series.ok());
   const std::size_t offset = c.n / 2;
-  auto row = ComputeRowProfile(*series, offset, c.length);
+  auto row = ComputeRow(*series, offset, c.length);
   ASSERT_TRUE(row.ok());
   // Same sqrt-amplified FFT rounding note as above.
   EXPECT_NEAR(row->distances[offset], 0.0, 1e-5);
@@ -65,7 +88,7 @@ TEST_P(MassProfileTest, DotsMatchDirectProducts) {
   auto series = synth::ByName(c.generator, c.n, 13);
   ASSERT_TRUE(series.ok());
   const std::size_t offset = c.n / 4;
-  auto row = ComputeRowProfile(*series, offset, c.length);
+  auto row = ComputeRow(*series, offset, c.length);
   ASSERT_TRUE(row.ok());
   const auto centered = series->centered();
   for (std::size_t j = 0; j < row->dots.size(); j += 17) {
@@ -94,7 +117,7 @@ TEST(MassTest, ExternalQueryMatchesBrute) {
   ASSERT_TRUE(other.ok());
   std::vector<double> query(other->values().begin(), other->values().end());
 
-  auto fft_profile = DistanceProfile(*series, query);
+  auto fft_profile = MassEngine(*series).DistanceProfile(query);
   auto brute = BruteDistanceProfile(*series, query);
   ASSERT_TRUE(fft_profile.ok());
   ASSERT_TRUE(brute.ok());
@@ -108,7 +131,7 @@ TEST(MassTest, ConstantQueryConvention) {
   auto series = synth::ByName("random_walk", 200, 5);
   ASSERT_TRUE(series.ok());
   std::vector<double> query(25, 7.0);
-  auto profile = DistanceProfile(*series, query);
+  auto profile = MassEngine(*series).DistanceProfile(query);
   ASSERT_TRUE(profile.ok());
   // Every non-constant window sits at sqrt(l) from a constant query.
   for (double d : *profile) {
@@ -124,7 +147,7 @@ TEST(MassTest, ConstantRegionInSeries) {
   for (std::size_t i = 100; i < 160; ++i) data[i] = 2.0;
   auto series = DataSeries::Create(data);
   ASSERT_TRUE(series.ok());
-  auto row = ComputeRowProfile(*series, 110, 30);  // constant query window
+  auto row = ComputeRow(*series, 110, 30);  // constant query window
   ASSERT_TRUE(row.ok());
   EXPECT_NEAR(row->distances[120], 0.0, 1e-9);      // another constant window
   EXPECT_NEAR(row->distances[0], std::sqrt(30.0), 1e-9);  // non-constant
@@ -133,11 +156,11 @@ TEST(MassTest, ConstantRegionInSeries) {
 TEST(MassTest, ValidatesArguments) {
   auto series = synth::ByName("random_walk", 50, 1);
   ASSERT_TRUE(series.ok());
-  EXPECT_FALSE(ComputeRowProfile(*series, 0, 0).ok());
-  EXPECT_FALSE(ComputeRowProfile(*series, 45, 10).ok());
-  EXPECT_FALSE(DistanceProfile(*series, {}).ok());
+  EXPECT_FALSE(ComputeRow(*series, 0, 0).ok());
+  EXPECT_FALSE(ComputeRow(*series, 45, 10).ok());
+  EXPECT_FALSE(MassEngine(*series).DistanceProfile({}).ok());
   std::vector<double> long_query(60, 1.0);
-  EXPECT_FALSE(DistanceProfile(*series, long_query).ok());
+  EXPECT_FALSE(MassEngine(*series).DistanceProfile(long_query).ok());
 }
 
 TEST(ExclusionZoneTest, MasksExpectedRange) {

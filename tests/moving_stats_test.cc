@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -48,6 +49,27 @@ TEST(MovingStatsTest, RejectsNonFinite) {
             StatusCode::kInvalidArgument);
   data[1] = std::numeric_limits<double>::infinity();
   EXPECT_FALSE(MovingStats::Create(data).ok());
+}
+
+// Finite values whose sums overflow would otherwise classify every window
+// as constant. The squares overflow first (1e160^2), then the sum itself
+// and the global mean (two values near the largest double).
+TEST(MovingStatsTest, RejectsOverflowingMagnitudes) {
+  const double big = std::numeric_limits<double>::max();
+  for (const std::vector<double>& data :
+       {std::vector<double>{1e160, -1e160, 3.0, 4.0},
+        std::vector<double>{big, big, 1.0}, std::vector<double>{big, -big}}) {
+    EXPECT_EQ(MovingStats::Create(data).status().code(),
+              StatusCode::kInvalidArgument)
+        << data[0];
+  }
+  // Squares near the top of the range still fit: 1e150 scales the data
+  // without changing which windows are constant.
+  std::vector<double> scaled = RandomData(600, 1);
+  for (double& x : scaled) x *= 1e150;
+  auto stats = MovingStats::Create(scaled);
+  ASSERT_TRUE(stats.ok());
+  EXPECT_FALSE(stats->IsConstant(0, 20));
 }
 
 class MovingStatsWindowTest : public ::testing::TestWithParam<std::size_t> {};

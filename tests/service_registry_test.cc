@@ -8,6 +8,7 @@
 #include <memory>
 #include <vector>
 
+#include "mass/mass.h"
 #include "mp/discord.h"
 #include "mp/motif.h"
 #include "mp/stomp.h"
@@ -72,8 +73,13 @@ TEST(DatasetRegistryTest, UnloadKeepsInFlightSnapshotsAlive) {
   ASSERT_TRUE(registry.Unload("walk").ok());
   // The registry dropped the name, but this "request" still computes
   // against its snapshot safely.
-  auto profile = (*snapshot)->engine().ComputeRowProfile(0, 32);
-  EXPECT_TRUE(profile.ok());
+  const std::size_t row[] = {0};
+  auto dots = (*snapshot)->engine().ComputeRowProfiles(row, 32);
+  ASSERT_TRUE(dots.ok());
+  std::vector<double> distances;
+  mass::DistancesFromDots((*snapshot)->series(), 0, 32, (*dots)[0],
+                          &distances);
+  EXPECT_EQ(distances.size(), 225u);
   EXPECT_EQ((*snapshot)->series().size(), 256u);
 }
 

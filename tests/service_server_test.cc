@@ -8,12 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/json.h"
+#include "common/rng.h"
 #include "series/generators.h"
 
 namespace valmod::service {
@@ -240,6 +242,68 @@ TEST(ServiceProtocolTest, FixedLengthVerbsRejectLengthOne) {
   EXPECT_EQ(ErrorCode(query), "InvalidArgument") << query.Serialize();
   EXPECT_TRUE(Ok(Roundtrip(service,
       R"({"verb":"query","dataset":"d","params":{"values":[1,2]}})")));
+}
+
+// Finite values whose sum of squares overflows would make every window
+// read as constant, so queries and loaded data that large are rejected with
+// a structured InvalidArgument. Magnitudes just below that are scale-free.
+TEST(ServiceProtocolTest, OverflowingMagnitudesAreStructuredErrors) {
+  Service service;
+  ASSERT_TRUE(Ok(Roundtrip(service,
+      R"({"verb":"load","dataset":"ecg",)"
+      R"("params":{"generator":"ecg","n":2000}})")));
+  const auto query = [&](const std::string& values) {
+    return Roundtrip(service,
+                     R"({"verb":"query","dataset":"ecg","params":{"values":)" +
+                         values + "}}");
+  };
+  const auto first_offset = [](const Value& response) {
+    return response.Find("result")->Find("matches")->AsArray()[0].GetNumber(
+        "offset", -1);
+  };
+  Value plain = query("[1,-1,0,0]");
+  ASSERT_TRUE(Ok(plain)) << plain.Serialize();
+  EXPECT_DOUBLE_EQ(first_offset(plain), 192.0);
+  Value scaled = query("[1e150,-1e150,0,0]");
+  ASSERT_TRUE(Ok(scaled)) << scaled.Serialize();
+  EXPECT_DOUBLE_EQ(first_offset(scaled), 192.0);
+  Value overflow = query("[1e160,-1e160,3,4]");
+  EXPECT_EQ(ErrorCode(overflow), "InvalidArgument") << overflow.Serialize();
+
+  // A noisy sine loaded at three scales: the top motif pair is the same at
+  // 1 and 1e150, and 1e160 fails to load.
+  Rng rng(1);
+  std::vector<double> sine(600);
+  for (std::size_t i = 0; i < sine.size(); ++i) {
+    sine[i] = std::sin(0.3 * static_cast<double>(i)) + 0.1 * rng.Gaussian();
+  }
+  std::vector<std::string> pairs;
+  for (const double scale : {1.0, 1e150, 1e160}) {
+    const std::string name = "sine" + std::to_string(pairs.size());
+    const std::string path = testing::TempDir() + "/valmod_server_" + name;
+    std::FILE* file = std::fopen(path.c_str(), "w");
+    ASSERT_NE(file, nullptr);
+    for (const double v : sine) std::fprintf(file, "%.17g\n", v * scale);
+    std::fclose(file);
+    Value load = Roundtrip(service,
+        R"({"verb":"load","dataset":")" + name +
+            R"(","params":{"path":")" + path + R"("}})");
+    std::remove(path.c_str());
+    if (scale > 1e155) {
+      EXPECT_EQ(ErrorCode(load), "InvalidArgument") << load.Serialize();
+      break;
+    }
+    ASSERT_TRUE(Ok(load)) << load.Serialize();
+    Value motifs = Roundtrip(service,
+        R"({"verb":"motifs","dataset":")" + name +
+            R"(","params":{"lmin":20,"lmax":20,"k":1}})");
+    ASSERT_TRUE(Ok(motifs)) << motifs.Serialize();
+    const Value& top = motifs.Find("result")->Find("ranked")->AsArray()[0];
+    pairs.push_back(std::to_string(top.GetNumber("offset_a", -1)) + "," +
+                    std::to_string(top.GetNumber("offset_b", -1)));
+  }
+  ASSERT_EQ(pairs.size(), 2u);
+  EXPECT_EQ(pairs[0], pairs[1]);
 }
 
 TEST(ServiceProtocolTest, OverDeadlineRequestsFailStructurally) {

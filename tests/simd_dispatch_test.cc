@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <complex>
 #include <cstddef>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
@@ -18,6 +20,7 @@
 #include "fft/plan.h"
 #include "mass/backend.h"
 #include "mass/engine.h"
+#include "mass/mass.h"
 #include "series/data_series.h"
 #include "series/generators.h"
 #include "series/znorm.h"
@@ -114,7 +117,7 @@ std::vector<double> RandomReal(std::size_t n, std::uint64_t seed) {
 }
 
 // Both the radix-2 pass (odd log2 sizes) and the fused radix-2^2 passes,
-// in DIT and DIF schedules, forward and inverse, must be bit-identical to
+// in the DIF forward and DIT inverse schedules, must be bit-identical to
 // the scalar kernels — n = 1024 exercises the even-log2 all-radix-4
 // schedule, n = 2048 the odd-log2 schedule with the extra span-2 pass.
 TEST_F(SimdDispatchTest, TransformsBitIdenticalAcrossTargets) {
@@ -122,12 +125,8 @@ TEST_F(SimdDispatchTest, TransformsBitIdenticalAcrossTargets) {
     const std::vector<std::complex<double>> input = RandomComplex(n, n);
     const std::shared_ptr<const fft::FftPlan> plan = fft::GetPlan(n);
 
-    std::vector<std::complex<double>> fwd, inv, fwd_bitrev, inv_bitrev;
+    std::vector<std::complex<double>> fwd_bitrev, inv_bitrev;
     Under(simd::Target::kScalar, [&] {
-      fwd = input;
-      plan->Forward(fwd);
-      inv = fwd;
-      plan->Inverse(inv);
       fwd_bitrev = input;
       plan->ForwardBitrev(fwd_bitrev);
       inv_bitrev = fwd_bitrev;
@@ -138,26 +137,19 @@ TEST_F(SimdDispatchTest, TransformsBitIdenticalAcrossTargets) {
       SCOPED_TRACE(simd::TargetName(target));
       Under(target, [&] {
         std::vector<std::complex<double>> data = input;
-        plan->Forward(data);
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(data[i].real(), fwd[i].real()) << "n=" << n << " i=" << i;
-          ASSERT_EQ(data[i].imag(), fwd[i].imag()) << "n=" << n << " i=" << i;
-        }
-        plan->Inverse(data);
-        for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(data[i].real(), inv[i].real()) << "n=" << n << " i=" << i;
-          ASSERT_EQ(data[i].imag(), inv[i].imag()) << "n=" << n << " i=" << i;
-        }
-        data = input;
         plan->ForwardBitrev(data);
         for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(data[i].real(), fwd_bitrev[i].real()) << "i=" << i;
-          ASSERT_EQ(data[i].imag(), fwd_bitrev[i].imag()) << "i=" << i;
+          ASSERT_EQ(data[i].real(), fwd_bitrev[i].real())
+              << "n=" << n << " i=" << i;
+          ASSERT_EQ(data[i].imag(), fwd_bitrev[i].imag())
+              << "n=" << n << " i=" << i;
         }
         plan->InverseBitrev(data);
         for (std::size_t i = 0; i < n; ++i) {
-          ASSERT_EQ(data[i].real(), inv_bitrev[i].real()) << "i=" << i;
-          ASSERT_EQ(data[i].imag(), inv_bitrev[i].imag()) << "i=" << i;
+          ASSERT_EQ(data[i].real(), inv_bitrev[i].real())
+              << "n=" << n << " i=" << i;
+          ASSERT_EQ(data[i].imag(), inv_bitrev[i].imag())
+              << "n=" << n << " i=" << i;
         }
       });
     }
@@ -279,8 +271,28 @@ TEST_F(SimdDispatchTest, WindowStatsBitIdenticalAcrossTargets) {
   }
 }
 
-// End-to-end: every convolution backend produces bit-identical row
-// profiles under every target. length = 100 gives the overlap-save path a
+/// The rows at `offsets` through one engine batch on `backend`: each row's
+/// dots followed by the distances DistancesFromDots derives from them.
+std::vector<std::vector<double>> BatchDotsAndDistances(
+    const series::DataSeries& series, std::span<const std::size_t> offsets,
+    std::size_t length, mass::ConvolutionBackend backend) {
+  mass::MassEngine engine(series);
+  auto dots = engine.ComputeRowProfiles(offsets, length, 1, backend);
+  EXPECT_TRUE(dots.ok()) << dots.status().ToString();
+  std::vector<std::vector<double>> rows;
+  if (!dots.ok()) return rows;
+  for (std::size_t r = 0; r < offsets.size(); ++r) {
+    std::vector<double> distances;
+    mass::DistancesFromDots(series, offsets[r], length, (*dots)[r],
+                            &distances);
+    rows.push_back(std::move((*dots)[r]));
+    rows.push_back(std::move(distances));
+  }
+  return rows;
+}
+
+// End-to-end: every convolution backend produces bit-identical dots and
+// distances under every target. length = 100 gives the overlap-save path a
 // 512-point chunk and ~10 chunk boundaries over this series.
 TEST_F(SimdDispatchTest, EngineBackendsBitIdenticalAcrossTargets) {
   auto series = synth::ByName("ecg", 4096, 17);
@@ -293,27 +305,24 @@ TEST_F(SimdDispatchTest, EngineBackendsBitIdenticalAcrossTargets) {
         mass::ConvolutionBackend::kFftPair,
         mass::ConvolutionBackend::kOverlapSave}) {
     SCOPED_TRACE(mass::ConvolutionBackendName(backend));
-    std::vector<mass::RowProfile> scalar_profiles;
+    std::vector<std::vector<double>> scalar_rows;
     Under(simd::Target::kScalar, [&] {
-      mass::MassEngine engine(*series);
-      auto result = engine.ComputeRowProfiles(rows, length, 1, backend);
-      ASSERT_TRUE(result.ok());
-      scalar_profiles = std::move(*result);
+      scalar_rows = BatchDotsAndDistances(*series, rows, length, backend);
     });
+    ASSERT_EQ(scalar_rows.size(), 2 * rows.size());
 
     for (const simd::Target target : VectorTargets()) {
       SCOPED_TRACE(simd::TargetName(target));
       Under(target, [&] {
-        mass::MassEngine engine(*series);
-        auto result = engine.ComputeRowProfiles(rows, length, 1, backend);
-        ASSERT_TRUE(result.ok());
-        ASSERT_EQ(result->size(), scalar_profiles.size());
-        for (std::size_t r = 0; r < result->size(); ++r) {
-          const auto& got = (*result)[r].distances;
-          const auto& expect = scalar_profiles[r].distances;
-          ASSERT_EQ(got.size(), expect.size());
-          for (std::size_t i = 0; i < got.size(); ++i) {
-            ASSERT_EQ(got[i], expect[i]) << "row=" << rows[r] << " i=" << i;
+        const std::vector<std::vector<double>> got =
+            BatchDotsAndDistances(*series, rows, length, backend);
+        ASSERT_EQ(got.size(), scalar_rows.size());
+        for (std::size_t r = 0; r < got.size(); ++r) {
+          ASSERT_EQ(got[r].size(), scalar_rows[r].size());
+          for (std::size_t i = 0; i < got[r].size(); ++i) {
+            ASSERT_EQ(got[r][i], scalar_rows[r][i])
+                << "row=" << rows[r / 2]
+                << (r % 2 == 0 ? " dots" : " distances") << " i=" << i;
           }
         }
       });
