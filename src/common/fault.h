@@ -27,9 +27,6 @@
 //
 // Probability decisions are a pure hash of (seed, hit index) — rerunning a
 // chaos test with the same seed replays the exact same fire pattern.
-//
-// Building with -DVALMOD_FAULT_INJECTION=OFF compiles every fault point to
-// a constant-Ok expression with zero runtime cost.
 
 #include <atomic>
 #include <cstdint>
@@ -43,12 +40,6 @@
 #include "common/status.h"
 
 namespace valmod::fault {
-
-#ifdef VALMOD_DISABLE_FAULT_INJECTION
-inline constexpr bool kFaultInjectionEnabled = false;
-#else
-inline constexpr bool kFaultInjectionEnabled = true;
-#endif
 
 enum class FaultKind {
   kError,      // return spec.code / spec.message from the fault point
@@ -137,11 +128,7 @@ class FaultInjector {
 
 }  // namespace valmod::fault
 
-#ifdef VALMOD_DISABLE_FAULT_INJECTION
-#define VALMOD_FAULT_POINT(point) ::valmod::Status::Ok()
-#else
 #define VALMOD_FAULT_POINT(point) \
   ::valmod::fault::FaultInjector::Global().Check(point)
-#endif
 
 #endif  // VALMOD_COMMON_FAULT_H_

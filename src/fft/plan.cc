@@ -1,14 +1,14 @@
 #include "fft/plan.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <bit>
 #include <cassert>
 #include <cmath>
-#include <list>
+#include <limits>
 #include <mutex>
 #include <numbers>
-#include <unordered_map>
 #include <utility>
 
 #include "simd/dispatch.h"
@@ -130,28 +130,16 @@ void FftPlan::MultiplyPairByRealSpectrumInto(
 
 namespace {
 
-constexpr std::size_t kDefaultPlanRegistryCapacity = 32;
-
 std::atomic<std::uint64_t> g_plan_hits{0};
 std::atomic<std::uint64_t> g_plan_misses{0};
-std::atomic<std::uint64_t> g_plan_evictions{0};
 
+/// One slot per power of two a std::size_t can hold, indexed by log2(n):
+/// GetPlan only takes powers of two, so the table never needs to evict.
 struct PlanRegistry {
   std::mutex mutex;
-  std::size_t capacity = kDefaultPlanRegistryCapacity;
-  /// Most recently used at the front. A std::list keeps hit handling to one
-  /// splice and eviction to one pop, with stable iterators for the index.
-  std::list<std::pair<std::size_t, std::shared_ptr<const FftPlan>>> lru;
-  std::unordered_map<std::size_t, decltype(lru)::iterator> index;
-
-  /// Caller must hold `mutex`.
-  void TrimLocked() {
-    while (lru.size() > capacity) {
-      index.erase(lru.back().first);
-      lru.pop_back();
-      g_plan_evictions.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
+  std::array<std::shared_ptr<const FftPlan>,
+             std::numeric_limits<std::size_t>::digits>
+      plans;
 };
 
 PlanRegistry& Registry() {
@@ -161,38 +149,16 @@ PlanRegistry& Registry() {
 
 }  // namespace
 
-std::size_t PlanRegistryCapacity() {
-  PlanRegistry& registry = Registry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  return registry.capacity;
-}
-
-std::size_t PlanRegistrySizeForTesting() {
-  PlanRegistry& registry = Registry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  return registry.lru.size();
-}
-
-std::size_t SetPlanRegistryCapacityForTesting(std::size_t capacity) {
-  assert(capacity >= 1);
-  PlanRegistry& registry = Registry();
-  std::lock_guard<std::mutex> lock(registry.mutex);
-  const std::size_t previous = registry.capacity;
-  registry.capacity = capacity;
-  registry.TrimLocked();
-  return previous;
-}
-
 std::shared_ptr<const FftPlan> GetPlan(std::size_t n) {
   assert(IsPowerOfTwo(n));
   PlanRegistry& registry = Registry();
+  std::shared_ptr<const FftPlan>& slot =
+      registry.plans[static_cast<std::size_t>(std::countr_zero(n))];
   {
     std::lock_guard<std::mutex> lock(registry.mutex);
-    auto it = registry.index.find(n);
-    if (it != registry.index.end()) {
-      registry.lru.splice(registry.lru.begin(), registry.lru, it->second);
+    if (slot != nullptr) {
       g_plan_hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second->second;
+      return slot;
     }
   }
   // Built outside the lock: table construction for large sizes is slow
@@ -200,25 +166,19 @@ std::shared_ptr<const FftPlan> GetPlan(std::size_t n) {
   // duplicate build is harmless; the first insert wins.
   auto plan = std::make_shared<const FftPlan>(n);
   std::lock_guard<std::mutex> lock(registry.mutex);
-  auto it = registry.index.find(n);
-  if (it != registry.index.end()) {
-    registry.lru.splice(registry.lru.begin(), registry.lru, it->second);
+  if (slot != nullptr) {
     g_plan_hits.fetch_add(1, std::memory_order_relaxed);
-    return it->second->second;
+    return slot;
   }
   g_plan_misses.fetch_add(1, std::memory_order_relaxed);
-  registry.lru.emplace_front(n, std::move(plan));
-  registry.index.emplace(n, registry.lru.begin());
-  std::shared_ptr<const FftPlan> handle = registry.lru.front().second;
-  registry.TrimLocked();
-  return handle;
+  slot = std::move(plan);
+  return slot;
 }
 
 PlanRegistryCounters PlanRegistryCountersSnapshot() {
   PlanRegistryCounters out;
   out.hits = g_plan_hits.load(std::memory_order_relaxed);
   out.misses = g_plan_misses.load(std::memory_order_relaxed);
-  out.evictions = g_plan_evictions.load(std::memory_order_relaxed);
   return out;
 }
 

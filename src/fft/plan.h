@@ -97,36 +97,17 @@ class FftPlan {
 
 /// Process-wide plan registry: returns the cached plan for `n` (a power of
 /// two), building it on first use. Thread-safe; the handle keeps the plan
-/// alive independently of the registry.
-///
-/// The registry is a small LRU bounded at `PlanRegistryCapacity()` entries:
-/// pan-profile workloads that sweep many FFT sizes no longer grow it without
-/// bound. Eviction only drops the registry's reference — live handles keep
-/// evicted plans fully usable.
+/// alive independently of the registry. The registry holds one slot per
+/// power of two, indexed by log2(n), and never evicts.
 std::shared_ptr<const FftPlan> GetPlan(std::size_t n);
-
-/// Maximum number of plans the registry retains: one entry per power of
-/// two from 1 to 2^31.
-std::size_t PlanRegistryCapacity();
-
-/// Current number of plans held by the registry (for tests).
-std::size_t PlanRegistrySizeForTesting();
-
-/// Overrides the registry capacity (trimming immediately) and returns the
-/// previous value. Exists because exercising eviction at the production
-/// capacity would require plans of ~2^32 points; tests shrink the cap,
-/// observe eviction, and restore.
-std::size_t SetPlanRegistryCapacityForTesting(std::size_t capacity);
 
 /// Cumulative process-wide registry traffic, maintained with relaxed
 /// atomics (no extra cost on the GetPlan fast path beyond one fetch_add).
-/// A `hit` is a GetPlan call served from the LRU (including the
-/// built-elsewhere-while-we-built race); a `miss` built a new plan; an
-/// `eviction` dropped the registry's reference to a plan.
+/// A `hit` is a GetPlan call served from the registry (including the
+/// built-elsewhere-while-we-built race); a `miss` built a new plan.
 struct PlanRegistryCounters {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
 };
 PlanRegistryCounters PlanRegistryCountersSnapshot();
 

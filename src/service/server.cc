@@ -19,7 +19,6 @@
 #include "common/json.h"
 #include "common/timer.h"
 #include "common/trace.h"
-#include "service/openmetrics.h"
 #include "core/valmod.h"
 #include "core/variable_discords.h"
 #include "mass/backend.h"
@@ -28,6 +27,7 @@
 #include "series/generators.h"
 #include "series/io.h"
 #include "series/znorm.h"
+#include "service/telemetry.h"
 #include "simd/dispatch.h"
 
 namespace valmod::service {
@@ -777,69 +777,13 @@ Result<std::string> DoAppend(Service& service, const std::string& name,
 
 Result<std::string> DoStats(Service& service, const std::string&,
                             const Value&) {
-  Value::Object payload;
+  Value::Object payload = RenderStatsJson(CollectTelemetry(
+      service.metrics(), service.result_cache(), service.scheduler()));
   Value::Array datasets;
   for (const DatasetRegistry::Info& info : service.registry().List()) {
     datasets.push_back(DatasetInfoValue(info));
   }
   payload.emplace("datasets", Value(std::move(datasets)));
-
-  const ResultCache::Stats cache = service.result_cache().stats();
-  Value::Object cache_obj;
-  cache_obj.emplace("entries", Value(cache.entries));
-  cache_obj.emplace("capacity", Value(cache.capacity));
-  cache_obj.emplace("hits", Value(cache.hits));
-  cache_obj.emplace("misses", Value(cache.misses));
-  cache_obj.emplace("insertions", Value(cache.insertions));
-  cache_obj.emplace("evictions", Value(cache.evictions));
-  cache_obj.emplace("inflight", Value(cache.inflight));
-  cache_obj.emplace("coalesced", Value(cache.coalesced));
-  cache_obj.emplace("failovers", Value(cache.failovers));
-  cache_obj.emplace("flights_led", Value(cache.flights_led));
-  cache_obj.emplace("waiters_served", Value(cache.waiters_served));
-  payload.emplace("cache", Value(std::move(cache_obj)));
-
-  const SchedulerStats sched = service.scheduler().stats();
-  Value::Object sched_obj;
-  sched_obj.emplace("queue_depth", Value(sched.queue_depth));
-  sched_obj.emplace("active", Value(sched.active));
-  sched_obj.emplace("admitted", Value(sched.admitted));
-  sched_obj.emplace("completed", Value(sched.completed));
-  sched_obj.emplace("rejected", Value(sched.rejected));
-  sched_obj.emplace("shed", Value(sched.shed));
-  sched_obj.emplace("cancelled", Value(sched.cancelled));
-  sched_obj.emplace("expired", Value(sched.expired));
-  sched_obj.emplace("overruns", Value(sched.overruns));
-  sched_obj.emplace("stalled", Value(sched.stalled));
-  sched_obj.emplace("mean_queue_wait_ms", Value(sched.mean_queue_wait_ms));
-  sched_obj.emplace("max_queue_wait_ms", Value(sched.max_queue_wait_ms));
-  sched_obj.emplace("mean_service_ms", Value(sched.mean_service_ms));
-  sched_obj.emplace("retry_after_ms", Value(sched.retry_after_ms));
-  payload.emplace("scheduler", Value(std::move(sched_obj)));
-
-  // Per-verb latency/throughput: exact mean/stddev from the Welford
-  // accumulators, p50/p99 from the log-scale histograms.
-  Value::Array verbs;
-  for (const VerbMetrics::VerbSnapshot& v : service.metrics().Snapshot()) {
-    Value::Object o;
-    o.emplace("verb", Value(v.verb));
-    o.emplace("count", Value(v.count));
-    o.emplace("errors", Value(v.errors));
-    o.emplace("mean_ms", Value(v.mean_ms));
-    o.emplace("stddev_ms", Value(v.stddev_ms));
-    o.emplace("min_ms", Value(v.min_ms));
-    o.emplace("max_ms", Value(v.max_ms));
-    o.emplace("p50_ms", Value(v.p50_ms));
-    o.emplace("p99_ms", Value(v.p99_ms));
-    o.emplace("requests_per_second", Value(v.requests_per_second));
-    verbs.push_back(Value(std::move(o)));
-  }
-  payload.emplace("verbs", Value(std::move(verbs)));
-  payload.emplace("uptime_seconds", Value(service.metrics().UptimeSeconds()));
-
-  payload.emplace("results_version", Value(mass::kResultsVersion));
-  payload.emplace("simd_target",
-                  Value(std::string(simd::TargetName(simd::ActiveTarget()))));
   payload.emplace("cpu_features", Value(simd::CpuFeatureString()));
   return Value(std::move(payload)).Serialize();
 }
@@ -849,44 +793,36 @@ Result<std::string> DoStats(Service& service, const std::string&,
 /// degraded — chaos harnesses must never be mistaken for a healthy server).
 Value FaultListValue() {
   Value::Array points;
-  if constexpr (fault::kFaultInjectionEnabled) {
-    for (const fault::FaultPointInfo& info :
-         fault::FaultInjector::Global().List()) {
-      Value::Object o;
-      o.emplace("point", Value(info.point));
-      switch (info.spec.kind) {
-        case fault::FaultKind::kError:
-          o.emplace("kind", Value("error"));
-          o.emplace("code", Value(std::string(
-                                StatusCodeName(info.spec.code))));
-          break;
-        case fault::FaultKind::kDelay:
-          o.emplace("kind", Value("delay"));
-          o.emplace("delay_ms", Value(info.spec.delay_ms));
-          break;
-        case fault::FaultKind::kAllocFail:
-          o.emplace("kind", Value("alloc"));
-          break;
-      }
-      o.emplace("hits", Value(info.hits));
-      o.emplace("fires", Value(info.fires));
-      points.push_back(Value(std::move(o)));
+  for (const fault::FaultPointInfo& info :
+       fault::FaultInjector::Global().List()) {
+    Value::Object o;
+    o.emplace("point", Value(info.point));
+    switch (info.spec.kind) {
+      case fault::FaultKind::kError:
+        o.emplace("kind", Value("error"));
+        o.emplace("code", Value(std::string(StatusCodeName(info.spec.code))));
+        break;
+      case fault::FaultKind::kDelay:
+        o.emplace("kind", Value("delay"));
+        o.emplace("delay_ms", Value(info.spec.delay_ms));
+        break;
+      case fault::FaultKind::kAllocFail:
+        o.emplace("kind", Value("alloc"));
+        break;
     }
+    o.emplace("hits", Value(info.hits));
+    o.emplace("fires", Value(info.fires));
+    points.push_back(Value(std::move(o)));
   }
   return Value(std::move(points));
 }
 
 /// `faults` verb: arm/disarm fault points at runtime, for chaos testing a
-/// live server without restarting it. Unavailable (structured, not fatal)
-/// when the build compiled fault injection out.
+/// live server without restarting it.
 Result<std::string> DoFaults(Service&, const std::string&,
                              const Value& params) {
   VALMOD_RETURN_IF_ERROR(
       RejectUnknownParams(params, {"arm", "disarm", "disarm_all"}));
-  if constexpr (!fault::kFaultInjectionEnabled) {
-    return Status::Unavailable(
-        "fault injection compiled out (build with -DVALMOD_FAULT_INJECTION=ON)");
-  }
   fault::FaultInjector& injector = fault::FaultInjector::Global();
   if (const Value* arm = params.Find("arm")) {
     if (!arm->is_string()) {
@@ -923,10 +859,7 @@ Result<std::string> DoHealth(Service& service, const std::string&,
   if (sched.queue_depth >= service.options().queue_capacity) {
     reasons.push_back(Value("admission_queue_full"));
   }
-  int faults_armed = 0;
-  if constexpr (fault::kFaultInjectionEnabled) {
-    faults_armed = fault::FaultInjector::Global().armed_count();
-  }
+  const int faults_armed = fault::FaultInjector::Global().armed_count();
   if (faults_armed > 0) {
     reasons.push_back(Value("faults_armed"));
   }
@@ -950,9 +883,8 @@ Result<std::string> DoHealth(Service& service, const std::string&,
 /// `body` bytes through verbatim.
 Result<std::string> DoMetrics(Service& service, const std::string&,
                               const Value&) {
-  const std::string body =
-      RenderOpenMetrics(service.metrics(), service.result_cache().stats(),
-                        service.scheduler().stats());
+  const std::string body = RenderOpenMetrics(CollectTelemetry(
+      service.metrics(), service.result_cache(), service.scheduler()));
   std::string payload = "{\"format\":\"openmetrics\",\"body\":";
   json::AppendQuoted(body, &payload);
   payload += '}';

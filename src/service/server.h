@@ -73,7 +73,7 @@ struct ServiceOptions {
 ///
 /// A request carrying `"trace":true` in its envelope gets the response
 /// envelope extended with `trace_id` (16 hex digits) and `trace` (the
-/// request's span tree; see service/openmetrics.h RenderTraceJson) — on
+/// request's span tree; see service/telemetry.h RenderTraceJson) — on
 /// the final page only, for paged responses, so RetryClient's reassembly
 /// surfaces them automatically.
 ///

@@ -216,16 +216,12 @@ TEST(FaultInjectorTest, GlobalMacroRoundTrip) {
   // (gtest runs tests in one thread).
   FaultInjector& global = FaultInjector::Global();
   const int before = global.armed_count();
-  if (kFaultInjectionEnabled) {
-    FaultSpec spec;
-    spec.code = StatusCode::kUnavailable;
-    global.Arm("fault_test.macro", spec);
-    EXPECT_EQ(VALMOD_FAULT_POINT("fault_test.macro").code(),
-              StatusCode::kUnavailable);
-    EXPECT_TRUE(global.Disarm("fault_test.macro"));
-  } else {
-    EXPECT_TRUE(VALMOD_FAULT_POINT("fault_test.macro").ok());
-  }
+  FaultSpec spec;
+  spec.code = StatusCode::kUnavailable;
+  global.Arm("fault_test.macro", spec);
+  EXPECT_EQ(VALMOD_FAULT_POINT("fault_test.macro").code(),
+            StatusCode::kUnavailable);
+  EXPECT_TRUE(global.Disarm("fault_test.macro"));
   EXPECT_EQ(global.armed_count(), before);
 }
 

@@ -154,65 +154,26 @@ TEST(PlanRegistryTest, CachesOnePlanPerSize) {
   EXPECT_NE(a.get(), GetPlan(4096).get());
 }
 
+TEST(PlanRegistryTest, OneSlotPerPowerOfTwo) {
+  // Neighbouring log2 slots hold plans of their own size, including the
+  // smallest one.
+  for (std::size_t n = 1; n <= 64; n *= 2) {
+    EXPECT_EQ(GetPlan(n)->size(), n);
+  }
+  const PlanRegistryCounters before = PlanRegistryCountersSnapshot();
+  const auto a = GetPlan(32);
+  const auto b = GetPlan(64);
+  const PlanRegistryCounters after = PlanRegistryCountersSnapshot();
+  EXPECT_NE(a.get(), b.get());
+  EXPECT_EQ(after.hits - before.hits, 2u);
+  EXPECT_EQ(after.misses, before.misses);
+}
+
 TEST(PlanRegistryTest, HandleOutlivesRegistryLookups) {
   const auto plan = GetPlan(16);
   std::vector<std::complex<double>> data(16, {1.0, 0.0});
   plan->ForwardBitrev(data);
   EXPECT_NEAR(data[0].real(), 16.0, 1e-12);  // DC stays at index 0
-}
-
-TEST(PlanRegistryTest, BoundedWithLruEviction) {
-  // Exercising eviction at the production capacity would need plans of
-  // astronomical sizes (one distinct power of two per slot), so shrink the
-  // cap, observe, restore.
-  const std::size_t saved = SetPlanRegistryCapacityForTesting(4);
-
-  // Flush whatever earlier tests cached: touching four known sizes leaves
-  // the registry holding exactly those four, regardless of prior state.
-  (void)GetPlan(1024);
-  (void)GetPlan(512);
-  (void)GetPlan(256);
-  (void)GetPlan(128);
-
-  // Four new sizes replace them: the LRU is now exactly 16, 8, 4, 2.
-  const auto plan2 = GetPlan(2);
-  (void)GetPlan(4);
-  (void)GetPlan(8);
-  (void)GetPlan(16);
-  EXPECT_EQ(PlanRegistrySizeForTesting(), 4u);
-
-  // A fifth size evicts the least recently used entry (2).
-  const auto plan32 = GetPlan(32);
-  EXPECT_EQ(PlanRegistrySizeForTesting(), 4u);
-
-  // The evicted size is rebuilt on demand as a distinct object; the old
-  // handle keeps working independently of the registry.
-  const auto plan2_again = GetPlan(2);
-  EXPECT_NE(plan2.get(), plan2_again.get());
-  EXPECT_EQ(plan2->size(), 2u);
-  EXPECT_EQ(plan2_again->size(), 2u);
-
-  // Re-requesting a retained size is still a cache hit.
-  EXPECT_EQ(plan32.get(), GetPlan(32).get());
-
-  SetPlanRegistryCapacityForTesting(saved);
-}
-
-TEST(PlanRegistryTest, EvictedPlanStillTransforms) {
-  const std::size_t saved = SetPlanRegistryCapacityForTesting(2);
-  const auto plan64 = GetPlan(64);
-  // Flush the registry completely.
-  (void)GetPlan(128);
-  (void)GetPlan(256);
-  // The held handle owns its tables, so it keeps transforming after the
-  // registry dropped its reference.
-  std::vector<double> input(64, 1.0);
-  std::vector<std::complex<double>> spectrum(64);
-  plan64->RealForwardPair(input, {}, spectrum);
-  // Bit-reversed order puts DC at index 0 and bin 32 at index 1.
-  EXPECT_NEAR(spectrum[0].real(), 64.0, 1e-12);
-  EXPECT_NEAR(spectrum[1].real(), 0.0, 1e-12);
-  SetPlanRegistryCapacityForTesting(saved);
 }
 
 }  // namespace

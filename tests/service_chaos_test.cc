@@ -67,15 +67,10 @@ RetryOptions FastRetry() {
 class ChaosTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!fault::kFaultInjectionEnabled) {
-      GTEST_SKIP() << "fault injection compiled out";
-    }
     fault::FaultInjector::Global().DisarmAll();
   }
   void TearDown() override {
-    if (fault::kFaultInjectionEnabled) {
-      fault::FaultInjector::Global().DisarmAll();
-    }
+    fault::FaultInjector::Global().DisarmAll();
   }
 };
 
@@ -477,9 +472,6 @@ class ServerProcess {
 // process. The armed server.write delay guarantees responses are written
 // *after* the disconnect, so the failing-send path genuinely runs.
 TEST(ServerChaosTcpTest, MidStreamDisconnectDoesNotKillTheServer) {
-  if (!fault::kFaultInjectionEnabled) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   ServerProcess server;
   ASSERT_TRUE(server.started());
 
@@ -541,9 +533,6 @@ TEST(ServerChaosTcpTest, MidStreamDisconnectDoesNotKillTheServer) {
 // fails the first load, the RetryClient recovers, health reflects the
 // armed/disarmed transitions.
 TEST(ServerChaosTcpTest, FaultsVerbAndRetryClientOverTcp) {
-  if (!fault::kFaultInjectionEnabled) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   ServerProcess server;
   ASSERT_TRUE(server.started());
 
@@ -584,9 +573,6 @@ TEST(ServerChaosTcpTest, FaultsVerbAndRetryClientOverTcp) {
 // VALMOD_FAULTS is applied at startup: the `faults` verb lists the
 // env-armed point before any fault point has been hit.
 TEST(ServerChaosTcpTest, EnvVarArmsFaultsAtStartup) {
-  if (!fault::kFaultInjectionEnabled) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   const std::string script =
       R"({"id":1,"verb":"faults"})" "\n"
       R"({"id":2,"verb":"shutdown"})" "\n";

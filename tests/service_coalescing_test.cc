@@ -25,15 +25,10 @@ using json::Value;
 class CoalescingTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    if (!fault::kFaultInjectionEnabled) {
-      GTEST_SKIP() << "fault injection compiled out";
-    }
     fault::FaultInjector::Global().DisarmAll();
   }
   void TearDown() override {
-    if (fault::kFaultInjectionEnabled) {
-      fault::FaultInjector::Global().DisarmAll();
-    }
+    fault::FaultInjector::Global().DisarmAll();
   }
 };
 

@@ -114,9 +114,6 @@ TEST(EpollServerTest, RoundTripsAndCleanShutdown) {
 // on connection A is still answered after connection B's shutdown, and
 // Serve() then returns 0.
 TEST(EpollServerTest, ShutdownDrainsInflightCompute) {
-  if (!fault::kFaultInjectionEnabled) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   fault::FaultInjector::Global().DisarmAll();
   ServerHarness harness(ServiceOptions{});
   ASSERT_NE(harness.server, nullptr);
@@ -216,9 +213,6 @@ TEST(EpollServerTest, PagedResponseReassembledByClient) {
 // requests out of order: a slow compute must not block the cheap admin
 // verb sent right behind it on the same connection.
 TEST(EpollServerTest, PipelinedRequestsCompleteOutOfOrder) {
-  if (!fault::kFaultInjectionEnabled) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   fault::FaultInjector::Global().DisarmAll();
   ServerHarness harness(ServiceOptions{});
   ASSERT_NE(harness.server, nullptr);
@@ -314,9 +308,6 @@ TEST(EpollServerTest, OversizedRequestLineIsRejected) {
 // An injected read failure (server.read) kills that one connection; the
 // listener and every other connection keep serving.
 TEST(EpollServerTest, InjectedReadFaultDropsOnlyThatConnection) {
-  if (!fault::kFaultInjectionEnabled) {
-    GTEST_SKIP() << "fault injection compiled out";
-  }
   fault::FaultInjector::Global().DisarmAll();
   ServerHarness harness(ServiceOptions{});
   ASSERT_NE(harness.server, nullptr);

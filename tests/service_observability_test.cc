@@ -3,10 +3,12 @@
 // dependencies), counter monotonicity across scrapes, end-to-end request
 // tracing ("trace":true span trees whose stage spans account for the
 // request's wall time), the slow-query log, the flight counters in
-// `stats`, and a real-binary smoke of the new verbs plus --log-json.
+// `stats`, the agreement of `stats` and `metrics` on every exported
+// number, and a real-binary smoke of the new verbs plus --log-json.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -17,7 +19,7 @@
 
 #include "common/json.h"
 #include "common/trace.h"
-#include "service/openmetrics.h"
+#include "service/telemetry.h"
 #include "service/server.h"
 
 namespace valmod::service {
@@ -532,6 +534,134 @@ TEST(StatsVerbTest, ExposesFlightCounters) {
   ASSERT_NE(cache, nullptr);
   EXPECT_GE(cache->GetNumber("flights_led", -1), 1.0);
   EXPECT_GE(cache->GetNumber("waiters_served", -1), 0.0);
+}
+
+/// Numeric leaves of `value`, keyed by their dotted path below `path`.
+void FlattenNumbers(const Value& value, const std::string& path,
+                    std::map<std::string, double>* out) {
+  if (value.is_number()) {
+    (*out)[path] = value.AsDouble();
+    return;
+  }
+  if (!value.is_object()) return;
+  for (const auto& [key, child] : value.AsObject()) {
+    FlattenNumbers(child, path + "." + key, out);
+  }
+}
+
+// `stats` and `metrics` render one collected sample list: every cache,
+// scheduler, engine, FFT-plan and SIMD sample appears on both surfaces,
+// under its group/name/labels spelling there, with the same value, and
+// neither surface carries a sample of those groups that the other lacks.
+// Admin verbs move none of these numbers, so the two scrapes agree.
+TEST(TelemetryAgreementTest, StatsAndMetricsRenderTheSameSamples) {
+  Service service;
+  LoadBench(service);
+  const std::string motifs =
+      R"({"verb":"motifs","dataset":"bench","params":{"lmin":64,"lmax":66}})";
+  ASSERT_TRUE(Ok(Roundtrip(service, motifs)));  // miss
+  ASSERT_TRUE(Ok(Roundtrip(service, motifs)));  // hit
+  ASSERT_TRUE(Ok(Roundtrip(
+      service, R"({"verb":"profile","dataset":"bench","params":{"l":64}})")));
+  std::string query =
+      R"({"verb":"query","dataset":"bench","params":{"values":[)";
+  for (int i = 0; i < 64; ++i) {
+    query += (i == 0 ? "" : ",") + std::to_string(std::sin(0.2 * i));
+  }
+  query += "]}}";
+  ASSERT_TRUE(Ok(Roundtrip(service, query)));
+  EXPECT_FALSE(Ok(Roundtrip(service, R"({"verb":"motifs","params":5})")));
+
+  const std::string body = ScrapeMetrics(service);
+  const std::vector<std::string> errors = ValidateOpenMetrics(body);
+  EXPECT_TRUE(errors.empty()) << errors.front() << " (of " << errors.size()
+                              << " errors)";
+  const Value stats = Roundtrip(service, R"({"verb":"stats"})");
+  ASSERT_TRUE(Ok(stats)) << stats.Serialize();
+  const Value& result = *stats.Find("result");
+
+  const char* const kGroups[] = {"cache", "scheduler", "engine", "fft_plan",
+                                 "simd"};
+  const char* const kFamilies[] = {"valmod_result_cache_", "valmod_scheduler_",
+                                   "valmod_engine_", "valmod_fft_plan_",
+                                   "valmod_simd_"};
+  std::map<std::string, double> json;
+  for (const char* group : kGroups) {
+    ASSERT_NE(result.Find(group), nullptr) << group;
+    FlattenNumbers(*result.Find(group), group, &json);
+  }
+  std::map<std::string, double> exposition;
+  for (const auto& [sample, value] : AllSamples(body)) {
+    for (const char* family : kFamilies) {
+      if (sample.rfind(family, 0) == 0) exposition[sample] = value;
+    }
+  }
+
+  // Spell every collected sample the way each surface names it.
+  const Telemetry collected = CollectTelemetry(
+      service.metrics(), service.result_cache(), service.scheduler());
+  std::size_t compared = 0;
+  for (const Sample& sample : collected.samples) {
+    if (sample.group->json_key.empty()) continue;  // uptime moves
+    std::string series = std::string(sample.group->family_prefix) + "_" +
+                         std::string(sample.name);
+    if (sample.kind == Sample::Kind::kCounter) series += "_total";
+    std::string path =
+        std::string(sample.group->json_key) + "." + std::string(sample.name);
+    for (std::size_t i = 0; i < sample.labels.size(); ++i) {
+      series += (i == 0 ? "{" : ",") + std::string(sample.labels[i].key) +
+                "=\"" + std::string(sample.labels[i].value) + "\"";
+      path += "." + std::string(sample.labels[i].value);
+    }
+    if (!sample.labels.empty()) series += "}";
+    const auto scraped = exposition.find(series);
+    const auto reported = json.find(path);
+    ASSERT_NE(scraped, exposition.end()) << "missing from metrics: " << series;
+    ASSERT_NE(reported, json.end()) << "missing from stats: " << path;
+    EXPECT_EQ(scraped->second, reported->second) << series << " vs " << path;
+    exposition.erase(scraped);
+    json.erase(reported);
+    ++compared;
+  }
+  EXPECT_TRUE(exposition.empty()) << "only in metrics: "
+                                  << exposition.begin()->first;
+  EXPECT_TRUE(json.empty()) << "only in stats: " << json.begin()->first;
+  EXPECT_GT(compared, 40u);
+
+  // Numbers that used to live on one surface only, and the two that used
+  // to carry different names, are on both under one spelling.
+  for (const char* series :
+       {"valmod_result_cache_capacity", "valmod_result_cache_inflight",
+        "valmod_result_cache_coalesced_total",
+        "valmod_scheduler_mean_service_ms",
+        "valmod_engine_rows_total{backend=\"direct\"}",
+        "valmod_fft_plan_misses_total"}) {
+    EXPECT_GE(MetricValue(body, series), 0.0) << series;
+  }
+  EXPECT_GE(result.Find("cache")->GetNumber("capacity", -1), 1.0);
+  EXPECT_GE(result.Find("engine")->Find("rows")->GetNumber("direct", -1),
+            0.0);
+  EXPECT_GE(result.Find("fft_plan")->GetNumber("misses", -1), 0.0);
+
+  // The verb panel: the exposition's request and error counts equal the
+  // `stats` counts, except that the `metrics` scrape is recorded by the
+  // time `stats` renders (and `stats` itself after it answers).
+  std::size_t verbs = 0;
+  for (const Value& verb : result.Find("verbs")->AsArray()) {
+    const std::string name = verb.GetString("verb", "");
+    const double scrapes = name == "metrics" ? 1.0 : 0.0;
+    const double count = verb.GetNumber("count", -1) - scrapes;
+    const std::string label = "{verb=\"" + name + "\"}";
+    EXPECT_EQ(std::max(0.0, MetricValue(body, "valmod_requests_total" + label)),
+              count)
+        << name;
+    EXPECT_EQ(
+        std::max(0.0, MetricValue(body, "valmod_request_errors_total" + label)),
+        verb.GetNumber("errors", -1))
+        << name;
+    ++verbs;
+  }
+  EXPECT_EQ(CountLinesWithPrefix(body, "valmod_requests_total{"), verbs - 1);
 }
 
 TEST(RenderTraceJsonTest, SerializesSpanTree) {
