@@ -4,6 +4,7 @@
 
 #include "common/status.h"
 #include "series/znorm.h"
+#include "simd/dispatch.h"
 #include "stats/moving_stats.h"
 
 namespace valmod::core {
@@ -39,6 +40,7 @@ Result<double> PairLowerBound(const series::DataSeries& series,
   const auto c = series.centered();
   const double dot = series::DotProduct(c.data() + offset_a,
                                         c.data() + offset_b, base_length);
+  simd::NoteKernelCalls(simd::KernelKind::kDotProduct, 1);
   const double rho = series::CorrelationFromDot(
       dot, stats.CenteredMean(offset_a, base_length),
       stats.CenteredMean(offset_b, base_length),

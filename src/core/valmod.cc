@@ -35,9 +35,53 @@ struct RowState {
   double min_dist = kInfinity;
   int64_t best_match = -1;
   double max_lb = 0.0;
+  /// A lower bound on the row minimum, for a deferred row.
+  double bound = 0.0;
   bool valid = false;
   bool constant = false;
+  /// Not scored at this length: `bound` lies beyond every top-1 distance
+  /// bound the row has been compared with. Neither valid nor invalid.
+  bool deferred = false;
 };
+
+/// Slack for comparing a lower bound with computed distances, in units of
+/// the correlation. A row's lower bound is admissible in exact arithmetic,
+/// but the distances it is compared with are computed, d^2 = 2l(1 - rho),
+/// from dots the STOMP recurrence carried along a diagonal and the sweep
+/// then advanced by one add per length. Each step rounds the running dot
+/// once, so rho drifts by up to about n * 2^-53 for windows as spread as
+/// the series: 2^-36 at n = 2^17, which leaves a factor 64 for windows
+/// with less spread. The slack adds 2l * 2^-30 to a squared distance,
+/// under 1e-5 at l = 4096, so it changes which rows are deferred only where
+/// a length's top-1 distance is near 0 (an exact repeat).
+constexpr double kRhoSlack = 0x1p-30;
+
+/// The smallest lower bound that rules out every distance the sweep can
+/// compute at or below `limit` at `length`. The (1 + 2^-40) factor covers
+/// the few roundings in forming a bound and this cutoff, each below 2^-53
+/// relative. +infinity for an infinite limit.
+double Cutoff(double limit, std::size_t length) {
+  const double slack = 2.0 * static_cast<double>(length) * kRhoSlack;
+  return std::sqrt(limit * limit + slack) * (1.0 + 0x1p-40);
+}
+
+/// Runs `fn(i)` for every i in [0, n) on up to `threads` workers that claim
+/// blocks of indices from a shared counter: the rows that cost anything
+/// cluster, so static chunks would leave workers idle.
+template <typename Fn>
+void ForEachClaimed(std::size_t n, int threads, const Fn& fn) {
+  constexpr std::size_t kBlock = 32;
+  const std::size_t blocks = (n + kBlock - 1) / kBlock;
+  const std::size_t workers = std::min<std::size_t>(
+      static_cast<std::size_t>(std::max(threads, 1)), blocks);
+  std::atomic<std::size_t> next{0};
+  ParallelFor(0, workers, static_cast<int>(workers), [&](std::size_t) {
+    for (std::size_t b = next++; b < blocks; b = next++) {
+      const std::size_t end = std::min(n, (b + 1) * kBlock);
+      for (std::size_t i = b * kBlock; i < end; ++i) fn(i);
+    }
+  });
+}
 
 class ValmodRunner {
  public:
@@ -60,6 +104,12 @@ class ValmodRunner {
   void ReseedRow(std::size_t row, std::size_t length, std::size_t exclusion,
                  std::span<const double> dots,
                  simd::RowReseedScratch* scratch);
+  void NoteSeeded(std::size_t row);
+  double CarriedBound(std::size_t length, std::size_t exclusion) const;
+  void ResolveRow(std::size_t row, std::size_t length, std::size_t exclusion,
+                  double limit);
+  bool ResolveDeferred(std::size_t length, std::size_t exclusion,
+                       double threshold, LengthStats* stats);
   std::vector<mp::MotifPair> SelectCertified(std::size_t length,
                                              std::size_t exclusion) const;
   Status RefreshWindowProfile(std::size_t length);
@@ -93,6 +143,12 @@ class ValmodRunner {
   std::vector<std::size_t> const_offsets_;
   std::vector<std::size_t> non_const_offsets_;
   std::vector<RowState> states_;
+
+  // Per-row seeding facts, written when a row is seeded or re-seeded, so
+  // the sweep bounds a row without touching its entries.
+  std::vector<double> first_lb_;    // min(first stored base LB, max_base_lb)
+  std::vector<double> sigma_base_;  // std at the row's base length
+  std::vector<std::size_t> reached_;  // length the row's dots are at
 
   ValmodResult result_;
 };
@@ -241,8 +297,12 @@ Status ValmodRunner::InitialScan() {
     }
     partials[w].reset();
   }
+  first_lb_.resize(count);
+  sigma_base_.resize(count);
+  reached_.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
     if (partial_->seeded(i)) partial_->FinishSeeding(i);
+    NoteSeeded(i);
   }
 
   // Constant rows the sweep already profiled are exact as-is: the scan's
@@ -359,9 +419,117 @@ void ValmodRunner::ReseedRow(std::size_t row, std::size_t length,
                                &sink};
   simd::ActiveKernels().reseed_row(reseed);
   partial_->FinishSeeding(row);
+  NoteSeeded(row);
   if (windows_.is_const[row]) partial_->Close(row);
   state.valid = true;
   state.max_lb = kInfinity;  // exact now; nothing unexplored this length
+}
+
+void ValmodRunner::NoteSeeded(std::size_t row) {
+  // The entries are sorted by base LB, so the first one bounds them all,
+  // and max_base_lb bounds the unstored candidates. Compaction only drops
+  // entries, which keeps the bound valid until the row is re-seeded.
+  const std::span<const Entry> entries = partial_->Row(row);
+  const double max_base_lb = partial_->max_base_lb(row);
+  first_lb_[row] = entries.empty()
+                       ? max_base_lb
+                       : std::min(entries.front().base_lb, max_base_lb);
+  sigma_base_[row] = stats_.StdDev(row, partial_->base_length(row));
+  reached_[row] = partial_->base_length(row);
+}
+
+double ValmodRunner::CarriedBound(std::size_t length,
+                                  std::size_t exclusion) const {
+  // The previous length's top-1 pair, if still admissible, is a pair at
+  // this length too: its exact distance bounds this length's top-1 from
+  // above. For k >= 2 no such bound is safe (which pairs the exclusion rule
+  // lets the greedy top-k take changes with the length), so every row is
+  // scored.
+  if (options_.k != 1) return kInfinity;
+  const std::vector<mp::MotifPair>& previous = result_.per_length.back().motifs;
+  if (previous.empty()) return kInfinity;
+  const std::size_t a = static_cast<std::size_t>(previous[0].offset_a);
+  const std::size_t b = static_cast<std::size_t>(previous[0].offset_b);
+  const std::size_t count = series_.NumSubsequences(length);
+  const std::size_t gap = a > b ? a - b : b - a;
+  if (a >= count || b >= count || gap < exclusion) return kInfinity;
+  const double dot =
+      series::DotProduct(centered_.data() + a, centered_.data() + b, length);
+  simd::NoteKernelCalls(simd::KernelKind::kDotProduct, 1);
+  const mp::WindowStats& w = windows_;
+  return series::PairDistanceFromDot(dot, w.means[a], w.means[b], w.stds[a],
+                                     w.stds[b], length, w.is_const[a] != 0,
+                                     w.is_const[b] != 0);
+}
+
+void ValmodRunner::ResolveRow(std::size_t row, std::size_t length,
+                              std::size_t exclusion, double limit) {
+  RowState& state = states_[row];
+  // Candidates past the shrunken subsequence range or inside the grown
+  // exclusion zone are dead for every future length too, so dropping them
+  // at this length drops those of every length the row skipped as well.
+  const std::size_t count = series_.NumSubsequences(length);
+  partial_->CompactRow(row, [&](const Entry& e) {
+    const std::size_t j = static_cast<std::size_t>(e.match);
+    const std::size_t gap = j > row ? j - row : row - j;
+    return j >= count || gap < exclusion;
+  });
+  // Catch the dots up to this length with the adds the skipped lengths
+  // would have made, in the same order, so they stay bit-identical.
+  const std::span<Entry> entries = partial_->MutableRow(row);
+  const double* ci = centered_.data() + row;
+  for (Entry& e : entries) {
+    const double* cj = centered_.data() + e.match;
+    double dot = e.dot;
+    for (std::size_t tail = reached_[row]; tail < length; ++tail) {
+      dot += ci[tail] * cj[tail];
+    }
+    e.dot = dot;
+  }
+  reached_[row] = length;
+
+  // Score in ascending base-LB order, stopping at the first entry whose
+  // bound is beyond min(row minimum so far, limit): no later entry can
+  // come before the minimum, nor reach the limit.
+  const mp::WindowStats& w = windows_;
+  const double ratio = sigma_base_[row] / w.stds[row];
+  double min_dist = kInfinity;
+  int64_t best_match = -1;
+  double cutoff = Cutoff(limit, length);
+  // The bound of the first unscored entry; +infinity when all were scored.
+  double stop = kInfinity;
+  for (const Entry& e : entries) {
+    const double lb = e.base_lb * ratio;
+    if (lb > cutoff) {
+      stop = lb;
+      break;
+    }
+    const std::size_t j = static_cast<std::size_t>(e.match);
+    const double distance = series::PairDistanceFromDot(
+        e.dot, w.means[row], w.means[j], w.stds[row], w.stds[j], length,
+        false, w.is_const[j] != 0);
+    if (MatchPrecedes(distance, e.match, min_dist, best_match, row)) {
+      min_dist = distance;
+      best_match = e.match;
+      if (min_dist < limit) cutoff = Cutoff(min_dist, length);
+    }
+  }
+
+  if (stop == kInfinity || stop > Cutoff(min_dist, length)) {
+    // Every unscored entry is beyond the minimum: the row minimum is exact.
+    state.min_dist = min_dist;
+    state.best_match = best_match;
+    state.valid = min_dist <= state.max_lb;
+    state.deferred = false;
+  } else if (state.max_lb <= limit) {
+    // Every stored distance is above the limit and max_lb is not: the row
+    // cannot certify.
+    state.valid = false;
+    state.deferred = false;
+  } else {
+    state.bound = std::min(stop, min_dist);
+    state.deferred = true;
+  }
 }
 
 std::vector<mp::MotifPair> ValmodRunner::SelectCertified(
@@ -381,6 +549,28 @@ std::vector<mp::MotifPair> ValmodRunner::SelectCertified(
                               options_.k);
 }
 
+bool ValmodRunner::ResolveDeferred(std::size_t length, std::size_t exclusion,
+                                   double threshold, LengthStats* stats) {
+  // The deferred rows whose bound the threshold reaches, scored against it.
+  const double cutoff = Cutoff(threshold, length);
+  std::vector<std::size_t> rows;
+  for (std::size_t i = 0; i < states_.size(); ++i) {
+    if (states_[i].deferred && !(states_[i].bound > cutoff)) rows.push_back(i);
+  }
+  ForEachClaimed(rows.size(), options_.num_threads, [&](std::size_t b) {
+    ResolveRow(rows[b], length, exclusion, threshold);
+  });
+  bool settled = false;
+  for (std::size_t row : rows) {
+    const RowState& state = states_[row];
+    if (state.deferred) continue;
+    --stats->bounded_rows;
+    ++(state.valid ? stats->valid_rows : stats->invalid_rows);
+    settled = true;
+  }
+  return settled;
+}
+
 Status ValmodRunner::ProcessLength(std::size_t length) {
   const std::size_t count = series_.NumSubsequences(length);
   const std::size_t exclusion =
@@ -391,65 +581,46 @@ Status ValmodRunner::ProcessLength(std::size_t length) {
   VALMOD_RETURN_IF_ERROR(RefreshWindowProfile(length));
   states_.assign(count, RowState{});
 
-  // Sweep 1: advance every seeded row's entries by one point and evaluate
-  // validity from the stored candidates. Rows are independent (each touches
-  // only its own partial-profile slice and state), so the sweep partitions
-  // cleanly across threads.
-  ParallelFor(0, count, options_.num_threads, [&](std::size_t i) {
+  // Sweep 1: bound every row from its seeding facts, and score only the
+  // rows whose bound can reach an upper bound on this length's top-1
+  // distance; the rest are deferred, their entries untouched. Rows are
+  // independent (each touches only its own partial-profile slice and
+  // state), so the sweep partitions cleanly across threads.
+  const double carried = CarriedBound(length, exclusion);
+  const double carried_cutoff = Cutoff(carried, length);
+  ForEachClaimed(count, options_.num_threads, [&](std::size_t i) {
     RowState& state = states_[i];
     state.constant = windows_.is_const[i] != 0;
-
-    const bool seeded = partial_->seeded(i);
-    if (seeded) {
-      // Candidates past the shrunken subsequence range or inside the grown
-      // exclusion zone are dead for every future length too.
-      partial_->CompactRow(i, [&](const Entry& e) {
-        const std::size_t j = static_cast<std::size_t>(e.match);
-        const std::size_t gap = j > i ? j - i : i - j;
-        return j >= count || gap < exclusion;
-      });
-      const std::size_t tail = length - 1;
-      const double ci = centered_[i + tail];
-      const mp::WindowStats& w = windows_;
-      for (Entry& e : partial_->MutableRow(i)) {
-        const std::size_t j = static_cast<std::size_t>(e.match);
-        e.dot += ci * centered_[j + tail];
-        const double distance = series::PairDistanceFromDot(
-            e.dot, w.means[i], w.means[j], w.stds[i], w.stds[j], length,
-            state.constant, w.is_const[j] != 0);
-        if (MatchPrecedes(distance, e.match, state.min_dist,
-                          state.best_match, i)) {
-          state.min_dist = distance;
-          state.best_match = e.match;
-        }
-      }
-    }
-
     if (state.constant) {
-      // Exact via the constant-window conventions; the partial profile's dot
-      // products were still advanced above so the row resumes LB pruning if
-      // it becomes non-constant at a later length.
+      // Exact via the constant-window conventions. The partial profile's
+      // dots catch up when the row is next scored, so it resumes LB
+      // pruning if it becomes non-constant at a later length.
       ConstantRowMinimum(i, length, exclusion, &state);
       return;
     }
-
-    if (seeded) {
-      const std::size_t base = partial_->base_length(i);
-      state.max_lb =
-          ScaledLowerBound(partial_->max_base_lb(i), stats_.StdDev(i, base),
-                           windows_.stds[i]);
-      state.valid = state.min_dist <= state.max_lb;
-    } else {
+    if (!partial_->seeded(i)) {
       // Row had no usable partial profile (constant at its base length):
       // only an exact recompute can certify it.
       state.max_lb = 0.0;
       state.valid = false;
+      return;
+    }
+    state.max_lb = ScaledLowerBound(partial_->max_base_lb(i), sigma_base_[i],
+                                    windows_.stds[i]);
+    state.bound =
+        ScaledLowerBound(first_lb_[i], sigma_base_[i], windows_.stds[i]);
+    if (state.bound > carried_cutoff) {
+      state.deferred = true;
+    } else {
+      ResolveRow(i, length, exclusion, carried);
     }
   });
 
   for (const RowState& s : states_) {
     if (s.constant) {
       ++stats.constant_rows;
+    } else if (s.deferred) {
+      ++stats.bounded_rows;
     } else if (s.valid) {
       ++stats.valid_rows;
     } else {
@@ -459,18 +630,25 @@ Status ValmodRunner::ProcessLength(std::size_t length) {
 
   // Certification loop: select from certified rows, then exactly recompute
   // every uncertified row whose bound allows it to beat the current k-th
-  // best. Rows are processed in ascending bound order and, for k = 1, the
-  // threshold tightens as each exact row minimum arrives — a fresh exact
-  // minimum can disqualify most of the remaining batch before it is paid
-  // for. (Skipping aggressively is safe: the outer loop re-selects and
-  // re-derives the batch until no uncertified row can matter.) Terminates
-  // because every pass certifies at least one row.
+  // best. Before that, every deferred row whose bound reaches the
+  // threshold is scored, and the selection repeats while that settles any
+  // row; the rows left deferred then have a minimum and a max_lb above the
+  // threshold, so they neither change the selection nor join the
+  // recompute set. Rows are processed in ascending bound order and, for
+  // k = 1, the threshold tightens as each exact row minimum arrives — a
+  // fresh exact minimum can disqualify most of the remaining batch before
+  // it is paid for. (Skipping aggressively is safe: the outer loop
+  // re-selects and re-derives the batch until no uncertified row can
+  // matter.) Terminates because every pass certifies at least one row.
   std::vector<mp::MotifPair> motifs;
   while (true) {
     ++stats.passes;
-    motifs = SelectCertified(length, exclusion);
-    double threshold =
-        motifs.size() >= options_.k ? motifs.back().distance : kInfinity;
+    double threshold = kInfinity;
+    do {
+      motifs = SelectCertified(length, exclusion);
+      threshold =
+          motifs.size() >= options_.k ? motifs.back().distance : kInfinity;
+    } while (ResolveDeferred(length, exclusion, threshold, &stats));
     std::vector<std::size_t> to_recompute;
     for (std::size_t i = 0; i < count; ++i) {
       if (!states_[i].valid && states_[i].max_lb < threshold) {

@@ -58,13 +58,18 @@ struct ValmodOptions {
 
 /// Per-length certification statistics — the observable behaviour of the
 /// pruning machinery of paper Figure 2 (valid vs non-valid partial profiles,
-/// rows recomputed from scratch).
+/// rows recomputed from scratch). Every row at the length is exactly one of
+/// valid, invalid, bounded or constant.
 struct LengthStats {
   std::size_t length = 0;
   /// Rows whose partial profile certified its row minimum (minDist <= maxLB).
   std::size_t valid_rows = 0;
   /// Rows whose stored entries could not certify (maxLB < minDist).
   std::size_t invalid_rows = 0;
+  /// Rows still deferred when the length ends (k = 1 only): their lower
+  /// bound stayed above the length's top-1 distance, so no row minimum was
+  /// taken, and their dot products were left to catch up later.
+  std::size_t bounded_rows = 0;
   /// Rows recomputed exactly (and re-seeded) at this length: derived from
   /// a cached dot row of a nearby recomputed row by the STOMP recurrences,
   /// or computed with MASS when no cached row is in reach. Which rows take

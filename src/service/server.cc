@@ -848,7 +848,11 @@ Result<std::string> DoFaults(Service&, const std::string&,
 /// `health` verb: one cheap, always-serviceable probe that summarizes
 /// whether the process is degraded — stalled workers, a saturated
 /// admission queue, or armed fault points — without queueing behind the
-/// very overload it is reporting.
+/// very overload it is reporting. It is a liveness decision, not an
+/// export: it reads `stalled`, `active` and `queue_depth` live from the
+/// scheduler to decide, and echoes them as the evidence for that decision.
+/// The exported numbers (`stats`, `metrics`) all come from
+/// CollectTelemetry's one sample list.
 Result<std::string> DoHealth(Service& service, const std::string&,
                              const Value&) {
   const SchedulerStats sched = service.scheduler().stats();

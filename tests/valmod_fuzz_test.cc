@@ -3,7 +3,8 @@
 // derives one full configuration; any divergence of the per-length top-k
 // distances fails the property. A second tier pins the sweep shape (long
 // lengths, few rows certify) where partial-profile rows grow and recomputed
-// rows come from cached dot rows or from MASS.
+// rows come from cached dot rows or from MASS. A third pins a planted exact
+// repeat, whose top-1 distance is about 0.
 
 #include <gtest/gtest.h>
 
@@ -91,12 +92,15 @@ struct SweepShape {
 
 // Long lengths over wide ranges, where most rows fail certification and
 // recomputed rows grow their capacity. Every shape grows rows; in all but
-// the first, growth also runs into the set's budget and is refused for
-// some rows. Recomputed rows derive from cached dot rows where one is in
-// reach. The n=4096 shape recomputes about 400 rows per length against a
-// cache of 16 rows, so rows are evicted and re-anchored by MASS. The
-// plateau makes derived rows cross constant windows; it is shorter than
-// 1.5 lmin, so no two constant windows pair up at distance 0.
+// the first and the last (both k = 1), growth also runs into the set's
+// budget and is refused for some rows. Recomputed rows derive from cached
+// dot rows where one is in reach. The n=4096 shape recomputes about 400
+// rows per length against a cache of 16 rows, so rows are evicted and
+// re-anchored by MASS. The plateau makes derived rows cross constant
+// windows; it is shorter than 1.5 lmin, so no two constant windows pair up
+// at distance 0. The k = 1 shapes leave most rows unscored; at p = 2 the
+// first selection at one length leaves the threshold above the bounds of
+// about 800 deferred rows, so the certification loop scores them at once.
 constexpr SweepShape kSweepShapes[] = {
     {"random_walk", 1024, 200, 240, 1, 10},
     {"random_walk", 1024, 200, 240, 3, 5},
@@ -104,6 +108,7 @@ constexpr SweepShape kSweepShapes[] = {
     {"random_walk", 2048, 300, 380, 2, 4},
     {"random_walk", 4096, 256, 272, 3, 2},
     {"random_walk", 1500, 100, 130, 2, 3, 140},
+    {"random_walk", 1024, 200, 240, 1, 2},
 };
 
 void PrintTo(const SweepShape& shape, std::ostream* out) {
@@ -140,6 +145,7 @@ TEST_P(ValmodSweepShapeTest, ExactAndThreadInvariant) {
   ASSERT_TRUE(baseline.ok());
 
   std::vector<ValmodResult> runs;
+  std::vector<std::size_t> bounded;
   for (int threads : {1, 4}) {
     ValmodOptions options;
     options.min_length = shape.lmin;
@@ -154,8 +160,10 @@ TEST_P(ValmodSweepShapeTest, ExactAndThreadInvariant) {
     // Both recompute paths ran: some rows were anchored by MASS, the rest
     // derived from cached dot rows.
     std::size_t recomputed = 0;
+    bounded.push_back(0);
     for (const LengthStats& stats : result->stats) {
       recomputed += stats.recomputed_rows;
+      bounded.back() += stats.bounded_rows;
     }
     const std::uint64_t anchored =
         (after.rows_overlap_save - before.rows_overlap_save) +
@@ -178,6 +186,15 @@ TEST_P(ValmodSweepShapeTest, ExactAndThreadInvariant) {
     runs.push_back(*std::move(result));
   }
 
+  // Only k = 1 carries a top-1 bound across lengths, so only k = 1 leaves
+  // rows unscored; which ones never depends on the thread count.
+  EXPECT_EQ(bounded[0], bounded[1]);
+  if (shape.k == 1) {
+    EXPECT_GT(bounded[0], 0u);
+  } else {
+    EXPECT_EQ(bounded[0], 0u);
+  }
+
   // Which rows grow is decided in batch order, never by the thread count,
   // so both runs store the same candidates and agree to the bit.
   for (std::size_t i = 0; i < runs[0].per_length.size(); ++i) {
@@ -194,6 +211,57 @@ TEST_P(ValmodSweepShapeTest, ExactAndThreadInvariant) {
 
 INSTANTIATE_TEST_SUITE_P(Shapes, ValmodSweepShapeTest,
                          ::testing::ValuesIn(kSweepShapes));
+
+// A window copied elsewhere in the series with 1e-12 noise: the top-1
+// distance is about 0 at every length, so the cutoff a row's bound must
+// pass to stay unscored is the rounding slack of the comparison alone.
+TEST(ValmodPlantedRepeatTest, TopPairMatchesStomp) {
+  constexpr std::size_t kN = 1024, kMin = 200, kMax = 240;
+  auto base = synth::ByName("random_walk", kN, 1);
+  ASSERT_TRUE(base.ok());
+  std::vector<double> values(base->values().begin(), base->values().end());
+  Rng rng(17);
+  for (std::size_t t = 0; t < kMax; ++t) {
+    values[3 * kN / 5 + t] =
+        values[kN / 5 + t] + rng.Uniform(-1e-12, 1e-12);
+  }
+  auto series = series::DataSeries::Create(std::move(values));
+  ASSERT_TRUE(series.ok());
+
+  baselines::StompRangeOptions baseline_options;
+  baseline_options.min_length = kMin;
+  baseline_options.max_length = kMax;
+  auto baseline = baselines::RunStompRange(*series, baseline_options);
+  ASSERT_TRUE(baseline.ok());
+
+  for (int threads : {1, 4}) {
+    ValmodOptions options;
+    options.min_length = kMin;
+    options.max_length = kMax;
+    options.p = 10;
+    options.num_threads = threads;
+    auto result = RunValmod(*series, options);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    std::size_t bounded = 0;
+    for (const LengthStats& stats : result->stats) {
+      bounded += stats.bounded_rows;
+    }
+    EXPECT_GT(bounded, 0u) << "threads " << threads;
+    ASSERT_EQ(result->per_length.size(), baseline->size());
+    for (std::size_t i = 0; i < baseline->size(); ++i) {
+      const auto& want = (*baseline)[i].motifs;
+      const auto& got = result->per_length[i].motifs;
+      ASSERT_EQ(got.size(), 1u);
+      ASSERT_EQ(want.size(), 1u);
+      EXPECT_EQ(got[0].offset_a, want[0].offset_a)
+          << "threads " << threads << " length " << (*baseline)[i].length;
+      EXPECT_EQ(got[0].offset_b, want[0].offset_b)
+          << "threads " << threads << " length " << (*baseline)[i].length;
+      EXPECT_NEAR(got[0].distance, want[0].distance, 1e-5);
+      EXPECT_LT(got[0].distance, 1e-5);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace valmod::core

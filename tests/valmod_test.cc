@@ -221,7 +221,9 @@ TEST(ValmodTest, StatsAccountForAllRows) {
   ASSERT_EQ(result->stats.size(), 20u);  // lengths 21..40
   for (const LengthStats& s : result->stats) {
     const std::size_t rows = series->size() - s.length + 1;
-    EXPECT_EQ(s.valid_rows + s.invalid_rows + s.constant_rows, rows)
+    EXPECT_EQ(s.valid_rows + s.invalid_rows + s.bounded_rows +
+                  s.constant_rows,
+              rows)
         << "length " << s.length;
     EXPECT_GE(s.passes, 1u);
     EXPECT_LE(s.recomputed_rows, rows);
@@ -479,12 +481,15 @@ TEST(ValmodTest, StatsStayAlignedWhenRangeShrinksToNoPairs) {
   // all-zero counters.
   const LengthStats& last = result->stats.back();
   EXPECT_TRUE(result->per_length.back().motifs.empty());
-  EXPECT_EQ(last.valid_rows + last.invalid_rows + last.constant_rows, 0u);
+  EXPECT_EQ(last.valid_rows + last.invalid_rows + last.bounded_rows +
+                last.constant_rows,
+            0u);
   EXPECT_EQ(last.recomputed_rows, 0u);
   EXPECT_EQ(last.passes, 0u);
   // Early lengths were processed normally and account for their rows.
   const LengthStats& first = result->stats.front();
-  EXPECT_EQ(first.valid_rows + first.invalid_rows + first.constant_rows,
+  EXPECT_EQ(first.valid_rows + first.invalid_rows + first.bounded_rows +
+                first.constant_rows,
             series->size() - first.length + 1);
 }
 
