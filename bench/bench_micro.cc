@@ -11,7 +11,6 @@
 #include "core/valmod.h"
 #include "fft/plan.h"
 #include "mass/engine.h"
-#include "mp/ab_join.h"
 #include "mp/stomp.h"
 #include "mp/streaming.h"
 #include "series/data_series.h"
@@ -103,18 +102,6 @@ void BM_PartialProfileOffer(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * 4096);
 }
 BENCHMARK(BM_PartialProfileOffer)->Arg(5)->Arg(10)->Arg(50);
-
-void BM_AbJoin(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const DataSeries a = MakeSeries(n);
-  auto b = valmod::synth::ByName("astro", n, 12);
-  for (auto _ : state) {
-    auto join = valmod::mp::ComputeAbJoin(a, *b, 128, {});
-    benchmark::DoNotOptimize(join);
-  }
-}
-BENCHMARK(BM_AbJoin)->Arg(1 << 11)->Arg(1 << 12)
-    ->Unit(benchmark::kMillisecond);
 
 void BM_StreamingAppend(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

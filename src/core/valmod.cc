@@ -269,7 +269,7 @@ Status ValmodRunner::InitialScan() {
   // worker and the sets keep a total order, merging them with Offer()
   // yields the same p entries per row at any worker count.
   mp::DiagonalScan scan;
-  scan.a = windows_.Arrays(series_);
+  scan.windows = windows_.Arrays(series_);
   scan.length = length;
   scan.exclusion = exclusion;
   const std::size_t workers = mp::DiagonalWorkers(scan, options_.num_threads);

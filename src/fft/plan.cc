@@ -45,7 +45,7 @@ void FftPlan::ForwardBitrev(std::span<std::complex<double>> data) const {
   const double* tw = reinterpret_cast<const double*>(twiddles_.data());
   std::uint64_t fused = 0;
   for (std::size_t len = n_ / 2; len >= 2; len >>= 2) {
-    kernels.fused_radix4_dif(d, n_, len, tw, /*sign=*/1.0);
+    kernels.fused_radix4_dif(d, n_, len, tw);
     ++fused;
   }
   simd::NoteKernelCalls(simd::KernelKind::kFusedRadix4Dif, fused);
@@ -61,7 +61,8 @@ void FftPlan::InverseBitrev(std::span<std::complex<double>> data) const {
   double* d = reinterpret_cast<double*>(data.data());
   // Decimation in time over the bit-reversed spectrum: spans grow from 2 to
   // n, output lands in natural order. An odd log2(n) runs the span-2 stage
-  // first. The conjugate twiddles (sign -1) make it the inverse.
+  // first. The conjugate twiddles (the DIT kernel negates their imaginary
+  // parts) make it the inverse.
   const simd::Kernels& kernels = simd::ActiveKernels();
   const double* tw = reinterpret_cast<const double*>(twiddles_.data());
   std::size_t len = 2;
@@ -72,7 +73,7 @@ void FftPlan::InverseBitrev(std::span<std::complex<double>> data) const {
     len = 4;
   }
   for (; len <= n_ / 2; len <<= 2) {
-    kernels.fused_radix4_dit(d, n_, len, tw, /*sign=*/-1.0);
+    kernels.fused_radix4_dit(d, n_, len, tw);
     ++fused;
   }
   simd::NoteKernelCalls(simd::KernelKind::kFusedRadix4Dit, fused);

@@ -13,17 +13,19 @@
 
 namespace valmod::mp {
 
-/// The one walker behind every O(n^2) profile scan: STOMP, the AB-join and
-/// VALMOD's seeding scan.
+/// The one walker behind every O(n^2) profile scan: STOMP and VALMOD's
+/// seeding scan, both self-joins of one series.
 ///
-/// It visits the cells (i, j) of the matrix of window pairs diagonal by
-/// diagonal (d = j - i fixed), carrying each diagonal's dot product by the
-/// recurrence QT(i, j) = QT(i-1, j-1) + a[i+l-1] b[j+l-1] - a[i-1] b[j-1]
-/// from a direct dot product at its first cell. Adjacent diagonals are
-/// grouped into tiles of simd::kDiagonalLanes walked in lockstep, one SIMD
-/// lane per diagonal, by the dispatched `diagonal_tile` kernel; each lane
-/// keeps the scalar recurrence order, so every distance is bit-identical to
-/// a one-diagonal-at-a-time scalar walk on every target.
+/// It visits the cells (i, j), j - i >= exclusion, of the matrix of window
+/// pairs diagonal by diagonal (d = j - i fixed), carrying each diagonal's
+/// dot product by the recurrence
+/// QT(i, j) = QT(i-1, j-1) + x[i+l-1] x[j+l-1] - x[i-1] x[j-1] from a
+/// direct dot product at its first cell; each cell updates the minima of
+/// both windows. Adjacent diagonals are grouped into tiles of
+/// simd::kDiagonalLanes walked in lockstep, one SIMD lane per diagonal, by
+/// the dispatched `diagonal_tile` kernel; each lane keeps the scalar
+/// recurrence order, so every distance is bit-identical to a
+/// one-diagonal-at-a-time scalar walk on every target.
 ///
 /// Tiles are claimed longest-first from a shared counter by the workers of
 /// the thread pool. Each worker keeps its own minima (and seeding sink) and
@@ -31,15 +33,10 @@ namespace valmod::mp {
 /// (common/match_order.h), the result does not depend on which worker
 /// walked which tile, nor on the worker count.
 struct DiagonalScan {
-  /// The profiled side: the scan reports the minimum of each of its windows.
-  simd::WindowArrays a;
-  /// The other side of an AB-join; ignored in a self-join.
-  simd::WindowArrays b;
+  /// The windows of the series; the scan reports the minimum of each.
+  simd::WindowArrays windows;
   std::size_t length = 0;
-  /// Self-join: every cell updates both endpoints and diagonals below
-  /// `exclusion` are trivial matches. AB-join (false): all cells of a x b,
-  /// including negative diagonals (b's window starts first).
-  bool self_join = true;
+  /// Diagonals below it are trivial matches (>= 1: the self-match).
   std::size_t exclusion = 1;
 };
 
@@ -49,11 +46,11 @@ struct DiagonalScan {
 std::size_t DiagonalWorkers(const DiagonalScan& scan, int num_threads);
 
 /// Runs `scan` on `workers` workers (from DiagonalWorkers). `distances` /
-/// `indices` hold a.count entries, pre-filled (+inf / -1 for a fresh
-/// profile), and receive the minima of a's windows under MatchPrecedes.
-/// `sinks` is empty, or holds one partial-profile sink per worker for a
-/// self-join (worker w offers to sinks[w]). Returns false when the deadline
-/// fired before every tile was walked; the outputs are then incomplete.
+/// `indices` hold windows.count entries, pre-filled (+inf / -1 for a fresh
+/// profile), and receive the minima of the windows under MatchPrecedes.
+/// `sinks` is empty, or holds one partial-profile sink per worker (worker w
+/// offers to sinks[w]). Returns false when the deadline fired before every
+/// tile was walked; the outputs are then incomplete.
 bool WalkDiagonals(const DiagonalScan& scan, std::size_t workers,
                    const Deadline& deadline,
                    std::span<const simd::OfferSink> sinks, double* distances,
@@ -70,7 +67,7 @@ struct WindowStats {
   Status Compute(const series::DataSeries& series, std::size_t length);
 
   /// The arrays of `series` (which must be the series these stats were
-  /// computed from) as a scan side.
+  /// computed from) as the windows of a scan.
   simd::WindowArrays Arrays(const series::DataSeries& series) const;
 };
 

@@ -34,8 +34,7 @@ struct ProfileOptions {
   /// Trivial-match exclusion zone as a fraction of the subsequence length:
   /// offsets with |i - j| < ceil(fraction * l) never match (min 1 = self).
   double exclusion_fraction = 0.5;
-  /// Number of worker threads for STOMP, STAMP and the AB-join; <= 1 runs
-  /// serially.
+  /// Number of worker threads for STOMP and STAMP; <= 1 runs serially.
   int num_threads = 1;
   /// Cooperative deadline; algorithms return kDeadlineExceeded when it
   /// fires (checked at coarse granularity).
@@ -43,9 +42,8 @@ struct ProfileOptions {
 };
 
 /// The one length check of every fixed-length entry point (STOMP, STAMP,
-/// the AB-join, query search, streaming): a one-point window has zero
-/// deviation, so every z-normalized distance at length 1 would be a
-/// meaningless 0.
+/// query search, streaming): a one-point window has zero deviation, so
+/// every z-normalized distance at length 1 would be a meaningless 0.
 inline Status CheckSubsequenceLength(std::size_t length) {
   if (length >= 2) return Status::Ok();
   return Status::InvalidArgument("subsequence length must be >= 2");

@@ -27,7 +27,7 @@ Result<MatrixProfile> ComputeStomp(const series::DataSeries& series,
   WindowStats windows;
   VALMOD_RETURN_IF_ERROR(windows.Compute(series, length));
   DiagonalScan scan;
-  scan.a = windows.Arrays(series);
+  scan.windows = windows.Arrays(series);
   scan.length = length;
   scan.exclusion = profile.exclusion_zone;
   if (!WalkDiagonals(scan, DiagonalWorkers(scan, options.num_threads),

@@ -226,7 +226,6 @@ void StreamingProfile::RepairRow(std::size_t row) {
 }
 
 void StreamingProfile::MaybeReanchor() {
-  if (!reanchor_) return;
   const std::size_t n = values_.size();
   if (n < length_) return;
   // Rate limit: at most one re-anchor per `length` appends bounds the

@@ -29,10 +29,6 @@ struct StreamingOptions {
   /// least 2 * length so the retained window always carries enough
   /// subsequences to have non-trivial matches.
   std::size_t max_points = 0;
-
-  /// Enables periodic re-anchoring (see class comment). On by default;
-  /// tests disable it to demonstrate the drift failure mode it prevents.
-  bool reanchor = true;
 };
 
 /// Incrementally maintained matrix profile for a streaming series
@@ -62,7 +58,7 @@ struct StreamingOptions {
 /// variance of a window is computed as mean-of-squares minus square-of-mean
 /// over the shifted values, which cancels catastrophically once the window
 /// mean grows far past the window standard deviation (relative error
-/// ~ eps * mean^2 / variance). When `reanchor` is on, the profile watches
+/// ~ eps * mean^2 / variance). So the profile re-anchors: it watches
 /// that ratio and, once the retained window's mean-square exceeds ~1e6x its
 /// variance, folds the current window mean into the anchor, shifts the
 /// retained values in place, rebuilds the prefix sums, and recomputes the
@@ -76,7 +72,7 @@ class StreamingProfile {
   static Result<StreamingProfile> Create(std::size_t length,
                                          const StreamingOptions& options);
 
-  /// Convenience overload: unbounded, re-anchoring on.
+  /// Convenience overload: unbounded.
   static Result<StreamingProfile> Create(std::size_t length,
                                          double exclusion_fraction = 0.5);
 
@@ -126,7 +122,6 @@ class StreamingProfile {
                    const StreamingOptions& options)
       : length_(length),
         exclusion_(exclusion),
-        reanchor_(options.reanchor),
         values_(options.max_points) {}
 
   double Mean(std::size_t offset) const;
@@ -146,7 +141,6 @@ class StreamingProfile {
 
   std::size_t length_;
   std::size_t exclusion_;
-  bool reanchor_ = true;
   double anchor_ = 0.0;  // fixed shift applied to all values
   bool anchored_ = false;
   std::size_t last_reanchor_total_ = 0;  // total_appended() at last re-anchor

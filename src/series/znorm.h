@@ -32,8 +32,8 @@ namespace valmod::series {
 /// grouping (lane j accumulates elements j, j+4, ...; tail into lane 0;
 /// final sum (acc0 + acc1) + (acc2 + acc3)), so results are bit-identical
 /// across targets. This is the kernel behind every direct distance
-/// computation: STOMP diagonals, AB-joins, streaming updates, lower
-/// bounds, and the direct sliding-dot backend.
+/// computation: STOMP diagonals, streaming updates, lower bounds, and the
+/// direct sliding-dot backend.
 inline double DotProduct(const double* a, const double* b, std::size_t n) {
   return simd::ActiveKernels().dot_product(a, b, n);
 }

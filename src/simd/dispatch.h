@@ -71,35 +71,30 @@ struct WindowArrays {
 /// Lanes of one diagonal tile: one 256-bit vector of doubles.
 inline constexpr std::size_t kDiagonalLanes = 4;
 
-/// One tile of the O(n^2) profile scans (mp/diagonal.h): `lanes` adjacent
+/// One tile of the O(n^2) self-join scans (mp/diagonal.h): `lanes` adjacent
 /// diagonals first_diagonal + k, k < lanes, walked in lockstep from row 0.
-/// Lane k visits the cells (i, j = i + first_diagonal + k) while both
-/// windows exist, carrying the dot product QT(i, j) by the recurrence
+/// Lane k visits the cells (i, j = i + first_diagonal + k) while window j
+/// exists, carrying the dot product QT(i, j) by the recurrence
 ///
-///   QT(i, j) = QT(i-1, j-1) + rows[i+l-1] * cols[j+l-1]
-///                           - rows[i-1] * cols[j-1]
+///   QT(i, j) = QT(i-1, j-1) + values[i+l-1] * values[j+l-1]
+///                           - values[i-1] * values[j-1]
 ///
 /// from `initial_dots[k]` = QT(0, first_diagonal + k). Each cell's distance
-/// (series::PairDistanceFromDot conventions) updates the row minimum of i
-/// and/or the column minimum of j under MatchPrecedes (common/match_order.h),
-/// and, with a sink, offers the pair's base LB (core::BaseLowerBound) to
-/// both rows through the admission gate. Every target computes every cell
-/// with the scalar operation order, so results are bit-identical.
+/// (series::PairDistanceFromDot conventions) updates the minimum of i, then
+/// that of j, under MatchPrecedes (common/match_order.h), and, with a sink,
+/// offers the pair's base LB (core::BaseLowerBound) to rows i and j through
+/// the admission gate. Every target computes every cell with the scalar
+/// operation order, so results are bit-identical.
 struct DiagonalTile {
-  WindowArrays rows;
-  WindowArrays cols;  // the same arrays as `rows` in a self-join
+  WindowArrays windows;
   std::size_t length;
   std::size_t first_diagonal;
   std::size_t lanes;  // 1..kDiagonalLanes
   const double* initial_dots;
-  /// Minima of the row windows; null when rows are not profiled.
-  double* row_dist;
-  std::int64_t* row_idx;
-  /// Minima of the column windows; null when columns are not profiled.
-  double* col_dist;
-  std::int64_t* col_idx;
-  /// Partial-profile seeding; null for a plain profile. Self-joins only
-  /// (rows and cols are one series, and both minima are profiled).
+  /// Minima of the windows, updated in place.
+  double* dist;
+  std::int64_t* idx;
+  /// Partial-profile seeding; null for a plain profile.
   const OfferSink* sink;
 };
 
@@ -144,16 +139,17 @@ struct Kernels {
   /// 2*n interleaved doubles. Requires n even.
   void (*radix2_pass)(double* d, std::size_t n);
 
-  /// Fused radix-2^2 decimation-in-time pass: spans `len` and `2*len` of an
-  /// n-point transform over interleaved doubles, twiddle table `tw`
-  /// (interleaved re/im, n/2 entries), sign = +1 forward / -1 inverse.
+  /// Fused radix-2^2 decimation-in-time pass of the inverse transform: spans
+  /// `len` and `2*len` of an n-point transform over interleaved doubles,
+  /// with the conjugates of the twiddle table `tw` (interleaved re/im, n/2
+  /// forward twiddles).
   void (*fused_radix4_dit)(double* d, std::size_t n, std::size_t len,
-                           const double* tw, double sign);
+                           const double* tw);
 
-  /// Mirror decimation-in-frequency pass (twiddles applied after the
-  /// butterfly). Same contract as fused_radix4_dit.
+  /// Mirror decimation-in-frequency pass of the forward transform, with the
+  /// twiddles of `tw` as they are (applied after the butterfly).
   void (*fused_radix4_dif)(double* d, std::size_t n, std::size_t len,
-                           const double* tw, double sign);
+                           const double* tw);
 
   /// Elementwise complex product out[k] = a[k] * b[k] over n bins of
   /// interleaved (re, im) doubles. `out` may alias `a` or `b`. Matches the

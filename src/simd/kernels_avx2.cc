@@ -50,15 +50,17 @@ struct TwiddleDup {
 };
 
 /// Loads twiddles k and k+1 at stride `s` (plus `offset`) and splits into
-/// duplicated real/imag vectors, with `sign` folded into the imaginary part
-/// exactly like the scalar kernel's `sign * tw[...]`.
+/// duplicated real/imag vectors. kConjugate negates the imaginary part (the
+/// inverse transform's twiddles) by flipping its sign bit, exactly like the
+/// scalar kernel's `-tw[...]`.
+template <bool kConjugate>
 inline TwiddleDup LoadTwiddleDup(const double* tw, std::size_t k,
-                                 std::size_t s, std::size_t offset,
-                                 __m256d sign) {
+                                 std::size_t s, std::size_t offset) {
   const __m256d w = LoadTwiddlePair(tw, 2 * (k * s + offset),
                                     2 * ((k + 1) * s + offset));
+  const __m256d wi = _mm256_permute_pd(w, 0xF);
   return {_mm256_permute_pd(w, 0x0),
-          _mm256_mul_pd(_mm256_permute_pd(w, 0xF), sign)};
+          kConjugate ? _mm256_xor_pd(wi, _mm256_set1_pd(-0.0)) : wi};
 }
 
 void Radix2PassAvx2(double* d, std::size_t n) {
@@ -77,13 +79,14 @@ void Radix2PassAvx2(double* d, std::size_t n) {
   for (; i < total; i += 4) scalar_kernel::Radix2Butterfly(d, i);
 }
 
-/// The 2-complex-wide fused DIT inner body at index k.
+/// The 2-complex-wide fused DIT inner body at index k (conjugate
+/// twiddles).
 inline void FusedDitPair(double* pa, double* pb, double* pc, double* pd,
                          std::size_t k, const double* tw, std::size_t s1,
-                         std::size_t s2, std::size_t quarter, __m256d sign) {
-  const TwiddleDup w1 = LoadTwiddleDup(tw, k, s1, 0, sign);
-  const TwiddleDup w2 = LoadTwiddleDup(tw, k, s2, 0, sign);
-  const TwiddleDup w3 = LoadTwiddleDup(tw, k, s2, quarter, sign);
+                         std::size_t s2, std::size_t quarter) {
+  const TwiddleDup w1 = LoadTwiddleDup<true>(tw, k, s1, 0);
+  const TwiddleDup w2 = LoadTwiddleDup<true>(tw, k, s2, 0);
+  const TwiddleDup w3 = LoadTwiddleDup<true>(tw, k, s2, quarter);
 
   const __m256d vb = _mm256_loadu_pd(pb + 2 * k);
   const __m256d t1 = ComplexMulByDup(w1.r, w1.i, vb);
@@ -109,10 +112,10 @@ inline void FusedDitPair(double* pa, double* pb, double* pc, double* pd,
 /// The 2-complex-wide fused DIF inner body at index k.
 inline void FusedDifPair(double* pa, double* pb, double* pc, double* pd,
                          std::size_t k, const double* tw, std::size_t s1,
-                         std::size_t s2, std::size_t quarter, __m256d sign) {
-  const TwiddleDup w1 = LoadTwiddleDup(tw, k, s1, 0, sign);
-  const TwiddleDup w2 = LoadTwiddleDup(tw, k, s2, 0, sign);
-  const TwiddleDup w3 = LoadTwiddleDup(tw, k, s2, quarter, sign);
+                         std::size_t s2, std::size_t quarter) {
+  const TwiddleDup w1 = LoadTwiddleDup<false>(tw, k, s1, 0);
+  const TwiddleDup w2 = LoadTwiddleDup<false>(tw, k, s2, 0);
+  const TwiddleDup w3 = LoadTwiddleDup<false>(tw, k, s2, quarter);
 
   const __m256d va = _mm256_loadu_pd(pa + 2 * k);
   const __m256d vc = _mm256_loadu_pd(pc + 2 * k);
@@ -136,12 +139,11 @@ inline void FusedDifPair(double* pa, double* pb, double* pc, double* pd,
 }
 
 void FusedRadix4DitAvx2(double* d, std::size_t n, std::size_t len,
-                        const double* tw, double sign) {
+                        const double* tw) {
   const std::size_t half = len / 2;
   const std::size_t s1 = n / len;
   const std::size_t s2 = s1 / 2;
   const std::size_t quarter = n / 4;
-  const __m256d vsign = _mm256_set1_pd(sign);
   for (std::size_t start = 0; start < n; start += 2 * len) {
     double* pa = d + 2 * start;
     double* pb = pa + len;
@@ -149,22 +151,21 @@ void FusedRadix4DitAvx2(double* d, std::size_t n, std::size_t len,
     double* pd = pa + 3 * len;
     std::size_t k = 0;
     for (; k + 2 <= half; k += 2) {
-      FusedDitPair(pa, pb, pc, pd, k, tw, s1, s2, quarter, vsign);
+      FusedDitPair(pa, pb, pc, pd, k, tw, s1, s2, quarter);
     }
     for (; k < half; ++k) {
-      scalar_kernel::FusedDitButterfly(pa, pb, pc, pd, k, tw, s1, s2, quarter,
-                                       sign);
+      scalar_kernel::FusedDitButterfly(pa, pb, pc, pd, k, tw, s1, s2,
+                                       quarter);
     }
   }
 }
 
 void FusedRadix4DifAvx2(double* d, std::size_t n, std::size_t len,
-                        const double* tw, double sign) {
+                        const double* tw) {
   const std::size_t half = len / 2;
   const std::size_t s1 = n / len;
   const std::size_t s2 = s1 / 2;
   const std::size_t quarter = n / 4;
-  const __m256d vsign = _mm256_set1_pd(sign);
   for (std::size_t start = 0; start < n; start += 2 * len) {
     double* pa = d + 2 * start;
     double* pb = pa + len;
@@ -172,11 +173,11 @@ void FusedRadix4DifAvx2(double* d, std::size_t n, std::size_t len,
     double* pd = pa + 3 * len;
     std::size_t k = 0;
     for (; k + 2 <= half; k += 2) {
-      FusedDifPair(pa, pb, pc, pd, k, tw, s1, s2, quarter, vsign);
+      FusedDifPair(pa, pb, pc, pd, k, tw, s1, s2, quarter);
     }
     for (; k < half; ++k) {
-      scalar_kernel::FusedDifButterfly(pa, pb, pc, pd, k, tw, s1, s2, quarter,
-                                       sign);
+      scalar_kernel::FusedDifButterfly(pa, pb, pc, pd, k, tw, s1, s2,
+                                       quarter);
     }
   }
 }
@@ -293,15 +294,15 @@ inline __m256d CellBaseLb(const CellConstants& c, __m256d rho) {
 /// computed in-lane. A row drops to the scalar cell body only when it holds
 /// a constant window or some lane may change a minimum or pass a gate
 /// (compared with <=, so MatchPrecedes settles exact ties); the ragged tail
-/// rows run the scalar walk. Templated on what the tile updates so the
-/// common no-hit row carries no dead work.
-template <bool kRows, bool kCols, bool kSeed>
+/// rows run the scalar walk. Templated on seeding so the plain profile's
+/// no-hit row carries no base LB.
+template <bool kSeed>
 inline void DiagonalTileBody(const DiagonalTile& t, std::size_t full_rows,
                              double* qt_out) {
   const std::size_t tail = t.length - 1;
   const CellConstants c(t.length);
-  const double* rv = t.rows.values;
-  const double* cv = t.cols.values;
+  const WindowArrays& w = t.windows;
+  const double* v = w.values;
   __m256d qt = _mm256_loadu_pd(t.initial_dots);
   alignas(32) double qt_lanes[kDiagonalLanes];
   alignas(32) double d_lanes[kDiagonalLanes];
@@ -310,15 +311,15 @@ inline void DiagonalTileBody(const DiagonalTile& t, std::size_t full_rows,
   for (std::size_t i = 0; i < full_rows; ++i) {
     const std::size_t j = i + t.first_diagonal;
     if (i > 0) {
-      const __m256d enter = _mm256_mul_pd(_mm256_set1_pd(rv[i + tail]),
-                                          _mm256_loadu_pd(cv + j + tail));
-      const __m256d leave = _mm256_mul_pd(_mm256_set1_pd(rv[i - 1]),
-                                          _mm256_loadu_pd(cv + j - 1));
+      const __m256d enter = _mm256_mul_pd(_mm256_set1_pd(v[i + tail]),
+                                          _mm256_loadu_pd(v + j + tail));
+      const __m256d leave = _mm256_mul_pd(_mm256_set1_pd(v[i - 1]),
+                                          _mm256_loadu_pd(v + j - 1));
       qt = _mm256_add_pd(qt, _mm256_sub_pd(enter, leave));
     }
     std::uint32_t col_const;
-    std::memcpy(&col_const, t.cols.is_const + j, sizeof(col_const));
-    if ((t.rows.is_const[i] | col_const) != 0) {
+    std::memcpy(&col_const, w.is_const + j, sizeof(col_const));
+    if ((w.is_const[i] | col_const) != 0) {
       _mm256_store_pd(qt_lanes, qt);
       for (std::size_t k = 0; k < kDiagonalLanes; ++k) {
         scalar_kernel::DiagonalCell(t, i, j + k, qt_lanes[k]);
@@ -326,18 +327,13 @@ inline void DiagonalTileBody(const DiagonalTile& t, std::size_t full_rows,
       continue;
     }
 
-    const __m256d rho = CellRho(c, qt, t.rows.means[i], t.cols.means + j,
-                                t.rows.stds[i], t.cols.stds + j);
+    const __m256d rho =
+        CellRho(c, qt, w.means[i], w.means + j, w.stds[i], w.stds + j);
     const __m256d d = CellDistance(c, rho);
 
-    __m256d hit = c.zero;
-    if constexpr (kRows) {
-      hit = _mm256_cmp_pd(d, _mm256_set1_pd(t.row_dist[i]), _CMP_LE_OQ);
-    }
-    if constexpr (kCols) {
-      hit = _mm256_or_pd(
-          hit, _mm256_cmp_pd(d, _mm256_loadu_pd(t.col_dist + j), _CMP_LE_OQ));
-    }
+    __m256d hit = _mm256_or_pd(
+        _mm256_cmp_pd(d, _mm256_set1_pd(t.dist[i]), _CMP_LE_OQ),
+        _mm256_cmp_pd(d, _mm256_loadu_pd(t.dist + j), _CMP_LE_OQ));
     __m256d lb = c.zero;
     if constexpr (kSeed) {
       lb = CellBaseLb(c, rho);
@@ -368,16 +364,10 @@ void DiagonalTileAvx2(const DiagonalTile& t) {
           ? scalar_kernel::DiagonalLaneRows(t, kDiagonalLanes - 1)
           : 0;
   if (full_rows > 0) {
-    const bool rows = t.row_dist != nullptr;
-    const bool cols = t.col_dist != nullptr;
     if (t.sink != nullptr) {
-      DiagonalTileBody<true, true, true>(t, full_rows, qt);
-    } else if (rows && cols) {
-      DiagonalTileBody<true, true, false>(t, full_rows, qt);
-    } else if (rows) {
-      DiagonalTileBody<true, false, false>(t, full_rows, qt);
+      DiagonalTileBody<true>(t, full_rows, qt);
     } else {
-      DiagonalTileBody<false, true, false>(t, full_rows, qt);
+      DiagonalTileBody<false>(t, full_rows, qt);
     }
   }
   scalar_kernel::DiagonalTileRows(t, full_rows, qt);

@@ -45,18 +45,22 @@ struct TwiddleDup {
   float64x2_t i;
 };
 
-inline TwiddleDup LoadTwiddleDup(const double* tw, std::size_t idx,
-                                 double sign) {
-  return {vdupq_n_f64(tw[idx]), vdupq_n_f64(sign * tw[idx + 1])};
+/// Twiddle pair (tw[idx], tw[idx + 1]) as duplicated real and imaginary
+/// vectors. kConjugate negates the imaginary part (the inverse transform's
+/// twiddles) exactly like the scalar kernel's `-tw[...]`.
+template <bool kConjugate>
+inline TwiddleDup LoadTwiddleDup(const double* tw, std::size_t idx) {
+  const double wi = tw[idx + 1];
+  return {vdupq_n_f64(tw[idx]), vdupq_n_f64(kConjugate ? -wi : wi)};
 }
 
-/// One-complex-wide fused DIT body at index k.
+/// One-complex-wide fused DIT body at index k (conjugate twiddles).
 inline void FusedDitOne(double* pa, double* pb, double* pc, double* pd,
                         std::size_t k, const double* tw, std::size_t s1,
-                        std::size_t s2, std::size_t quarter, double sign) {
-  const TwiddleDup w1 = LoadTwiddleDup(tw, 2 * k * s1, sign);
-  const TwiddleDup w2 = LoadTwiddleDup(tw, 2 * k * s2, sign);
-  const TwiddleDup w3 = LoadTwiddleDup(tw, 2 * (k * s2 + quarter), sign);
+                        std::size_t s2, std::size_t quarter) {
+  const TwiddleDup w1 = LoadTwiddleDup<true>(tw, 2 * k * s1);
+  const TwiddleDup w2 = LoadTwiddleDup<true>(tw, 2 * k * s2);
+  const TwiddleDup w3 = LoadTwiddleDup<true>(tw, 2 * (k * s2 + quarter));
 
   const float64x2_t vb = vld1q_f64(pb + 2 * k);
   const float64x2_t t1 = ComplexMulByDup(w1.r, w1.i, vb);
@@ -82,10 +86,10 @@ inline void FusedDitOne(double* pa, double* pb, double* pc, double* pd,
 /// One-complex-wide fused DIF body at index k.
 inline void FusedDifOne(double* pa, double* pb, double* pc, double* pd,
                         std::size_t k, const double* tw, std::size_t s1,
-                        std::size_t s2, std::size_t quarter, double sign) {
-  const TwiddleDup w1 = LoadTwiddleDup(tw, 2 * k * s1, sign);
-  const TwiddleDup w2 = LoadTwiddleDup(tw, 2 * k * s2, sign);
-  const TwiddleDup w3 = LoadTwiddleDup(tw, 2 * (k * s2 + quarter), sign);
+                        std::size_t s2, std::size_t quarter) {
+  const TwiddleDup w1 = LoadTwiddleDup<false>(tw, 2 * k * s1);
+  const TwiddleDup w2 = LoadTwiddleDup<false>(tw, 2 * k * s2);
+  const TwiddleDup w3 = LoadTwiddleDup<false>(tw, 2 * (k * s2 + quarter));
 
   const float64x2_t va = vld1q_f64(pa + 2 * k);
   const float64x2_t vc = vld1q_f64(pc + 2 * k);
@@ -109,7 +113,7 @@ inline void FusedDifOne(double* pa, double* pb, double* pc, double* pd,
 }
 
 void FusedRadix4DitNeon(double* d, std::size_t n, std::size_t len,
-                        const double* tw, double sign) {
+                        const double* tw) {
   const std::size_t half = len / 2;
   const std::size_t s1 = n / len;
   const std::size_t s2 = s1 / 2;
@@ -120,13 +124,13 @@ void FusedRadix4DitNeon(double* d, std::size_t n, std::size_t len,
     double* pc = pa + 2 * len;
     double* pd = pa + 3 * len;
     for (std::size_t k = 0; k < half; ++k) {
-      FusedDitOne(pa, pb, pc, pd, k, tw, s1, s2, quarter, sign);
+      FusedDitOne(pa, pb, pc, pd, k, tw, s1, s2, quarter);
     }
   }
 }
 
 void FusedRadix4DifNeon(double* d, std::size_t n, std::size_t len,
-                        const double* tw, double sign) {
+                        const double* tw) {
   const std::size_t half = len / 2;
   const std::size_t s1 = n / len;
   const std::size_t s2 = s1 / 2;
@@ -137,7 +141,7 @@ void FusedRadix4DifNeon(double* d, std::size_t n, std::size_t len,
     double* pc = pa + 2 * len;
     double* pd = pa + 3 * len;
     for (std::size_t k = 0; k < half; ++k) {
-      FusedDifOne(pa, pb, pc, pd, k, tw, s1, s2, quarter, sign);
+      FusedDifOne(pa, pb, pc, pd, k, tw, s1, s2, quarter);
     }
   }
 }

@@ -19,7 +19,7 @@ void Radix2PassScalar(double* d, std::size_t n) {
 }
 
 void FusedRadix4DitScalar(double* d, std::size_t n, std::size_t len,
-                          const double* tw, double sign) {
+                          const double* tw) {
   const std::size_t half = len / 2;
   const std::size_t s1 = n / len;
   const std::size_t s2 = s1 / 2;
@@ -30,14 +30,14 @@ void FusedRadix4DitScalar(double* d, std::size_t n, std::size_t len,
     double* pc = pa + 2 * len;
     double* pd = pa + 3 * len;
     for (std::size_t k = 0; k < half; ++k) {
-      scalar_kernel::FusedDitButterfly(pa, pb, pc, pd, k, tw, s1, s2, quarter,
-                                       sign);
+      scalar_kernel::FusedDitButterfly(pa, pb, pc, pd, k, tw, s1, s2,
+                                       quarter);
     }
   }
 }
 
 void FusedRadix4DifScalar(double* d, std::size_t n, std::size_t len,
-                          const double* tw, double sign) {
+                          const double* tw) {
   const std::size_t half = len / 2;
   const std::size_t s1 = n / len;
   const std::size_t s2 = s1 / 2;
@@ -48,8 +48,8 @@ void FusedRadix4DifScalar(double* d, std::size_t n, std::size_t len,
     double* pc = pa + 2 * len;
     double* pd = pa + 3 * len;
     for (std::size_t k = 0; k < half; ++k) {
-      scalar_kernel::FusedDifButterfly(pa, pb, pc, pd, k, tw, s1, s2, quarter,
-                                       sign);
+      scalar_kernel::FusedDifButterfly(pa, pb, pc, pd, k, tw, s1, s2,
+                                       quarter);
     }
   }
 }

@@ -33,18 +33,18 @@ inline void Radix2Butterfly(double* d, std::size_t i) {
   d[i + 3] = ai - bi;
 }
 
-/// One fused radix-2^2 DIT butterfly at inner index k (see fft/plan.cc for
-/// the derivation; this is that loop body, moved verbatim).
+/// One fused radix-2^2 DIT butterfly at inner index k of the inverse
+/// transform (see fft/plan.cc), with the conjugate twiddles: the imaginary
+/// parts are negated, which is exact.
 inline void FusedDitButterfly(double* pa, double* pb, double* pc, double* pd,
                               std::size_t k, const double* tw, std::size_t s1,
-                              std::size_t s2, std::size_t quarter,
-                              double sign) {
+                              std::size_t s2, std::size_t quarter) {
   const double w1r = tw[2 * k * s1];
-  const double w1i = sign * tw[2 * k * s1 + 1];
+  const double w1i = -tw[2 * k * s1 + 1];
   const double w2r = tw[2 * k * s2];
-  const double w2i = sign * tw[2 * k * s2 + 1];
+  const double w2i = -tw[2 * k * s2 + 1];
   const double w3r = tw[2 * (k * s2 + quarter)];
-  const double w3i = sign * tw[2 * (k * s2 + quarter) + 1];
+  const double w3i = -tw[2 * (k * s2 + quarter) + 1];
 
   const double br = pb[2 * k], bi = pb[2 * k + 1];
   const double t1r = w1r * br - w1i * bi;
@@ -75,18 +75,17 @@ inline void FusedDitButterfly(double* pa, double* pb, double* pc, double* pd,
   pd[2 * k + 1] = b0i - t4i;
 }
 
-/// One fused radix-2^2 DIF butterfly at inner index k (twiddles applied
-/// after the butterfly).
+/// One fused radix-2^2 DIF butterfly at inner index k of the forward
+/// transform (twiddles applied after the butterfly).
 inline void FusedDifButterfly(double* pa, double* pb, double* pc, double* pd,
                               std::size_t k, const double* tw, std::size_t s1,
-                              std::size_t s2, std::size_t quarter,
-                              double sign) {
+                              std::size_t s2, std::size_t quarter) {
   const double w1r = tw[2 * k * s1];
-  const double w1i = sign * tw[2 * k * s1 + 1];
+  const double w1i = tw[2 * k * s1 + 1];
   const double w2r = tw[2 * k * s2];
-  const double w2i = sign * tw[2 * k * s2 + 1];
+  const double w2i = tw[2 * k * s2 + 1];
   const double w3r = tw[2 * (k * s2 + quarter)];
-  const double w3i = sign * tw[2 * (k * s2 + quarter) + 1];
+  const double w3i = tw[2 * (k * s2 + quarter) + 1];
 
   const double ar = pa[2 * k], ai = pa[2 * k + 1];
   const double cr = pc[2 * k], ci = pc[2 * k + 1];
@@ -150,18 +149,16 @@ struct CellValue {
   double rho;
 };
 
-inline CellValue CellValueAt(const WindowArrays& rows,
-                             const WindowArrays& cols, std::size_t length,
+inline CellValue CellValueAt(const WindowArrays& w, std::size_t length,
                              std::size_t i, std::size_t j, double qt) {
   const double l = static_cast<double>(length);
-  const bool const_i = rows.is_const[i] != 0;
-  const bool const_j = cols.is_const[j] != 0;
+  const bool const_i = w.is_const[i] != 0;
+  const bool const_j = w.is_const[j] != 0;
   if (const_i || const_j) {
     return {const_i && const_j ? 0.0 : std::sqrt(l), 0.0};
   }
-  const double cov = qt / l - rows.means[i] * cols.means[j];
-  const double rho =
-      std::clamp(cov / (rows.stds[i] * cols.stds[j]), -1.0, 1.0);
+  const double cov = qt / l - w.means[i] * w.means[j];
+  const double rho = std::clamp(cov / (w.stds[i] * w.stds[j]), -1.0, 1.0);
   const double sq = 2.0 * l * (1.0 - rho);
   return {sq > 0.0 ? std::sqrt(sq) : 0.0, rho};
 }
@@ -174,22 +171,20 @@ inline double CellBaseLb(double rho, std::size_t length) {
   return residual > 0.0 ? std::sqrt(residual) : 0.0;
 }
 
-/// Applies one evaluated cell: the row minimum of i and the column minimum
-/// of j under MatchPrecedes, then the admission gate of both rows.
+/// Applies one evaluated cell: the minimum of i, then that of j, under
+/// MatchPrecedes, then the admission gate of both rows.
 inline void ApplyDiagonalCell(const DiagonalTile& t, std::size_t i,
                               std::size_t j, double qt, double distance,
                               double base_lb) {
   const auto match_i = static_cast<std::int64_t>(i);
   const auto match_j = static_cast<std::int64_t>(j);
-  if (t.row_dist != nullptr &&
-      MatchPrecedes(distance, match_j, t.row_dist[i], t.row_idx[i], i)) {
-    t.row_dist[i] = distance;
-    t.row_idx[i] = match_j;
+  if (MatchPrecedes(distance, match_j, t.dist[i], t.idx[i], i)) {
+    t.dist[i] = distance;
+    t.idx[i] = match_j;
   }
-  if (t.col_dist != nullptr &&
-      MatchPrecedes(distance, match_i, t.col_dist[j], t.col_idx[j], j)) {
-    t.col_dist[j] = distance;
-    t.col_idx[j] = match_i;
+  if (MatchPrecedes(distance, match_i, t.dist[j], t.idx[j], j)) {
+    t.dist[j] = distance;
+    t.idx[j] = match_i;
   }
   if (t.sink != nullptr) {
     const OfferSink& sink = *t.sink;
@@ -205,27 +200,24 @@ inline void ApplyDiagonalCell(const DiagonalTile& t, std::size_t i,
 /// Evaluates and applies the cell (i, j).
 inline void DiagonalCell(const DiagonalTile& t, std::size_t i, std::size_t j,
                          double qt) {
-  const CellValue v = CellValueAt(t.rows, t.cols, t.length, i, j, qt);
+  const CellValue v = CellValueAt(t.windows, t.length, i, j, qt);
   const double base_lb =
       t.sink != nullptr ? CellBaseLb(v.rho, t.length) : 0.0;
   ApplyDiagonalCell(t, i, j, qt, v.distance, base_lb);
 }
 
-/// Rows lane k visits: both windows of (i, i + first_diagonal + k) exist.
-/// Non-increasing in k.
+/// Rows lane k visits: window i + first_diagonal + k exists. Decreasing
+/// in k.
 inline std::size_t DiagonalLaneRows(const DiagonalTile& t, std::size_t k) {
-  const std::size_t diagonal = t.first_diagonal + k;
-  const std::size_t col_rows =
-      t.cols.count > diagonal ? t.cols.count - diagonal : 0;
-  return std::min(t.rows.count, col_rows);
+  return t.windows.count - (t.first_diagonal + k);
 }
 
 /// The dot-product recurrence from cell (i-1, j-1) to (i, j), i >= 1.
 inline double DiagonalStep(const DiagonalTile& t, std::size_t i,
                            std::size_t j, double qt) {
   const std::size_t tail = t.length - 1;
-  return qt + (t.rows.values[i + tail] * t.cols.values[j + tail] -
-               t.rows.values[i - 1] * t.cols.values[j - 1]);
+  const double* v = t.windows.values;
+  return qt + (v[i + tail] * v[j + tail] - v[i - 1] * v[j - 1]);
 }
 
 /// The tile in its row-major order from `first_row` on, one lane after the
@@ -270,7 +262,7 @@ inline void ApplyRowCell(const RowReseed& r, std::size_t j, double distance,
 inline void RowCells(const RowReseed& r, std::size_t begin, std::size_t end) {
   for (std::size_t j = begin; j < end; ++j) {
     const CellValue v =
-        CellValueAt(r.windows, r.windows, r.length, r.row, j, r.dots[j]);
+        CellValueAt(r.windows, r.length, r.row, j, r.dots[j]);
     ApplyRowCell(r, j, v.distance, CellBaseLb(v.rho, r.length));
   }
 }

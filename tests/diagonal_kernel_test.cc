@@ -4,8 +4,8 @@
 // that visits one diagonal at a time with the library's scalar formulas
 // (series::PairDistanceFromDot, core::BaseLowerBound) and the MatchPrecedes
 // tie rule. The cases cover ragged tiles, scans shorter than one tile,
-// AB-joins (no exclusion zone, negative diagonals), constant plateaus,
-// windows on either side of the constant-window threshold and exact ties.
+// constant plateaus, windows on either side of the constant-window
+// threshold and exact ties.
 // The row re-seed kernel, which shares the tile's cell math, is held to the
 // same scalar formulas on the same kinds of rows.
 
@@ -24,7 +24,6 @@
 #include "core/lower_bound.h"
 #include "core/partial_profile.h"
 #include "mass/mass.h"
-#include "mp/ab_join.h"
 #include "mp/diagonal.h"
 #include "mp/stomp.h"
 #include "series/generators.h"
@@ -64,44 +63,37 @@ void SortByBaseLb(std::size_t row, std::vector<core::Entry>* entries) {
 
 /// The reference: every diagonal on its own, from a direct dot product at
 /// its first cell, in the textbook order. `candidates[r]` holds every
-/// candidate of a non-constant row r in MatchPrecedes order on base LB
-/// (self-joins); a partial profile keeps the first p of them.
+/// candidate of a non-constant row r in MatchPrecedes order on base LB; a
+/// partial profile keeps the first p of them.
 struct Reference {
   Minima minima;
   std::vector<std::vector<core::Entry>> candidates;
 };
 
 Reference ReferenceWalk(const DiagonalScan& scan) {
-  const simd::WindowArrays& a = scan.a;
-  const simd::WindowArrays& b = scan.self_join ? scan.a : scan.b;
+  const simd::WindowArrays& w = scan.windows;
   const std::size_t l = scan.length;
-  Reference ref{Minima(a.count), std::vector<std::vector<core::Entry>>(
-                                     scan.self_join ? a.count : 0)};
-  const long first = scan.self_join ? static_cast<long>(scan.exclusion)
-                                    : 1 - static_cast<long>(a.count);
-  for (long d = first; d < static_cast<long>(b.count); ++d) {
-    const std::size_t i0 = d >= 0 ? 0 : static_cast<std::size_t>(-d);
-    const std::size_t j0 = d >= 0 ? static_cast<std::size_t>(d) : 0;
-    if (i0 >= a.count) continue;
-    double qt = series::DotProduct(a.values + i0, b.values + j0, l);
-    for (std::size_t i = i0, j = j0; i < a.count && j < b.count; ++i, ++j) {
-      if (i > i0) {
-        qt += a.values[i + l - 1] * b.values[j + l - 1] -
-              a.values[i - 1] * b.values[j - 1];
+  Reference ref{Minima(w.count),
+                std::vector<std::vector<core::Entry>>(w.count)};
+  for (std::size_t d = scan.exclusion; d < w.count; ++d) {
+    double qt = series::DotProduct(w.values, w.values + d, l);
+    for (std::size_t i = 0, j = d; j < w.count; ++i, ++j) {
+      if (i > 0) {
+        qt += w.values[i + l - 1] * w.values[j + l - 1] -
+              w.values[i - 1] * w.values[j - 1];
       }
-      const bool const_i = a.is_const[i] != 0;
-      const bool const_j = b.is_const[j] != 0;
+      const bool const_i = w.is_const[i] != 0;
+      const bool const_j = w.is_const[j] != 0;
       const double distance =
-          series::PairDistanceFromDot(qt, a.means[i], b.means[j], a.stds[i],
-                                      b.stds[j], l, const_i, const_j);
+          series::PairDistanceFromDot(qt, w.means[i], w.means[j], w.stds[i],
+                                      w.stds[j], l, const_i, const_j);
       ref.minima.Update(i, distance, j);
-      if (!scan.self_join) continue;
       ref.minima.Update(j, distance, i);
       const double rho =
           const_i || const_j
               ? 0.0
-              : series::CorrelationFromDot(qt, a.means[i], b.means[j],
-                                           a.stds[i], b.stds[j], l);
+              : series::CorrelationFromDot(qt, w.means[i], w.means[j],
+                                           w.stds[i], w.stds[j], l);
       const double base_lb = core::BaseLowerBound(rho, l);
       if (!const_i) {
         ref.candidates[i].push_back(
@@ -127,25 +119,22 @@ struct Walked {
 /// The walker as VALMOD's seeding scan drives it: one partial set per
 /// worker (constant rows closed), merged into the first after the walk.
 Walked WalkScan(const DiagonalScan& scan, int threads) {
-  const std::size_t count = scan.a.count;
+  const std::size_t count = scan.windows.count;
   const std::size_t workers = DiagonalWorkers(scan, threads);
   std::vector<std::unique_ptr<core::PartialProfileSet>> sets;
   std::vector<simd::OfferSink> sinks;
-  if (scan.self_join) {
-    for (std::size_t w = 0; w < workers; ++w) {
-      sets.push_back(
-          std::make_unique<core::PartialProfileSet>(count, kP, scan.length));
-      for (std::size_t r = 0; r < count; ++r) {
-        if (scan.a.is_const[r] != 0) sets.back()->Close(r);
-      }
-      sinks.push_back(sets.back()->Sink());
+  for (std::size_t w = 0; w < workers; ++w) {
+    sets.push_back(
+        std::make_unique<core::PartialProfileSet>(count, kP, scan.length));
+    for (std::size_t r = 0; r < count; ++r) {
+      if (scan.windows.is_const[r] != 0) sets.back()->Close(r);
     }
+    sinks.push_back(sets.back()->Sink());
   }
   Walked out{Minima(count), nullptr};
   EXPECT_TRUE(WalkDiagonals(scan, workers, Deadline(), sinks,
                             out.minima.distances.data(),
                             out.minima.indices.data()));
-  if (!scan.self_join) return out;
   for (std::size_t w = 1; w < workers; ++w) {
     for (std::size_t r = 0; r < count; ++r) {
       for (const core::Entry& e : sets[w]->Row(r)) {
@@ -172,10 +161,10 @@ void ExpectSameMinima(const Minima& got, const Minima& want,
 }
 
 void ExpectSamePartial(const core::PartialProfileSet& got,
-                       const Reference& want, const simd::WindowArrays& a,
+                       const Reference& want, const simd::WindowArrays& w,
                        const std::string& where) {
-  for (std::size_t r = 0; r < a.count; ++r) {
-    if (a.is_const[r] != 0) {
+  for (std::size_t r = 0; r < w.count; ++r) {
+    if (w.is_const[r] != 0) {
       EXPECT_FALSE(got.seeded(r)) << where << " row " << r;
       continue;
     }
@@ -213,11 +202,11 @@ struct OfferLog {
 /// exactly the candidates with base_lb <= admit[r], bit for bit.
 void ExpectGateContract(const DiagonalScan& scan, const Reference& want,
                         int threads, const std::string& where) {
-  const std::size_t count = scan.a.count;
+  const std::size_t count = scan.windows.count;
   std::vector<double> admit(count, -kInf);
   for (std::size_t r = 0; r < count; ++r) {
     const auto& all = want.candidates[r];
-    if (scan.a.is_const[r] == 0 && !all.empty()) {
+    if (scan.windows.is_const[r] == 0 && !all.empty()) {
       admit[r] = all[std::min(all.size(), kP) - 1].base_lb;
     }
   }
@@ -307,9 +296,8 @@ void CheckScan(const DiagonalScan& scan, const std::string& name) {
                                 " threads=" + std::to_string(threads);
       const Walked got = WalkScan(scan, threads);
       ExpectSameMinima(got.minima, want.minima, where);
-      if (scan.self_join) ExpectSamePartial(*got.partial, want, scan.a, where);
-
-      if (scan.self_join) ExpectGateContract(scan, want, threads, where);
+      ExpectSamePartial(*got.partial, want, scan.windows, where);
+      ExpectGateContract(scan, want, threads, where);
 
       // Outputs pre-filled with each row's minimum distance but a farther
       // match: every cell that ties the minimum must reach the exact
@@ -319,7 +307,7 @@ void CheckScan(const DiagonalScan& scan, const std::string& name) {
       for (std::size_t i = 0; i < tied.indices.size(); ++i) {
         if (tied.indices[i] >= 0) {
           tied.indices[i] =
-              static_cast<std::int64_t>(i + scan.a.count + scan.b.count);
+              static_cast<std::int64_t>(i + scan.windows.count);
         }
       }
       EXPECT_TRUE(WalkDiagonals(scan, DiagonalWorkers(scan, threads),
@@ -336,7 +324,7 @@ void CheckSelfJoin(const series::DataSeries& series, std::size_t length,
   WindowStats windows;
   ASSERT_TRUE(windows.Compute(series, length).ok());
   DiagonalScan scan;
-  scan.a = windows.Arrays(series);
+  scan.windows = windows.Arrays(series);
   scan.length = length;
   scan.exclusion = ExclusionZoneFor(length, exclusion_fraction);
   CheckScan(scan, name);
@@ -355,33 +343,6 @@ void CheckSelfJoin(const series::DataSeries& series, std::size_t length,
     ExpectSameMinima(
         got, want.minima,
         name + " ComputeStomp threads=" + std::to_string(threads));
-  }
-}
-
-void CheckAbJoin(const series::DataSeries& a, const series::DataSeries& b,
-                 std::size_t length, const std::string& name) {
-  WindowStats windows_a, windows_b;
-  ASSERT_TRUE(windows_a.Compute(a, length).ok());
-  ASSERT_TRUE(windows_b.Compute(b, length).ok());
-  DiagonalScan scan;
-  scan.a = windows_a.Arrays(a);
-  scan.b = windows_b.Arrays(b);
-  scan.length = length;
-  scan.self_join = false;
-  CheckScan(scan, name);
-
-  const Reference want = ReferenceWalk(scan);
-  for (int threads : {1, 3}) {
-    ProfileOptions options;
-    options.num_threads = threads;
-    auto join = ComputeAbJoin(a, b, length, options);
-    ASSERT_TRUE(join.ok());
-    Minima got(0);
-    got.distances = join->distances;
-    got.indices = join->indices;
-    ExpectSameMinima(
-        got, want.minima,
-        name + " ComputeAbJoin threads=" + std::to_string(threads));
   }
 }
 
@@ -434,23 +395,13 @@ TEST(DiagonalKernelTest, ExactTiesInsideOneTile) {
   CheckSelfJoin(FromValues(std::move(values)), 8, 0.0, "ties");
 }
 
-TEST(DiagonalKernelTest, AbJoinWalksNegativeDiagonals) {
-  // 282 x 191 windows: 191 diagonals >= 0 and 281 below, both ragged.
-  CheckAbJoin(RandomWalk(301, 8), RandomWalk(210, 9), 20, "ab");
-}
-
-TEST(DiagonalKernelTest, AbJoinShortSideAndPlateaus) {
-  CheckAbJoin(RandomWalk(22, 10), Plateaus(160, 11), 20, "ab-short");
-  CheckAbJoin(Plateaus(240, 12), Plateaus(180, 13), 16, "ab-plateaus");
-}
-
 TEST(DiagonalKernelTest, WorkersNeverExceedPoolOrTiles) {
   auto series = synth::ByName("random_walk", 300, 14);
   ASSERT_TRUE(series.ok());
   WindowStats windows;
   ASSERT_TRUE(windows.Compute(*series, 20).ok());
   DiagonalScan scan;
-  scan.a = windows.Arrays(*series);
+  scan.windows = windows.Arrays(*series);
   scan.length = 20;
   scan.exclusion = 10;
   // 281 windows, exclusion 10: 271 diagonals in 68 tiles.

@@ -4,7 +4,8 @@
 // distances fails the property. A second tier pins the sweep shape (long
 // lengths, few rows certify) where partial-profile rows grow and recomputed
 // rows come from cached dot rows or from MASS. A third pins a planted exact
-// repeat, whose top-1 distance is about 0.
+// repeat, whose top-1 distance is about 0, and a fourth the rows the
+// certification loop recomputes.
 
 #include <gtest/gtest.h>
 
@@ -259,6 +260,47 @@ TEST(ValmodPlantedRepeatTest, TopPairMatchesStomp) {
           << "threads " << threads << " length " << (*baseline)[i].length;
       EXPECT_NEAR(got[0].distance, want[0].distance, 1e-5);
       EXPECT_LT(got[0].distance, 1e-5);
+    }
+  }
+}
+
+// k = 1 runs whose certification loop scores deferred rows: every deferred
+// row whose bound reaches the selection's threshold is scored before any
+// row is recomputed, so a row it certifies is never recomputed. The ceiling
+// is the run's total of recomputed rows with that scoring in place. The
+// first shape is the sweep-shape tier's p = 2 shape, where the loop scores
+// about 800 rows at length 201. On the second, a loop that left the
+// deferred rows unscored recomputes 1830 rows instead of 1829 and moves
+// motif distances in their last bits; the other shapes probed (k = 1, six
+// generators, n 512-4096) recompute the same total either way.
+struct RecomputeCeiling {
+  std::size_t n, seed, lmin, lmax, p, max_recomputed;
+};
+
+constexpr RecomputeCeiling kRecomputeCeilings[] = {
+    {1024, 1, 200, 240, 2, 907},
+    {2048, 3, 100, 160, 1, 1829},
+};
+
+TEST(ValmodCertificationLoopTest, ScoresDeferredRowsBeforeRecomputing) {
+  for (const RecomputeCeiling& shape : kRecomputeCeilings) {
+    auto series = synth::ByName("random_walk", shape.n, shape.seed);
+    ASSERT_TRUE(series.ok());
+    for (int threads : {1, 4}) {
+      ValmodOptions options;
+      options.min_length = shape.lmin;
+      options.max_length = shape.lmax;
+      options.p = shape.p;
+      options.num_threads = threads;
+      auto result = RunValmod(*series, options);
+      ASSERT_TRUE(result.ok()) << result.status().ToString();
+      std::size_t recomputed = 0;
+      for (const LengthStats& stats : result->stats) {
+        recomputed += stats.recomputed_rows;
+      }
+      EXPECT_LE(recomputed, shape.max_recomputed)
+          << "random_walk n=" << shape.n << " seed=" << shape.seed
+          << " threads=" << threads;
     }
   }
 }
