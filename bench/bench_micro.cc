@@ -77,6 +77,25 @@ void BM_Stomp(benchmark::State& state) {
 BENCHMARK(BM_Stomp)->Arg(1 << 11)->Arg(1 << 12)->Arg(1 << 13)
     ->Unit(benchmark::kMillisecond);
 
+// VALMOD at one length: the seeding scan (a STOMP walk that also fills the
+// partial profiles) plus the top-k. Against BM_Stomp at the same n, the
+// ratio is the price of seeding.
+void BM_SeedingScan(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const DataSeries series = MakeSeries(n);
+  valmod::core::ValmodOptions options;
+  options.min_length = 128;
+  options.max_length = 128;
+  for (auto _ : state) {
+    auto result = valmod::core::RunValmod(series, options);
+    benchmark::DoNotOptimize(result);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(n) * static_cast<int64_t>(n));
+}
+BENCHMARK(BM_SeedingScan)->Arg(1 << 11)->Arg(1 << 12)->Arg(1 << 13)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_StompParallel(benchmark::State& state) {
   const DataSeries series = MakeSeries(1 << 13);
   valmod::mp::ProfileOptions options;

@@ -287,23 +287,23 @@ Status ValmodRunner::InitialScan() {
   }
 
   // Closed rows are empty in every set (the gate rejected all their
-  // candidates), so the merge offers only to open rows.
+  // candidates), so the merge offers only to open rows. Each row touches
+  // only its own entries and facts, so rows merge in parallel; within a
+  // row the workers merge in order.
   partial_ = std::move(partials[0]);
-  for (std::size_t w = 1; w < workers; ++w) {
-    for (std::size_t i = 0; i < count; ++i) {
+  first_lb_.resize(count);
+  sigma_base_.resize(count);
+  reached_.resize(count);
+  ForEachClaimed(count, options_.num_threads, [&](std::size_t i) {
+    for (std::size_t w = 1; w < workers; ++w) {
       for (const Entry& e : partials[w]->Row(i)) {
         partial_->Offer(i, e.match, e.dot, e.base_lb);
       }
     }
-    partials[w].reset();
-  }
-  first_lb_.resize(count);
-  sigma_base_.resize(count);
-  reached_.resize(count);
-  for (std::size_t i = 0; i < count; ++i) {
     if (partial_->seeded(i)) partial_->FinishSeeding(i);
     NoteSeeded(i);
-  }
+  });
+  partials.clear();
 
   // Constant rows the sweep already profiled are exact as-is: the scan's
   // convention distances (0 to a constant partner, sqrt(l) to anything

@@ -59,6 +59,16 @@ bool WalkDiagonals(const DiagonalScan& scan, std::size_t workers,
   ParallelFor(0, workers, static_cast<int>(workers), [&](std::size_t w) {
     double* dist = w == 0 ? distances : local_dist[w - 1].data();
     std::int64_t* idx = w == 0 ? indices : local_idx[w - 1].data();
+    const simd::OfferSink* sink = sinks.empty() ? nullptr : &sinks[w];
+    // The worker's row gates, kept by its tiles from here on.
+    std::vector<double> gate(count);
+    for (std::size_t r = 0; r < count; ++r) {
+      gate[r] = simd::DiagonalGate(
+          dist[r],
+          sink != nullptr ? sink->admit[r]
+                          : -std::numeric_limits<double>::infinity(),
+          scan.length);
+    }
     for (;;) {
       if (expired.load(std::memory_order_relaxed)) return;
       const std::size_t tile =
@@ -78,8 +88,8 @@ bool WalkDiagonals(const DiagonalScan& scan, std::size_t workers,
       }
       direct_dots[w] += lanes;
       const simd::DiagonalTile walk{
-          windows, scan.length, first, lanes, dots, dist, idx,
-          sinks.empty() ? nullptr : &sinks[w],
+          windows, scan.length, first, lanes, dots, dist, idx, sink,
+          gate.data(),
       };
       kernels.diagonal_tile(walk);
     }

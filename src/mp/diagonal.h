@@ -28,8 +28,9 @@ namespace valmod::mp {
 /// one-diagonal-at-a-time scalar walk on every target.
 ///
 /// Tiles are claimed longest-first from a shared counter by the workers of
-/// the thread pool. Each worker keeps its own minima (and seeding sink) and
-/// the minima are merged at the end; because every pick uses MatchPrecedes
+/// the thread pool. Each worker keeps its own minima, row gates
+/// (simd::DiagonalTile::gate, count doubles per worker) and seeding sink,
+/// and the minima are merged at the end; because every pick uses MatchPrecedes
 /// (common/match_order.h), the result does not depend on which worker
 /// walked which tile, nor on the worker count.
 struct DiagonalScan {

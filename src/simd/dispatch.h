@@ -50,7 +50,9 @@ struct OfferSink {
   /// only when its base LB is <= admit[row]. The owner keeps it at +inf
   /// while a row can still grow, at the current worst stored base LB once
   /// it is full, and at -inf for rows that take no candidates. `offer` may
-  /// change admit[] — tiles re-read it for every cell.
+  /// change admit[] — tiles re-read it after every offer — but only ever
+  /// lowers it during a walk: the diagonal tile's row gates
+  /// (DiagonalTile::gate) rely on that.
   const double* admit;
   void (*offer)(void* context, std::size_t row, std::int64_t match,
                 double dot, double base_lb);
@@ -85,18 +87,43 @@ inline constexpr std::size_t kDiagonalLanes = 4;
 /// offers the pair's base LB (core::BaseLowerBound) to rows i and j through
 /// the admission gate. Every target computes every cell with the scalar
 /// operation order, so results are bit-identical.
+///
+/// A cell of two non-constant windows is first compared, by its
+/// correlation rho alone, with the gates of its two rows: when rho is below
+/// both it can change neither minimum nor pass either admission gate, and
+/// the tile moves on without computing its distance or base LB.
 struct DiagonalTile {
   WindowArrays windows;
   std::size_t length;
   std::size_t first_diagonal;
   std::size_t lanes;  // 1..kDiagonalLanes
   const double* initial_dots;
-  /// Minima of the windows, updated in place.
+  /// Minima of the windows, updated in place. They only fall during a walk.
   double* dist;
   std::int64_t* idx;
   /// Partial-profile seeding; null for a plain profile.
   const OfferSink* sink;
+  /// Per-row correlation gates, windows.count entries, kept by the tile: no
+  /// cell whose correlation is at or below gate[r] can change row r. The
+  /// caller fills gate[r] with DiagonalGate(dist[r], admit[r], length)
+  /// (admit -inf without a sink) before a worker's first tile and keeps the
+  /// array between that worker's tiles. A tile recomputes gate[r] whenever
+  /// it changes dist[r] or an offer changes admit[r]; since both only fall,
+  /// a gate that lags behind them is looser, never wrong.
+  double* gate;
 };
+
+/// The gate of one row of a diagonal walk: a correlation at or below which
+/// no cell of non-constant windows can change the row's minimum `dist` (its
+/// distance <= dist, so exact ties still reach MatchPrecedes) or pass its
+/// admission gate `admit` (its base LB <= admit). The distance and the base
+/// LB are the tile's own scalar formulas, both non-increasing in the
+/// correlation; the gate starts from their closed-form inverses and is
+/// verified with the formulas themselves, so it needs no slack and sits
+/// within about 2^-44 below the smallest correlation that can change the
+/// row. -inf when every cell can (an open row, a row with no minimum yet);
+/// a closed row (admit -inf) gates on its minimum alone.
+double DiagonalGate(double dist, double admit, std::size_t length);
 
 /// What a row re-seed reuses from one row to the next: the row's base LBs
 /// and the offer order of its blocks. The kernel sizes it; each thread that
@@ -174,8 +201,8 @@ struct Kernels {
                        double global_mean, double* means, double* std_devs);
 
   /// Walks one diagonal tile (see DiagonalTile). Vector targets run the
-  /// lanes in one register and drop to the scalar cell body for minimum or
-  /// gate hits, constant windows and the ragged tail rows.
+  /// lanes in one register and drop to the scalar cell body for the lanes
+  /// that pass a row gate, constant windows and the ragged tail rows.
   void (*diagonal_tile)(const DiagonalTile& tile);
 
   /// Re-seeds one row (see RowReseed). Vector targets evaluate four cells

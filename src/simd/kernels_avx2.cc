@@ -18,6 +18,7 @@
 #include <immintrin.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -289,14 +290,13 @@ inline __m256d CellBaseLb(const CellConstants& c, __m256d rho) {
                           _mm256_cmp_pd(rho, c.zero, _CMP_LE_OQ));
 }
 
-/// The diagonal tile's full-width rows: all four lanes in one register,
-/// with the distance (and, when seeding, the base LB) of every cell
-/// computed in-lane. A row drops to the scalar cell body only when it holds
-/// a constant window or some lane may change a minimum or pass a gate
-/// (compared with <=, so MatchPrecedes settles exact ties); the ragged tail
-/// rows run the scalar walk. Templated on seeding so the plain profile's
-/// no-hit row carries no base LB.
-template <bool kSeed>
+/// The diagonal tile's full-width rows: all four lanes in one register.
+/// Each row compares its four correlations with the row gates of i and of
+/// j..j+3 (not-less-than, unordered, so a NaN correlation passes); only
+/// when some lane passes are the distances and base LBs computed, and only
+/// the passing lanes go through the scalar apply.
+/// A row holding a constant window runs the scalar cells; the ragged tail
+/// rows run the scalar walk.
 inline void DiagonalTileBody(const DiagonalTile& t, std::size_t full_rows,
                              double* qt_out) {
   const std::size_t tail = t.length - 1;
@@ -329,26 +329,17 @@ inline void DiagonalTileBody(const DiagonalTile& t, std::size_t full_rows,
 
     const __m256d rho =
         CellRho(c, qt, w.means[i], w.means + j, w.stds[i], w.stds + j);
-    const __m256d d = CellDistance(c, rho);
-
-    __m256d hit = _mm256_or_pd(
-        _mm256_cmp_pd(d, _mm256_set1_pd(t.dist[i]), _CMP_LE_OQ),
-        _mm256_cmp_pd(d, _mm256_loadu_pd(t.dist + j), _CMP_LE_OQ));
-    __m256d lb = c.zero;
-    if constexpr (kSeed) {
-      lb = CellBaseLb(c, rho);
-      const double* admit = t.sink->admit;
-      hit = _mm256_or_pd(
-          hit, _mm256_cmp_pd(lb, _mm256_set1_pd(admit[i]), _CMP_LE_OQ));
-      hit = _mm256_or_pd(
-          hit, _mm256_cmp_pd(lb, _mm256_loadu_pd(admit + j), _CMP_LE_OQ));
-    }
-    if (_mm256_movemask_pd(hit) == 0) continue;
+    const __m256d pass = _mm256_or_pd(
+        _mm256_cmp_pd(rho, _mm256_set1_pd(t.gate[i]), _CMP_NLT_UQ),
+        _mm256_cmp_pd(rho, _mm256_loadu_pd(t.gate + j), _CMP_NLT_UQ));
+    unsigned mask = static_cast<unsigned>(_mm256_movemask_pd(pass));
+    if (mask == 0) continue;
 
     _mm256_store_pd(qt_lanes, qt);
-    _mm256_store_pd(d_lanes, d);
-    _mm256_store_pd(lb_lanes, lb);
-    for (std::size_t k = 0; k < kDiagonalLanes; ++k) {
+    _mm256_store_pd(d_lanes, CellDistance(c, rho));
+    _mm256_store_pd(lb_lanes, CellBaseLb(c, rho));
+    for (; mask != 0; mask &= mask - 1) {
+      const auto k = static_cast<std::size_t>(std::countr_zero(mask));
       scalar_kernel::ApplyDiagonalCell(t, i, j + k, qt_lanes[k], d_lanes[k],
                                        lb_lanes[k]);
     }
@@ -363,13 +354,7 @@ void DiagonalTileAvx2(const DiagonalTile& t) {
       t.lanes == kDiagonalLanes
           ? scalar_kernel::DiagonalLaneRows(t, kDiagonalLanes - 1)
           : 0;
-  if (full_rows > 0) {
-    if (t.sink != nullptr) {
-      DiagonalTileBody<true>(t, full_rows, qt);
-    } else {
-      DiagonalTileBody<false>(t, full_rows, qt);
-    }
-  }
+  if (full_rows > 0) DiagonalTileBody(t, full_rows, qt);
   scalar_kernel::DiagonalTileRows(t, full_rows, qt);
 }
 

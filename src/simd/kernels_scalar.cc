@@ -95,6 +95,10 @@ void ReseedRowScalar(const RowReseed& row) {
 
 }  // namespace
 
+double DiagonalGate(double dist, double admit, std::size_t length) {
+  return scalar_kernel::RowGate(dist, admit, length);
+}
+
 const Kernels& ScalarKernels() {
   static constexpr Kernels kTable = {
       &Radix2PassScalar,      &FusedRadix4DitScalar, &FusedRadix4DifScalar,

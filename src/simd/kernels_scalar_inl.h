@@ -138,9 +138,25 @@ inline void WindowStatsAt(const double* prefix, const double* prefix_sq,
   std_devs[i] = std::sqrt(var > 0.0 ? var : 0.0);
 }
 
+/// The correlation of the cell (i, j) of a profile scan, both windows
+/// non-constant, from its dot product: series::CorrelationFromDot,
+/// operation for operation.
+inline double CellRho(const WindowArrays& w, std::size_t length,
+                      std::size_t i, std::size_t j, double qt) {
+  const double l = static_cast<double>(length);
+  const double cov = qt / l - w.means[i] * w.means[j];
+  return std::clamp(cov / (w.stds[i] * w.stds[j]), -1.0, 1.0);
+}
+
+/// series::DistanceFromCorrelation, operation for operation. Non-increasing
+/// in rho: every step rounds monotonically.
+inline double CellDistance(double rho, std::size_t length) {
+  const double sq = 2.0 * static_cast<double>(length) * (1.0 - rho);
+  return sq > 0.0 ? std::sqrt(sq) : 0.0;
+}
+
 /// Distance and correlation of the cell (i, j) of a profile scan from its
-/// dot product: the operations, in order, of series::CorrelationFromDot and
-/// series::DistanceFromCorrelation, with the constant-window conventions of
+/// dot product, with the constant-window conventions of
 /// series::PairDistanceFromDot (a pair with a constant window has
 /// correlation 0, so its base LB is sqrt(l)). Shared by the diagonal tile
 /// and the row re-seed.
@@ -151,19 +167,20 @@ struct CellValue {
 
 inline CellValue CellValueAt(const WindowArrays& w, std::size_t length,
                              std::size_t i, std::size_t j, double qt) {
-  const double l = static_cast<double>(length);
   const bool const_i = w.is_const[i] != 0;
   const bool const_j = w.is_const[j] != 0;
   if (const_i || const_j) {
-    return {const_i && const_j ? 0.0 : std::sqrt(l), 0.0};
+    return {const_i && const_j ? 0.0
+                               : std::sqrt(static_cast<double>(length)),
+            0.0};
   }
-  const double cov = qt / l - w.means[i] * w.means[j];
-  const double rho = std::clamp(cov / (w.stds[i] * w.stds[j]), -1.0, 1.0);
-  const double sq = 2.0 * l * (1.0 - rho);
-  return {sq > 0.0 ? std::sqrt(sq) : 0.0, rho};
+  const double rho = CellRho(w, length, i, j, qt);
+  return {CellDistance(rho, length), rho};
 }
 
-/// core::BaseLowerBound, operation for operation.
+/// core::BaseLowerBound, operation for operation. Non-increasing in rho:
+/// sqrt(l) up to rho = 0, then every step rounds monotonically, and
+/// l * (1 - rho^2) never rounds above l.
 inline double CellBaseLb(double rho, std::size_t length) {
   const double l = static_cast<double>(length);
   if (rho <= 0.0) return std::sqrt(l);
@@ -171,36 +188,116 @@ inline double CellBaseLb(double rho, std::size_t length) {
   return residual > 0.0 ? std::sqrt(residual) : 0.0;
 }
 
+/// A gate for `value`, non-increasing in rho over [-1, 1]: a t with
+/// value(rho) > limit for every rho <= t, so a cell whose correlation is
+/// below t cannot pass `value(rho) <= limit`. The search starts just below
+/// the closed-form estimate `guess` of the smallest passing rho and moves
+/// down, by steps growing 256-fold, until the exact scalar formula rejects
+/// t itself; -inf (which every cell passes) once t would reach -1. A gate
+/// is therefore below the smallest passing rho, and from a close estimate
+/// at most about 2^-44 below it: the rare cells in between pass the compare
+/// and are rejected by the exact tests behind it.
+template <typename Value>
+inline double LowestPassing(const Value& value, double limit, double guess) {
+  for (double step = 0x1p-44; step <= 1.0; step *= 256.0) {
+    const double t = guess - step;
+    if (!(t > -1.0)) break;
+    if (!(value(t) <= limit)) return t;
+  }
+  return -std::numeric_limits<double>::infinity();
+}
+
+/// A gate on the cell distance: no correlation below it has distance <=
+/// `dist`. Every cell's distance is below 2 sqrt(l) or just above it.
+inline double DistanceGate(double dist, std::size_t length) {
+  const double l = static_cast<double>(length);
+  if (!(dist >= 0.0)) return std::numeric_limits<double>::infinity();
+  if (dist * dist >= 4.0 * l) return -std::numeric_limits<double>::infinity();
+  return LowestPassing(
+      [length](double rho) { return CellDistance(rho, length); }, dist,
+      1.0 - dist * dist / (2.0 * l));
+}
+
+/// A gate on the base LB: no correlation below it has base LB <= `admit`.
+/// Every base LB is at most sqrt(l).
+inline double AdmitGate(double admit, std::size_t length) {
+  const double l = static_cast<double>(length);
+  if (!(admit >= 0.0)) return std::numeric_limits<double>::infinity();
+  if (admit * admit >= l) return -std::numeric_limits<double>::infinity();
+  return LowestPassing(
+      [length](double rho) { return CellBaseLb(rho, length); }, admit,
+      std::sqrt(1.0 - admit * admit / l));
+}
+
+/// simd::DiagonalGate. An open row (admit +inf) and a row with no minimum
+/// yet (dist +inf) pass every cell.
+inline double RowGate(double dist, double admit, std::size_t length) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  if (dist == kInf || admit == kInf) return -kInf;
+  return std::min(DistanceGate(dist, length), AdmitGate(admit, length));
+}
+
+/// Recomputes row r's gate from its minimum and admission gate.
+inline void RefreshGate(const DiagonalTile& t, std::size_t r) {
+  t.gate[r] = RowGate(t.dist[r],
+                      t.sink != nullptr
+                          ? t.sink->admit[r]
+                          : -std::numeric_limits<double>::infinity(),
+                      t.length);
+}
+
 /// Applies one evaluated cell: the minimum of i, then that of j, under
-/// MatchPrecedes, then the admission gate of both rows.
+/// MatchPrecedes, then the admission gate of both rows. A row whose minimum
+/// distance or admission gate changed gets its gate recomputed; both only
+/// fall during a walk, so a gate not yet recomputed is merely looser.
 inline void ApplyDiagonalCell(const DiagonalTile& t, std::size_t i,
                               std::size_t j, double qt, double distance,
                               double base_lb) {
   const auto match_i = static_cast<std::int64_t>(i);
   const auto match_j = static_cast<std::int64_t>(j);
+  bool changed_i = false;
+  bool changed_j = false;
   if (MatchPrecedes(distance, match_j, t.dist[i], t.idx[i], i)) {
+    changed_i = distance != t.dist[i];
     t.dist[i] = distance;
     t.idx[i] = match_j;
   }
   if (MatchPrecedes(distance, match_i, t.dist[j], t.idx[j], j)) {
+    changed_j = distance != t.dist[j];
     t.dist[j] = distance;
     t.idx[j] = match_i;
   }
   if (t.sink != nullptr) {
     const OfferSink& sink = *t.sink;
-    if (base_lb <= sink.admit[i]) {
+    const double admit_i = sink.admit[i];
+    if (base_lb <= admit_i) {
       sink.offer(sink.context, i, match_j, qt, base_lb);
+      changed_i |= sink.admit[i] != admit_i;
     }
-    if (base_lb <= sink.admit[j]) {
+    const double admit_j = sink.admit[j];
+    if (base_lb <= admit_j) {
       sink.offer(sink.context, j, match_i, qt, base_lb);
+      changed_j |= sink.admit[j] != admit_j;
     }
   }
+  if (changed_i) RefreshGate(t, i);
+  if (changed_j) RefreshGate(t, j);
 }
 
-/// Evaluates and applies the cell (i, j).
+/// Evaluates and applies the cell (i, j). A cell of two non-constant
+/// windows whose correlation is below the gates of both rows changes
+/// nothing and stops at the compare; a NaN correlation always passes.
 inline void DiagonalCell(const DiagonalTile& t, std::size_t i, std::size_t j,
                          double qt) {
-  const CellValue v = CellValueAt(t.windows, t.length, i, j, qt);
+  const WindowArrays& w = t.windows;
+  CellValue v;
+  if (w.is_const[i] != 0 || w.is_const[j] != 0) {
+    v = CellValueAt(w, t.length, i, j, qt);
+  } else {
+    v.rho = CellRho(w, t.length, i, j, qt);
+    if (v.rho < t.gate[i] && v.rho < t.gate[j]) return;
+    v.distance = CellDistance(v.rho, t.length);
+  }
   const double base_lb =
       t.sink != nullptr ? CellBaseLb(v.rho, t.length) : 0.0;
   ApplyDiagonalCell(t, i, j, qt, v.distance, base_lb);

@@ -5,7 +5,10 @@
 // (series::PairDistanceFromDot, core::BaseLowerBound) and the MatchPrecedes
 // tie rule. The cases cover ragged tiles, scans shorter than one tile,
 // constant plateaus, windows on either side of the constant-window
-// threshold and exact ties.
+// threshold, exact ties and a walk long enough that the row gates tighten
+// over hundreds of tiles.
+// The row gates (simd::DiagonalGate) are held to the same scalar formulas:
+// no correlation at or below a gate may change the row.
 // The row re-seed kernel, which shares the tile's cell math, is held to the
 // same scalar formulas on the same kinds of rows.
 
@@ -13,6 +16,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -21,6 +25,7 @@
 
 #include "common/match_order.h"
 #include "common/parallel.h"
+#include "common/rng.h"
 #include "core/lower_bound.h"
 #include "core/partial_profile.h"
 #include "mass/mass.h"
@@ -62,19 +67,38 @@ void SortByBaseLb(std::size_t row, std::vector<core::Entry>* entries) {
 }
 
 /// The reference: every diagonal on its own, from a direct dot product at
-/// its first cell, in the textbook order. `candidates[r]` holds every
-/// candidate of a non-constant row r in MatchPrecedes order on base LB; a
-/// partial profile keeps the first p of them.
+/// its first cell, in the textbook order. `candidates[r]` holds, in
+/// MatchPrecedes order on base LB, every candidate of a non-constant row r
+/// whose base LB is at most the row's p-th smallest; a partial profile
+/// keeps the first p of them.
 struct Reference {
   Minima minima;
   std::vector<std::vector<core::Entry>> candidates;
 };
+
+/// Drops the candidates above the p-th smallest base LB seen so far, which
+/// is never below the row's final p-th smallest: they can neither be kept
+/// nor pass a gate held there. Runs each time the list doubles.
+void PruneCandidates(std::vector<core::Entry>* candidates,
+                     std::size_t* prune_at) {
+  if (candidates->size() < *prune_at) return;
+  const auto by_lb = [](const core::Entry& x, const core::Entry& y) {
+    return x.base_lb < y.base_lb;
+  };
+  std::nth_element(candidates->begin(), candidates->begin() + kP - 1,
+                   candidates->end(), by_lb);
+  const double pth = (*candidates)[kP - 1].base_lb;
+  std::erase_if(*candidates,
+                [pth](const core::Entry& e) { return e.base_lb > pth; });
+  *prune_at = 2 * std::max(candidates->size(), 4 * kP);
+}
 
 Reference ReferenceWalk(const DiagonalScan& scan) {
   const simd::WindowArrays& w = scan.windows;
   const std::size_t l = scan.length;
   Reference ref{Minima(w.count),
                 std::vector<std::vector<core::Entry>>(w.count)};
+  std::vector<std::size_t> prune_at(w.count, 8 * kP);
   for (std::size_t d = scan.exclusion; d < w.count; ++d) {
     double qt = series::DotProduct(w.values, w.values + d, l);
     for (std::size_t i = 0, j = d; j < w.count; ++i, ++j) {
@@ -98,15 +122,23 @@ Reference ReferenceWalk(const DiagonalScan& scan) {
       if (!const_i) {
         ref.candidates[i].push_back(
             {static_cast<std::int64_t>(j), qt, base_lb});
+        PruneCandidates(&ref.candidates[i], &prune_at[i]);
       }
       if (!const_j) {
         ref.candidates[j].push_back(
             {static_cast<std::int64_t>(i), qt, base_lb});
+        PruneCandidates(&ref.candidates[j], &prune_at[j]);
       }
     }
   }
   for (std::size_t r = 0; r < ref.candidates.size(); ++r) {
-    SortByBaseLb(r, &ref.candidates[r]);
+    std::vector<core::Entry>& candidates = ref.candidates[r];
+    SortByBaseLb(r, &candidates);
+    if (candidates.size() > kP) {
+      const double pth = candidates[kP - 1].base_lb;
+      std::erase_if(candidates,
+                    [pth](const core::Entry& e) { return e.base_lb > pth; });
+    }
   }
   return ref;
 }
@@ -362,6 +394,15 @@ TEST(DiagonalKernelTest, OrdinarySeries) {
   CheckSelfJoin(*ecg, 40, 0.5, "ecg");
 }
 
+TEST(DiagonalKernelTest, LongSeededWalk) {
+  // 1937 windows, exclusion 32: 1905 diagonals in 477 tiles, so rows fill,
+  // their minima and admission gates fall and their correlation gates
+  // tighten across many tiles of every worker.
+  auto ecg = synth::ByName("ecg", 2000, 21);
+  ASSERT_TRUE(ecg.ok());
+  CheckSelfJoin(*ecg, 64, 0.5, "ecg long");
+}
+
 TEST(DiagonalKernelTest, ConstantPlateaus) {
   CheckSelfJoin(Plateaus(600, 6), 24, 0.5, "plateaus");
 }
@@ -412,6 +453,102 @@ TEST(DiagonalKernelTest, WorkersNeverExceedPoolOrTiles) {
   EXPECT_EQ(DiagonalWorkers(scan, 100000), 2u);
   scan.exclusion = 281;  // nothing to walk
   EXPECT_EQ(DiagonalWorkers(scan, 4), 1u);
+}
+
+/// Whether a cell of correlation `rho` can change a row with minimum `dist`
+/// and admission gate `admit`, by the library's scalar formulas.
+bool CellCanChange(double rho, double dist, double admit,
+                   std::size_t length) {
+  return series::DistanceFromCorrelation(rho, length) <= dist ||
+         core::BaseLowerBound(rho, length) <= admit;
+}
+
+/// Checks one gate: neither it nor its predecessor can change the row, and
+/// both formulas are non-increasing over the 64 doubles on either side of
+/// it, so nothing below it can either.
+void CheckGate(double dist, double admit, std::size_t length,
+               const std::string& where) {
+  const double gate = simd::DiagonalGate(dist, admit, length);
+  if (std::isinf(gate)) {
+    // -inf: every cell is let through, which is always safe. +inf: no
+    // cell is, so even a perfect correlation must change nothing.
+    if (gate > 0) EXPECT_FALSE(CellCanChange(1.0, dist, admit, length));
+    return;
+  }
+  ASSERT_GE(gate, -1.0) << where;
+  ASSERT_LE(gate, 1.0) << where;
+  EXPECT_FALSE(CellCanChange(gate, dist, admit, length))
+      << where << " gate " << gate;
+  EXPECT_FALSE(
+      CellCanChange(std::nextafter(gate, -kInf), dist, admit, length))
+      << where << " gate " << gate;
+  EXPECT_FALSE(CellCanChange(-1.0, dist, admit, length)) << where;
+  double rho = gate;
+  for (int step = 0; step < 64 && rho > -1.0; ++step) {
+    rho = std::nextafter(rho, -kInf);
+  }
+  for (int step = 0; step < 128 && rho < 1.0; ++step) {
+    const double next = std::nextafter(rho, kInf);
+    EXPECT_LE(series::DistanceFromCorrelation(next, length),
+              series::DistanceFromCorrelation(rho, length))
+        << where << " rho " << rho;
+    EXPECT_LE(core::BaseLowerBound(next, length),
+              core::BaseLowerBound(rho, length))
+        << where << " rho " << rho;
+    rho = next;
+  }
+}
+
+TEST(DiagonalGateTest, NoCorrelationBelowTheGateChangesTheRow) {
+  Rng rng(28);
+  for (const std::size_t length : {2u, 3u, 16u, 128u, 1152u, 4096u}) {
+    const double l = static_cast<double>(length);
+    const double sqrt_l = std::sqrt(l);
+    const double dists[] = {0.0,
+                            std::numeric_limits<double>::denorm_min(),
+                            1e-300,
+                            0.25 * sqrt_l,
+                            std::sqrt(2.0 * l),
+                            kInf};
+    const double admits[] = {-kInf, 0.0, 0.5 * sqrt_l, sqrt_l, kInf};
+    for (const double dist : dists) {
+      for (const double admit : admits) {
+        CheckGate(dist, admit, length,
+                  "l=" + std::to_string(length) +
+                      " dist=" + std::to_string(dist) +
+                      " admit=" + std::to_string(admit));
+      }
+    }
+    for (int draw = 0; draw < 200; ++draw) {
+      const double dist = rng.Uniform(0.0, 2.0 * sqrt_l);
+      const double admit = rng.Uniform(0.0, sqrt_l);
+      const std::string where = "l=" + std::to_string(length) +
+                                " draw " + std::to_string(draw);
+      CheckGate(dist, admit, length, where);
+      CheckGate(dist, -kInf, length, where + " closed");
+      // The gate is useful, not just safe: it sits within 2^-24 of the
+      // smallest correlation that changes the row.
+      const double gate = simd::DiagonalGate(dist, admit, length);
+      const double above = std::max(gate, -1.0) + 0x1p-24;
+      if (above <= 1.0) {
+        EXPECT_TRUE(CellCanChange(above, dist, admit, length))
+            << where << " gate " << gate;
+      }
+    }
+    // An open row, a row with no minimum yet and an admission gate no base
+    // LB exceeds let every cell through.
+    EXPECT_EQ(simd::DiagonalGate(kInf, 0.0, length), -kInf);
+    EXPECT_EQ(simd::DiagonalGate(1.0, kInf, length), -kInf);
+    EXPECT_EQ(simd::DiagonalGate(0.0, sqrt_l, length), -kInf);
+    // A closed row admits nothing: its gate is its minimum's alone, and
+    // with no minimum to beat either no cell passes.
+    for (const double dist : dists) {
+      EXPECT_EQ(Bits(simd::DiagonalGate(dist, -kInf, length)),
+                Bits(simd::DiagonalGate(dist, -1.0, length)))
+          << "l=" << length << " dist=" << dist;
+    }
+    EXPECT_EQ(simd::DiagonalGate(-1.0, -kInf, length), kInf);
+  }
 }
 
 /// The row re-seed (simd::RowReseed) of `row` from its direct dot products
