@@ -64,37 +64,56 @@ void BM_WindowStats(benchmark::State& state) {
 }
 BENCHMARK(BM_WindowStats);
 
-void BM_Stomp(benchmark::State& state) {
+/// The scan shapes of BM_Stomp and BM_SeedingScan, as {n, l, threads,
+/// random_walk}: ecg at l=128 for n = 2^11..2^13 on one thread and for
+/// n = 2^16 on 1 and 4 threads, and the `valmod_sweep` shape (random_walk,
+/// n=4096, l=896) on 1 and 4 threads, where the order the tiles are walked
+/// in decides how early the row gates close.
+void ScanShapes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"n", "l", "threads", "random_walk"});
+  for (int64_t n : {1 << 11, 1 << 12, 1 << 13}) b->Args({n, 128, 1, 0});
+  for (int64_t threads : {1, 4}) b->Args({1 << 16, 128, threads, 0});
+  for (int64_t threads : {1, 4}) b->Args({4096, 896, threads, 1});
+  b->Unit(benchmark::kMillisecond);
+}
+
+DataSeries ScanSeries(const benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const DataSeries series = MakeSeries(n);
+  if (state.range(3) == 0) return MakeSeries(n);
+  return std::move(valmod::synth::ByName("random_walk", n, 1)).value();
+}
+
+void BM_Stomp(benchmark::State& state) {
+  const DataSeries series = ScanSeries(state);
+  valmod::mp::ProfileOptions options;
+  options.num_threads = static_cast<int>(state.range(2));
   for (auto _ : state) {
-    auto profile = valmod::mp::ComputeStomp(series, 128, {});
+    auto profile = valmod::mp::ComputeStomp(
+        series, static_cast<std::size_t>(state.range(1)), options);
     benchmark::DoNotOptimize(profile);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n) * static_cast<int64_t>(n));
+                          state.range(0) * state.range(0));
 }
-BENCHMARK(BM_Stomp)->Arg(1 << 11)->Arg(1 << 12)->Arg(1 << 13)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Stomp)->Apply(ScanShapes);
 
 // VALMOD at one length: the seeding scan (a STOMP walk that also fills the
-// partial profiles) plus the top-k. Against BM_Stomp at the same n, the
+// partial profiles) plus the top-k. Against BM_Stomp at the same shape, the
 // ratio is the price of seeding.
 void BM_SeedingScan(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  const DataSeries series = MakeSeries(n);
+  const DataSeries series = ScanSeries(state);
   valmod::core::ValmodOptions options;
-  options.min_length = 128;
-  options.max_length = 128;
+  options.min_length = static_cast<std::size_t>(state.range(1));
+  options.max_length = options.min_length;
+  options.num_threads = static_cast<int>(state.range(2));
   for (auto _ : state) {
     auto result = valmod::core::RunValmod(series, options);
     benchmark::DoNotOptimize(result);
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(n) * static_cast<int64_t>(n));
+                          state.range(0) * state.range(0));
 }
-BENCHMARK(BM_SeedingScan)->Arg(1 << 11)->Arg(1 << 12)->Arg(1 << 13)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SeedingScan)->Apply(ScanShapes);
 
 void BM_StompParallel(benchmark::State& state) {
   const DataSeries series = MakeSeries(1 << 13);

@@ -265,9 +265,11 @@ Status ValmodRunner::InitialScan() {
 
   // Fused STOMP sweep: each computed pair updates the row minima of both
   // endpoints and is offered to both partial profiles. Every walker worker
-  // seeds its own partial set; since every pair is handled by exactly one
-  // worker and the sets keep a total order, merging them with Offer()
-  // yields the same p entries per row at any worker count.
+  // seeds its own partial set; every pair is handled by exactly one worker,
+  // which skips it only when some worker's set holds p entries that beat
+  // it (the shared row gates), and the sets keep a total order, so merging
+  // them with Offer() yields the same p entries per row at any worker
+  // count.
   mp::DiagonalScan scan;
   scan.windows = windows_.Arrays(series_);
   scan.length = length;

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <limits>
 #include <numeric>
+#include <vector>
 
 #include "common/match_order.h"
 #include "common/parallel.h"
@@ -16,13 +17,47 @@ namespace {
 using simd::kDiagonalLanes;
 
 /// Tiles of the diagonals [exclusion, count), kDiagonalLanes each. Tile t
-/// starts at diagonal exclusion + t * kDiagonalLanes, so the longest come
-/// first.
+/// starts at diagonal exclusion + t * kDiagonalLanes, so tile t is longer
+/// than tile t + 1.
 std::size_t TilesOf(const DiagonalScan& scan) {
   const std::size_t count = scan.windows.count;
   return count > scan.exclusion
              ? (count - scan.exclusion + kDiagonalLanes - 1) / kDiagonalLanes
              : 0;
+}
+
+/// The stride of the scattered tile order: about tiles / phi (the golden
+/// ratio), raised to the next value coprime with `tiles`, so that claim c
+/// walking tile (c * stride) mod tiles visits every tile exactly once. In
+/// index order (longest first) a row's matches improve almost
+/// monotonically, so its gate stays open; scattered, good matches arrive
+/// early from all over the matrix and the gates close.
+std::size_t TileStride(std::size_t tiles) {
+  std::size_t stride = std::max<std::size_t>(
+      1, static_cast<std::size_t>(static_cast<double>(tiles) *
+                                  0.6180339887498949));
+  while (std::gcd(stride, tiles) != 1) ++stride;
+  return stride;
+}
+
+/// Cells a worker walks between two gate exchanges, per window: two full
+/// tiles' worth.
+constexpr std::size_t kExchangeCellsPerWindow = 2 * kDiagonalLanes;
+
+/// Trades a worker's row gates with the shared ones: it publishes each gate
+/// that is higher than the shared one and adopts each shared one that is
+/// higher than its own. Every gate is valid for the merged result of its
+/// row (simd::DiagonalTile::gate), so their maximum is too. The max is
+/// racy: a store lost to another worker's only loosens that gate.
+void ExchangeGates(std::vector<std::atomic<double>>& shared, double* gate) {
+  for (std::size_t r = 0; r < shared.size(); ++r) {
+    const double theirs = shared[r].load(std::memory_order_relaxed);
+    if (gate[r] > theirs) {
+      shared[r].store(gate[r], std::memory_order_relaxed);
+    } else {
+      gate[r] = theirs;
+    }
+  }
 }
 
 }  // namespace
@@ -51,10 +86,18 @@ bool WalkDiagonals(const DiagonalScan& scan, std::size_t workers,
   std::vector<std::vector<std::int64_t>> local_idx(
       workers - 1, std::vector<std::int64_t>(count, -1));
 
+  // Row gates the workers share (none for one worker).
+  std::vector<std::atomic<double>> shared_gate(workers > 1 ? count : 0);
+  for (std::atomic<double>& g : shared_gate) {
+    g.store(-std::numeric_limits<double>::infinity(),
+            std::memory_order_relaxed);
+  }
+
   // Direct dot products per worker (the first cell of every diagonal it
   // starts), noted once after the walk.
   std::vector<std::uint64_t> direct_dots(workers, 0);
-  std::atomic<std::size_t> next_tile{0};
+  const std::size_t stride = TileStride(tiles);
+  std::atomic<std::size_t> next_claim{0};
   std::atomic<bool> expired{false};
   ParallelFor(0, workers, static_cast<int>(workers), [&](std::size_t w) {
     double* dist = w == 0 ? distances : local_dist[w - 1].data();
@@ -69,15 +112,20 @@ bool WalkDiagonals(const DiagonalScan& scan, std::size_t workers,
                           : -std::numeric_limits<double>::infinity(),
           scan.length);
     }
+    std::size_t walked = 0;  // cells since the last exchange
     for (;;) {
       if (expired.load(std::memory_order_relaxed)) return;
-      const std::size_t tile =
-          next_tile.fetch_add(1, std::memory_order_relaxed);
-      if (tile >= tiles) return;
+      const std::size_t claim =
+          next_claim.fetch_add(1, std::memory_order_relaxed);
+      if (claim >= tiles) return;
       if (deadline.Expired()) {
         expired.store(true, std::memory_order_relaxed);
         return;
       }
+      // claim < tiles and stride <= tiles: the product cannot wrap in 128
+      // bits.
+      const auto tile = static_cast<std::size_t>(
+          static_cast<unsigned __int128>(claim) * stride % tiles);
       const std::size_t first = scan.exclusion + tile * kDiagonalLanes;
       const std::size_t lanes = std::min(kDiagonalLanes, count - first);
       double dots[kDiagonalLanes];
@@ -92,6 +140,11 @@ bool WalkDiagonals(const DiagonalScan& scan, std::size_t workers,
           gate.data(),
       };
       kernels.diagonal_tile(walk);
+      walked += lanes * (count - first);
+      if (!shared_gate.empty() && walked >= kExchangeCellsPerWindow * count) {
+        ExchangeGates(shared_gate, gate.data());
+        walked = 0;
+      }
     }
   });
   simd::NoteKernelCalls(simd::KernelKind::kDotProduct,

@@ -27,12 +27,18 @@ namespace valmod::mp {
 /// recurrence order, so every distance is bit-identical to a
 /// one-diagonal-at-a-time scalar walk on every target.
 ///
-/// Tiles are claimed longest-first from a shared counter by the workers of
-/// the thread pool. Each worker keeps its own minima, row gates
-/// (simd::DiagonalTile::gate, count doubles per worker) and seeding sink,
-/// and the minima are merged at the end; because every pick uses MatchPrecedes
-/// (common/match_order.h), the result does not depend on which worker
-/// walked which tile, nor on the worker count.
+/// The workers of the thread pool claim tiles from a shared counter in a
+/// scattered order: claim c walks tile (c * stride) mod tiles, with a
+/// golden-ratio stride coprime with the tile count, so each row meets good
+/// matches early from all over the matrix and its gate closes early. Each
+/// worker keeps its own minima, row gates (simd::DiagonalTile::gate, count
+/// doubles per worker) and seeding sink, and the minima are merged at the
+/// end. With more than one worker, each trades its gates with a shared
+/// per-row array every 2 * kDiagonalLanes cells per window it walks, so a
+/// gate one worker closed closes for all. Because every pick uses
+/// MatchPrecedes (common/match_order.h) and every gate is valid for the
+/// merged result, the result does not depend on which worker walked which
+/// tile, on when gates were traded, nor on the worker count.
 struct DiagonalScan {
   /// The windows of the series; the scan reports the minimum of each.
   simd::WindowArrays windows;

@@ -104,12 +104,20 @@ struct DiagonalTile {
   /// Partial-profile seeding; null for a plain profile.
   const OfferSink* sink;
   /// Per-row correlation gates, windows.count entries, kept by the tile: no
-  /// cell whose correlation is at or below gate[r] can change row r. The
-  /// caller fills gate[r] with DiagonalGate(dist[r], admit[r], length)
-  /// (admit -inf without a sink) before a worker's first tile and keeps the
-  /// array between that worker's tiles. A tile recomputes gate[r] whenever
-  /// it changes dist[r] or an offer changes admit[r]; since both only fall,
-  /// a gate that lags behind them is looser, never wrong.
+  /// cell whose correlation is at or below gate[r] can change row r's
+  /// merged result, the minimum and the partial profile that the walk's
+  /// caller merges from all its workers. The caller fills gate[r] with
+  /// DiagonalGate(dist[r], admit[r], length) (admit -inf without a sink)
+  /// before a worker's first tile and keeps the array between that
+  /// worker's tiles; between tiles it may raise gate[r] to another worker's
+  /// gate. A tile raises gate[r] to DiagonalGate(...) whenever it changes
+  /// dist[r] or an offer changes admit[r], keeping the larger of the two.
+  /// Every worker's gate rejects only a distance strictly above that
+  /// worker's minimum, or a base LB strictly above the p-th base LB its
+  /// sink stores, so any cell it rejects is beaten by a minimum or by p
+  /// entries that the merge keeps; ties still reach MatchPrecedes and the
+  /// offer. Since dist and admit only fall, a gate that lags behind them is
+  /// looser, never wrong.
   double* gate;
 };
 

@@ -237,19 +237,22 @@ inline double RowGate(double dist, double admit, std::size_t length) {
   return std::min(DistanceGate(dist, length), AdmitGate(admit, length));
 }
 
-/// Recomputes row r's gate from its minimum and admission gate.
+/// Raises row r's gate to the one its minimum and admission gate give. The
+/// gate it holds may be higher, adopted from another worker
+/// (DiagonalTile::gate), and stays valid, so the refresh keeps the larger.
 inline void RefreshGate(const DiagonalTile& t, std::size_t r) {
-  t.gate[r] = RowGate(t.dist[r],
-                      t.sink != nullptr
-                          ? t.sink->admit[r]
-                          : -std::numeric_limits<double>::infinity(),
-                      t.length);
+  t.gate[r] = std::max(
+      t.gate[r], RowGate(t.dist[r],
+                         t.sink != nullptr
+                             ? t.sink->admit[r]
+                             : -std::numeric_limits<double>::infinity(),
+                         t.length));
 }
 
 /// Applies one evaluated cell: the minimum of i, then that of j, under
 /// MatchPrecedes, then the admission gate of both rows. A row whose minimum
-/// distance or admission gate changed gets its gate recomputed; both only
-/// fall during a walk, so a gate not yet recomputed is merely looser.
+/// distance or admission gate changed gets its gate raised; both only fall
+/// during a walk, so a gate not yet raised is merely looser.
 inline void ApplyDiagonalCell(const DiagonalTile& t, std::size_t i,
                               std::size_t j, double qt, double distance,
                               double base_lb) {

@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -401,6 +402,41 @@ TEST(DiagonalKernelTest, LongSeededWalk) {
   auto ecg = synth::ByName("ecg", 2000, 21);
   ASSERT_TRUE(ecg.ok());
   CheckSelfJoin(*ecg, 64, 0.5, "ecg long");
+}
+
+TEST(DiagonalKernelTest, LongWalkExchangesGates) {
+  // A random walk with long windows, whose best matches lie on no
+  // particular diagonals: 2001 windows, exclusion 200, so 1801 diagonals
+  // in 451 tiles. At 4 workers each walks about 400k cells and trades its
+  // row gates with the others some 25 times (every 2 * kDiagonalLanes
+  // cells per window).
+  CheckSelfJoin(RandomWalk(2400, 8), 400, 0.5, "random walk long");
+}
+
+TEST(DiagonalKernelTest, EveryTileCount) {
+  // The scattered claim order for every tile count 1-70, a prime (127), a
+  // power of two (128) and 144, whose golden-ratio seed stride (88) shares
+  // the factor 8 with it and must be raised to a coprime one. Tile counts
+  // not divisible by 4 end in a ragged tile.
+  std::vector<std::size_t> tile_counts(70);
+  std::iota(tile_counts.begin(), tile_counts.end(), std::size_t{1});
+  tile_counts.insert(tile_counts.end(), {127, 128, 144});
+  constexpr std::size_t kLength = 16;
+  constexpr std::size_t kExclusion = 4;
+  for (const std::size_t tiles : tile_counts) {
+    const std::size_t diagonals = 4 * tiles - tiles % 4;
+    const series::DataSeries series =
+        RandomWalk(kExclusion + diagonals + kLength - 1, 100 + tiles);
+    WindowStats windows;
+    ASSERT_TRUE(windows.Compute(series, kLength).ok());
+    DiagonalScan scan;
+    scan.windows = windows.Arrays(series);
+    scan.length = kLength;
+    scan.exclusion = kExclusion;
+    ASSERT_EQ(DiagonalWorkers(scan, 100000),
+              std::min(tiles, ThreadPool::kMaxThreads));
+    CheckScan(scan, "tiles=" + std::to_string(tiles));
+  }
 }
 
 TEST(DiagonalKernelTest, ConstantPlateaus) {
